@@ -247,11 +247,24 @@ def _quantization_from(doc_part: dict, pointer: str) -> Quantization:
         raise InputError(f"bad quantization at {pointer}: {exc}") from exc
 
 
+def _element_from(doc: dict) -> np.ndarray:
+    """The element matrix of a validated document; every entry must be finite."""
+    U = matrix_from_json(doc["element"])
+    bad = np.argwhere(~np.isfinite(U))
+    if bad.size:
+        pointer = "/element/{}/{}".format(*bad[0])
+        raise InputError(
+            f"non-finite entry at {pointer}",
+            [{"pointer": pointer, "message": "entries must be finite numbers"}],
+        )
+    return U
+
+
 def parse_norm_job(doc: dict):
     """(quantization, element, label) from a validated norm document."""
     validate_document(doc, "norm")
     q = _quantization_from(doc["quantization"], "/quantization")
-    U = matrix_from_json(doc["element"])
+    U = _element_from(doc)
     if U.shape[1] != q.dim:
         raise InputError(
             f"element has {U.shape[1]} columns, quantization dim is {q.dim}",
@@ -265,7 +278,7 @@ def parse_pair_job(doc: dict, command: str):
     validate_document(doc, command)
     E = _quantization_from(doc["left"], "/left")
     F = _quantization_from(doc["right"], "/right")
-    U = matrix_from_json(doc["element"])
+    U = _element_from(doc)
     if U.shape[1] != E.dim * F.dim:
         raise InputError(
             f"element has {U.shape[1]} columns, expected dim(left)*dim(right)"

@@ -21,6 +21,7 @@ scale before evaluation, so every reported quantity is exactly homogeneous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -260,12 +261,17 @@ def amp_norm(q: Quantization, u, budget: int = 200, seed: int = 0, rng=None) -> 
     """Evaluate the quantized norm of an amplified element.
 
     The returned NormValue.value is always a certified upper bound; for the
-    exact kinds it is the norm itself.
+    exact kinds it is the norm itself.  Raises ValueError when the Frobenius
+    norm of the element is not finite.
     """
     U = q.check_element(u)
     scale = float(np.linalg.norm(U))
-    if scale == 0.0:
-        return NormValue(0.0, 0.0, True, f"{q.kind}/zero")
+    if not 0.0 < scale < math.inf:
+        if scale == 0.0:
+            return NormValue(0.0, 0.0, True, f"{q.kind}/zero")
+        raise ValueError(
+            "element has a non-finite Frobenius norm (NaN or inf entries, or overflow)"
+        )
     rng = make_rng(seed, "amp", q.kind) if rng is None else rng
     nv = _amp_dispatch(q, U / scale, budget, rng)
     return nv.scaled(scale)

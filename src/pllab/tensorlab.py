@@ -7,10 +7,11 @@ Both norms are infima over structured representations of the element:
   orthogonal H-blocks, value ||a|| (sum_k ||u_k||^2 ||v_k||^2)^(1/2).
 
 Upper bounds come from explicitly constructed representations (several
-deterministic families plus a budgeted refinement); lower bounds come from
-the certificate catalog in :mod:`pllab.maps`.  Every bracket satisfies
-lower <= upper + 1e-9 as a hard assertion: a violation is a bug in the
-machinery, never data.
+deterministic families); lower bounds come from the certificate catalog in
+:mod:`pllab.maps`.  Both norms are homogeneous, so the drivers bracket the
+unit-Frobenius element U/||U|| and scale the result back.  The unit bracket
+satisfies lower <= upper + 1e-9 as a hard assertion: a violation is a bug in
+the machinery, never data.
 
 The l norm never exceeds the pl norm, so pl representations double as l
 upper bounds and semi-Ruan-passing certificates serve both pools; the l
@@ -47,9 +48,6 @@ __all__ = [
     "orthogonalize_representation",
     "compare_pl_l",
 ]
-
-_RECON_TOL = 1e-10
-
 
 def _as_term(term) -> tuple:
     block, left, right = term
@@ -450,65 +448,6 @@ def _family_projective(U, E, F, budget, seed, side: str):
     return terms, res.upper * scale, res.upper_method
 
 
-def _family_refined(U, E, F, terms, value, budget, rng, seed):
-    """Alternating refinement: mix elementary-term pairs by a random unitary
-    and re-split, keeping changes that lower the total value."""
-    elem = [list(t) for t in terms]
-    if len(elem) < 2 or any(t[1].shape[0] != 1 or t[2].shape[0] != 1 for t in elem):
-        return None, np.inf
-    mE, mF = E.dim, F.dim
-    cap = U.shape[0] * mE * mF
-
-    def term_value(block, left, right, k):
-        r = make_rng(seed, "refine-term", k)
-        nu = amp_norm(E, left, budget=20, rng=r).value
-        nv = amp_norm(F, right, budget=20, rng=r).value
-        return op_norm(block) * nu * nv
-
-    vals = [term_value(b, l, r, k) for k, (b, l, r) in enumerate(elem)]
-    total = float(sum(vals))
-    steps = max(10, budget // 2)
-    for step in range(steps):
-        if len(elem) < 2:
-            break
-        i, j = rng.choice(len(elem), size=2, replace=False)
-        bi, li, ri = elem[i]
-        bj, lj, rj = elem[j]
-        # mix the rank-one base tensors by a random 2x2 unitary
-        th = rng.uniform(0, np.pi / 2)
-        ph = np.exp(2j * np.pi * rng.random())
-        c, s = np.cos(th), np.sin(th)
-        wi = np.multiply.outer(li[0], ri[0])
-        wj = np.multiply.outer(lj[0], rj[0])
-        # new blocks/tensors keep the same total contribution
-        nb = [bi * c + bj * s * ph, -bi * s * np.conj(ph) + bj * c]
-        nw = [c * wi - s * ph * wj, s * np.conj(ph) * wi + c * wj]
-        new_terms, new_vals = [], []
-        for t in range(2):
-            p, tau, qh = np.linalg.svd(nw[t], full_matrices=False)
-            for rr in range(tau.size):
-                if tau[rr] <= 1e-13 * max(tau[0], 1e-30):
-                    break
-                blk = tau[rr] * nb[t]
-                lf = p[:, rr][None, :]
-                rg = qh[rr][None, :]
-                new_terms.append([blk, lf, rg])
-                new_vals.append(term_value(blk, lf, rg, 1000 + step))
-        if len(elem) - 2 + len(new_terms) > cap:
-            continue
-        old = vals[i] + vals[j]
-        if sum(new_vals) < old - 1e-13:
-            keep = [t for k, t in enumerate(elem) if k not in (i, j)]
-            keep_vals = [v for k, v in enumerate(vals) if k not in (i, j)]
-            elem = keep + new_terms
-            vals = keep_vals + new_vals
-            total = float(sum(vals))
-    check = sum(b @ diamond_amp(l, r) for b, l, r in elem)
-    if np.linalg.norm(check - U) > 1e-9 * max(np.linalg.norm(U), 1e-30):
-        return None, np.inf
-    return [tuple(t) for t in elem], total
-
-
 # -- semi-Ruan screening of certificate targets --------------------------------
 
 _SR_CACHE: dict = {}
@@ -567,7 +506,7 @@ def _zero_bracket(norm, E, F, U, pairing):
     return NormBracket(0.0, 0.0, norm, {"certificate": None}, rep, {"families": {}, "certificates": {}})
 
 
-def _pl_families(U, E, F, budget, seed, pairing, rng):
+def _pl_families(U, E, F, budget, seed, pairing):
     nE = _basis_norms(E, max(budget // 4, 20), seed)
     nF = _basis_norms(F, max(budget // 4, 20), seed)
     fam = {}
@@ -588,45 +527,25 @@ def _pl_families(U, E, F, budget, seed, pairing, rng):
     t, v, method = _family_projective(U, E, F, budget, seed, "right")
     if t is not None:
         fam["projective-right"] = (t, v, {"method": method})
-    t, v = _family_refined(U, E, F, fam["columns"][0], fam["columns"][1], budget, rng, seed)
-    if t is not None and v < np.inf:
-        fam["refined"] = (t, v, {"from": "columns"})
     return fam
 
 
-def pl_norm_bracket(
-    E: Quantization,
-    F: Quantization,
-    U,
-    budget: int = 200,
-    seed: int = 0,
-    pairing: PairingMap = PairingMap(),
-    certificates: Optional[list] = None,
-) -> NormBracket:
-    """Bracket the pl norm of an amplified element of H (x) (E (x) F).
+def _best_lower(cert_rows) -> tuple:
+    lower, lw = 0.0, {"certificate": None}
+    for name, val, info in cert_rows:
+        if val > lower:
+            lower, lw = val, {"certificate": name, **{k: _jsonable(v) for k, v in info.items()}}
+    return lower, lw
 
-    The upper bound is the least value over the generated representation
-    families; the lower bound is the best catalog-certificate evaluation.
-    Both are certified, and lower <= upper + 1e-9 is asserted.
-    """
-    U = coeffs_of(U)
-    if U.shape[1] != E.dim * F.dim:
-        raise ValueError(
-            f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}"
-        )
-    if not np.any(U):
-        return _zero_bracket("pl", E, F, U, pairing)
-    rng = make_rng(seed, "plbracket")
-    fam = _pl_families(U, E, F, budget, seed, pairing, rng)
+
+def _pl_unit_bracket(E, F, U, budget, seed, pairing, certificates) -> NormBracket:
+    fam = _pl_families(U, E, F, budget, seed, pairing)
     best_name, (best_terms, best_val, _) = min(fam.items(), key=lambda kv: kv[1][1])
     rep = PLRepresentation(tuple(best_terms), U, E, F, pairing, label=best_name)
 
     certs = builtin_certificates(E, F) if certificates is None else list(certificates)
     cert_rows = _certificate_lowers(certs, U, budget, seed)
-    lower, lw = 0.0, {"certificate": None}
-    for name, val, info in cert_rows:
-        if val > lower:
-            lower, lw = val, {"certificate": name, **{k: _jsonable(v) for k, v in info.items()}}
+    lower, lw = _best_lower(cert_rows)
     details = {
         "families": {k: v[1] for k, v in fam.items()},
         "family_info": {k: v[2] for k, v in fam.items() if v[2]},
@@ -636,33 +555,8 @@ def pl_norm_bracket(
     return NormBracket(lower, best_val, "pl", lw, rep, details)
 
 
-def l_norm_bracket(
-    E: Quantization,
-    F: Quantization,
-    U,
-    budget: int = 200,
-    seed: int = 0,
-    pairing: PairingMap = PairingMap(),
-    certificates: Optional[list] = None,
-) -> NormBracket:
-    """Bracket the l norm: orthogonalized representations above, semi-Ruan
-    certificates below.
-
-    Upper bounds come from orthogonalizing every pl family (plus the direct
-    single-term reshape construction when both factors are injectively
-    quantized euclidean spaces); since the l norm never exceeds the pl norm,
-    plain pl values also participate in the minimum.
-    """
-    U = coeffs_of(U)
-    if U.shape[1] != E.dim * F.dim:
-        raise ValueError(
-            f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}"
-        )
-    if not np.any(U):
-        return _zero_bracket("l", E, F, U, pairing)
-    rng = make_rng(seed, "lbracket")
-    fam = _pl_families(U, E, F, budget, seed, pairing, rng)
-
+def _l_unit_bracket(E, F, U, budget, seed, pairing, certificates) -> NormBracket:
+    fam = _pl_families(U, E, F, budget, seed, pairing)
     candidates = {}  # name -> (value, representation)
     for name, (terms, val, _) in fam.items():
         if not np.isfinite(val):
@@ -679,10 +573,7 @@ def l_norm_bracket(
     certs = builtin_certificates(E, F) if certificates is None else list(certificates)
     pool = _l_pool(certs, seed)
     cert_rows = _certificate_lowers(pool, U, budget, seed)
-    lower, lw = 0.0, {"certificate": None}
-    for name, val, info in cert_rows:
-        if val > lower:
-            lower, lw = val, {"certificate": name, **{k: _jsonable(v) for k, v in info.items()}}
+    lower, lw = _best_lower(cert_rows)
     details = {
         "families": {k: v[0] for k, v in candidates.items()},
         "certificates": {name: val for name, val, _ in cert_rows},
@@ -690,6 +581,92 @@ def l_norm_bracket(
         "method": best_name,
     }
     return NormBracket(lower, best_val, "l", lw, best_rep, details)
+
+
+def _rescaled(b: NormBracket, scale: float, U: np.ndarray) -> NormBracket:
+    """The bracket of U from the bracket b of U/scale.
+
+    b has passed the soundness assertion at unit scale; the lower bound is
+    clamped to the upper one, as NormValue does, so rounding at large scales
+    cannot trip the absolute 1e-9 check again.
+    """
+    upper = b.upper * scale
+    lower = min(b.lower * scale, upper)
+    rep = b.upper_witness
+    if isinstance(rep, PLRepresentation):
+        terms = tuple((scale * blk, left, right) for blk, left, right in rep.terms)
+        rep = PLRepresentation(terms, U, rep.left_space, rep.right_space, rep.pairing, rep.label)
+    else:
+        rep = LRepresentation(
+            scale * rep.block, rep.terms, rep.supports, U, rep.left_space, rep.right_space,
+            rep.pairing, rep.label,
+        )
+    details = dict(b.details)
+    for key in ("families", "certificates"):
+        details[key] = {k: v * scale for k, v in b.details[key].items()}
+    return NormBracket(lower, upper, b.norm, b.lower_witness, rep, details)
+
+
+_UNIT_BRACKETS = {"pl": _pl_unit_bracket, "l": _l_unit_bracket}
+
+
+def _unit_bracket(norm, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
+    """(bracket of U/||U||, ||U||, coefficients of U); the zero bracket when U = 0."""
+    U = coeffs_of(U)
+    if U.shape[1] != E.dim * F.dim:
+        raise ValueError(
+            f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}"
+        )
+    scale = float(np.linalg.norm(U))
+    if not math.isfinite(scale):
+        raise ValueError(
+            "element has a non-finite Frobenius norm (NaN or inf entries, or overflow)"
+        )
+    if scale == 0.0:
+        return _zero_bracket(norm, E, F, U, pairing), scale, U
+    unit = _UNIT_BRACKETS[norm](E, F, U / scale, budget, seed, pairing, certificates)
+    return unit, scale, U
+
+
+def pl_norm_bracket(
+    E: Quantization,
+    F: Quantization,
+    U,
+    budget: int = 200,
+    seed: int = 0,
+    pairing: PairingMap = PairingMap(),
+    certificates: Optional[list] = None,
+) -> NormBracket:
+    """Bracket the pl norm of an amplified element of H (x) (E (x) F).
+
+    The upper bound is the least value over the generated representation
+    families; the lower bound is the best catalog-certificate evaluation.
+    Both are certified, and lower <= upper + 1e-9 is asserted on the
+    unit-Frobenius element.  Raises ValueError on non-finite input.
+    """
+    return _rescaled(*_unit_bracket("pl", E, F, U, budget, seed, pairing, certificates))
+
+
+def l_norm_bracket(
+    E: Quantization,
+    F: Quantization,
+    U,
+    budget: int = 200,
+    seed: int = 0,
+    pairing: PairingMap = PairingMap(),
+    certificates: Optional[list] = None,
+) -> NormBracket:
+    """Bracket the l norm: orthogonalized representations above, semi-Ruan
+    certificates below.
+
+    Every pl family with a finite value is orthogonalized into an l
+    representation and its l value computed; the upper bound is the least of
+    these.  There is no construction specific to the l norm, and plain pl
+    values do not take part in the minimum.  lower <= upper + 1e-9 is
+    asserted on the unit-Frobenius element.  Raises ValueError on non-finite
+    input.
+    """
+    return _rescaled(*_unit_bracket("l", E, F, U, budget, seed, pairing, certificates))
 
 
 def orthogonalize_representation(rep: PLRepresentation) -> LRepresentation:
@@ -752,11 +729,11 @@ def compare_pl_l(
     consistency l.lower <= pl.upper + 1e-9, and every l-certificate value
     <= pl.upper + 1e-9.  Upper bounds are search artifacts and are not
     compared.  At H-truncation 1 the two underlying norms agree, so bracket
-    overlap is reported there as a soft check.
+    overlap is reported there as a soft check.  All checks run on the
+    brackets of the unit-Frobenius element, so they hold at every scale.
     """
-    U = coeffs_of(U)
-    pl = pl_norm_bracket(E, F, U, budget=budget, seed=seed, pairing=pairing)
-    l = l_norm_bracket(E, F, U, budget=budget, seed=seed, pairing=pairing)
+    pl, scale, U = _unit_bracket("pl", E, F, U, budget, seed, pairing)
+    l, _, _ = _unit_bracket("l", E, F, U, budget, seed, pairing)
     checks = [
         ("pl_lower_ge_l_lower", pl.lower >= l.lower - 1e-9),
         ("l_lower_le_pl_upper", l.lower <= pl.upper + 1e-9),
@@ -769,8 +746,8 @@ def compare_pl_l(
         if not ok:
             raise AssertionError(f"pl/l comparison failed sound check {name}")
     report = {
-        "pl": pl.to_dict(include_representation=False),
-        "l": l.to_dict(include_representation=False),
+        "pl": _rescaled(pl, scale, U).to_dict(include_representation=False),
+        "l": _rescaled(l, scale, U).to_dict(include_representation=False),
         "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
         "separation_ratio": (pl.lower / l.upper) if l.upper > 0 else None,
     }

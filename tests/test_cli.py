@@ -203,6 +203,21 @@ def test_dimension_mismatch_is_input_error(capsys):
     assert rep["error"]["diagnostics"][0]["pointer"] == "/element"
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("command", ["norm", "pl"])
+def test_non_finite_element_is_input_error(capsys, command, bad):
+    if command == "norm":
+        doc = norm_doc(element=[[[1, 0], [0, 0]], [[0, 0], [1, bad]]])
+    else:
+        doc = pair_doc(element=[[[1, 0], [0, 0], [bad, 0], [0, 0]]])
+    code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error"
+    want = "/element/1/1" if command == "norm" else "/element/0/2"
+    assert rep["error"]["diagnostics"][0]["pointer"] == want
+
+
 def test_missing_input_is_input_error(capsys):
     code, out, _ = run_cli(capsys, "--command", "pl")
     assert code == 3

@@ -193,3 +193,91 @@ def test_l_pool_is_semi_ruan_subset():
     assert "coordinate-multiplication-l1" in catalog
     assert "coordinate-multiplication-l1" not in pool
     assert "coordinate-multiplication-l2" in pool
+
+
+def _factor_pairs():
+    """The thirteen factor pairs of the bracket benchmark, all six kinds."""
+    H = Quantization.hilbert
+    euc = BaseNorm.euclidean
+    l1 = lambda w: BaseNorm.lp(1.0, weights=w)  # noqa: E731
+    pauli = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
+    return [
+        (H(2), H(2)),
+        (H(3), H(3)),
+        (Quantization.min(euc(2)), Quantization.min(euc(3))),
+        (Quantization.min(euc(2)), H(2)),
+        (Quantization.max(l1([1.0, 2.0])), H(2)),
+        (Quantization.max(euc(2)), Quantization.lp(2.0, [1.0, 1.0])),
+        (Quantization.lp(1.0, [1.0, 0.5, 2.0]), H(2)),
+        (Quantization.lp(1.0, [1.0, 1.0]), Quantization.lp(1.0, [0.5, 2.0])),
+        (Quantization.lp(1.0, [1.0, 1.0]), Quantization.min(BaseNorm.lp(np.inf, weights=[1.0, 1.0]))),
+        (Quantization.min(l1([1.0, 1.0, 1.0])), Quantization.min(euc(2))),
+        (Quantization.max(euc(3)), Quantization.lp(2.0, [1.0, 0.5], inner=H(2))),
+        (Quantization.tensor_p(euc(2), H(2)), H(2)),
+        (Quantization.concrete(pauli), Quantization.min(l1([1.0, 1.0, 1.0]))),
+    ]
+
+
+# (pl lower, pl upper, l lower, l upper) per factor pair at d=2, seed 0
+_PINNED = [
+    (4.600887867689945, 5.702506118167487, 4.106785970502511, 6.428532253669796),
+    (5.647517779356557, 9.350242109030786, 4.880793439241503, 10.318509276045049),
+    (5.561829468984976, 5.561829468984977, 5.561829468984976, 5.561829468984977),
+    (3.248817316675565, 4.594521510915151, 3.248817316675565, 4.594521510915151),
+    (8.601495538180714, 8.601495538180714, 6.132005882467868, 9.121696001256764),
+    (4.639657000642066, 6.8508916691990285, 4.639657000642066, 7.268559120353242),
+    (6.75171174868715, 6.75171174868715, 4.957653364329681, 7.492034257923683),
+    (11.989546551295032, 11.989546551295032, 9.32940799997854, 10.937113733739537),
+    (4.176589671507163, 4.176589671507163, 4.155107603652271, 4.206132332207827),
+    (5.848488096232464, 6.182560181993362, 5.848488096232464, 6.182560181993364),
+    (3.6364386280059158, 9.500203304476765, 3.6364386280059158, 9.587453239827463),
+    (4.921853311072688, 10.240945755344335, 4.921853311072688, 11.166253993487546),
+    (9.648175661411658, 18.526838669188205, 9.648175661411658, 18.52683866918821),
+]
+
+
+@pytest.mark.parametrize("i", range(13))
+def test_brackets_match_pinned_values(i):
+    E, F = _factor_pairs()[i]
+    U = random_complex(make_rng(0, "pinned", i), 2, E.dim * F.dim)
+    pl = pl_norm_bracket(E, F, U, seed=0)
+    l = l_norm_bracket(E, F, U, seed=0)
+    got = (pl.lower, pl.upper, l.lower, l.upper)
+    assert got == pytest.approx(_PINNED[i], rel=1e-12)
+
+
+def _homogeneity_cases():
+    rng = make_rng(67, "homogeneity")
+    pairs = _factor_pairs()
+    return [
+        (*hilbert_pair(3), v_example(3)),
+        (*pairs[7], random_complex(rng, 2, 4)),  # weighted l1: pl = weighted column sum
+        (*pairs[2], random_complex(rng, 2, 6)),  # min euclidean: l = operator norm
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+@pytest.mark.parametrize("fn", [pl_norm_bracket, l_norm_bracket], ids=["pl", "l"])
+def test_brackets_are_homogeneous_at_extreme_scales(fn, case):
+    E, F, U = _homogeneity_cases()[case]
+    ref = fn(E, F, U, budget=100, seed=2)
+    for s in (1e-150, 1e-6, 1e9, 1e12, 1e15, 1e150):
+        b = fn(E, F, s * U, budget=100, seed=2)
+        assert b.lower <= b.upper
+        assert b.lower == pytest.approx(s * ref.lower, rel=1e-12)
+        assert b.upper == pytest.approx(s * ref.upper, rel=1e-12)
+        assert b.upper_witness.residual() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_elements_raise_value_error(bad):
+    from pllab import amp_norm
+
+    E, F = hilbert_pair(2)
+    U = np.ones((2, 4), dtype=complex)
+    U[1, 2] = bad
+    for fn in (pl_norm_bracket, l_norm_bracket, compare_pl_l):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(E, F, U)
+    with pytest.raises(ValueError, match="non-finite"):
+        amp_norm(E, U[:, 2:])
