@@ -13,8 +13,8 @@ injective-type quantized norm and the certificate machinery run on:
   certified [lower, upper] enclosure and a witness.  Exact for euclidean,
   polytope, weighted l-infinity, p = 2, and real-mode l1 bases (sign
   enumeration up to 16 coordinates); multi-start ascent otherwise.
-* ``primal_align(c)`` / ``dual_align(c)``: norming vectors for a coefficient
-  vector in the primal/dual unit ball (Hoelder alignment).
+* ``primal_align(c)``: a norming vector for a coefficient vector in the
+  primal unit ball (Hoelder alignment).
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+
+from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
 __all__ = ["BaseNorm", "DualMax"]
 
@@ -68,15 +70,15 @@ class BaseNorm:
             if self.p is None or not (1.0 <= self.p):
                 raise ValueError("lp base needs p in [1, inf]")
             w = np.ones(self.dim) if self.weights is None else np.asarray(self.weights, dtype=float)
-            if w.shape != (self.dim,) or np.any(w <= 0):
-                raise ValueError("lp base needs strictly positive weights, one per coordinate")
+            if w.shape != (self.dim,) or not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("lp base needs positive finite weights, one per coordinate")
             object.__setattr__(self, "weights", w)
         elif self.kind == "euclidean":
             pass
         elif self.kind == "polytope":
             v = np.asarray(self.vertices, dtype=complex)
-            if v.ndim != 2 or v.shape[1] != self.dim or v.shape[0] < 1:
-                raise ValueError("polytope base needs a K x dim vertex matrix")
+            if v.ndim != 2 or v.shape[1] != self.dim or v.shape[0] < 1 or not np.all(np.isfinite(v)):
+                raise ValueError("polytope base needs a finite K x dim vertex matrix")
             if self.real:
                 _require_real(v, "polytope vertices")
                 v = v.real.astype(complex)
@@ -211,20 +213,6 @@ class BaseNorm:
             if val > best_val:
                 best, best_val = x / n, val
         return best
-
-    def dual_align(self, g) -> np.ndarray:
-        """Functional c in the dual unit ball maximizing |g . c|."""
-        g = self.check_element(g)
-        dd = self.dual_descriptor()
-        if dd is not None:
-            return dd.primal_align(g)
-        # polytope: the dual ball is the absolutely convex hull of the vertices
-        vals = np.abs(self.vertices @ g)
-        k = int(np.argmax(vals))
-        v = self.vertices[k]
-        ip = np.dot(g, v)
-        ph = np.conj(ip) / abs(ip) if abs(ip) > 0 else 1.0
-        return ph * v
 
     # -- ball suprema -------------------------------------------------------
 
@@ -380,12 +368,10 @@ class BaseNorm:
         if self.real:
             out["real"] = True
         if self.kind == "lp":
-            out["p"] = "inf" if np.isinf(self.p) else self.p
+            out["p"] = p_to_json(self.p)
             out["weights"] = [float(w) for w in self.weights]
         elif self.kind == "polytope":
-            out["vertices"] = [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.vertices
-            ]
+            out["vertices"] = matrix_to_json(self.vertices)
         return out
 
     @staticmethod
@@ -393,16 +379,11 @@ class BaseNorm:
         kind = d["kind"]
         real = bool(d.get("real", False))
         if kind == "lp":
-            p = d["p"]
-            p = np.inf if p in ("inf", "Infinity") else float(p)
-            return BaseNorm.lp(p, dim=d["dim"], weights=d.get("weights"), real=real)
+            return BaseNorm.lp(p_from_json(d["p"]), dim=d["dim"], weights=d.get("weights"), real=real)
         if kind == "euclidean":
             return BaseNorm.euclidean(d["dim"], real=real)
         if kind == "polytope":
-            verts = np.array(
-                [[complex(re, im) for re, im in row] for row in d["vertices"]], dtype=complex
-            )
-            return BaseNorm.polytope(verts, real=real)
+            return BaseNorm.polytope(matrix_from_json(d["vertices"]), real=real)
         raise ValueError(f"unknown base kind {kind!r}")
 
 

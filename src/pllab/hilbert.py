@@ -14,6 +14,7 @@ on top is scheme-independent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,7 @@ __all__ = [
     "vec_diamond_amp",
     "rank_one",
     "op_norm",
+    "frobenius_norm",
     "module_action",
     "coeffs_of",
     "block_of",
@@ -260,6 +262,24 @@ def op_norm(a) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.norm(m, 2))
+
+
+def frobenius_norm(a) -> float:
+    """Frobenius norm of an array of finite entries of any magnitude.
+
+    np.linalg.norm squares the entries, so it returns 0 or inf for some such
+    arrays; those are rescaled by their largest entry first.  Raises
+    ValueError for NaN or infinite entries, or a norm beyond the float range.
+    """
+    n = float(np.linalg.norm(a))
+    if 0.0 < n < math.inf:
+        return n
+    big = float(np.max(np.abs(a), initial=0.0))
+    if 0.0 < big < math.inf:
+        n = big * float(np.linalg.norm(a / big))
+    if not math.isfinite(n):
+        raise ValueError("element has non-finite entries or a Frobenius norm beyond the float range")
+    return n
 
 
 def module_action(a, u) -> np.ndarray:

@@ -1,8 +1,11 @@
-"""JSON and CSV wire formats for the command-line front end.
+"""JSON and CSV front end of the command line: schemas, parsing, rendering.
 
-Input documents and reports share one convention: complex numbers are
-``[re, im]`` pairs, matrices are row-major nested lists, ``p = inf`` is the
-string ``"inf"``.  Rendering is canonical so that identical jobs produce
+Input documents and reports use the wire format of :mod:`pllab.wire`
+(complex numbers as ``[re, im]`` pairs, row-major matrices, ``p = inf`` as
+a string); this module re-exports its codecs.  Input is checked against a
+JSON schema, and element entries, weights, generators and vertices must be
+finite; a malformed document raises InputError with JSON-pointer
+diagnostics.  Rendering is canonical so that identical jobs produce
 byte-identical reports.
 """
 
@@ -15,8 +18,10 @@ import json
 import jsonschema
 import numpy as np
 
-from .hilbert import PairingMap
+from . import wire
+from .hilbert import PairingMap, frobenius_norm
 from .quantizations import Quantization
+from .wire import canonical, complex_from_json, complex_to_json, matrix_to_json, p_to_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -45,60 +50,16 @@ class InputError(ValueError):
         self.diagnostics = list(diagnostics or [])
 
 
-def complex_to_json(z: complex) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
-
-
-def complex_from_json(pair) -> complex:
-    re, im = pair
-    return complex(float(re), float(im))
-
-
-def matrix_to_json(m) -> list:
-    m = np.atleast_2d(np.asarray(m, dtype=complex))
-    return [[complex_to_json(z) for z in row] for row in m]
-
-
 def matrix_from_json(rows) -> np.ndarray:
     try:
-        return np.array(
-            [[complex_from_json(z) for z in row] for row in rows], dtype=complex
-        )
+        return wire.matrix_from_json(rows)
     except (TypeError, ValueError) as exc:
         raise InputError(f"element is not a [re, im] matrix: {exc}") from exc
 
 
-def canonical(obj):
-    """Coerce report payloads to plain JSON types (stable across numpy dtypes)."""
-    if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return matrix_to_json(obj)
-        return canonical(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, (complex, np.complexfloating)):
-        z = complex(obj)
-        if z.imag == 0.0:
-            return float(z.real)
-        return complex_to_json(z)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if np.isnan(x) or np.isinf(x):
-            return repr(x)
-        return x
-    return obj
-
-
 # -- input documents --------------------------------------------------------
 
-_PNUM = {"anyOf": [{"type": "number", "minimum": 1}, {"const": "inf"}]}
+_PNUM = {"anyOf": [{"type": "number", "minimum": 1}, {"const": p_to_json(np.inf)}]}
 
 _DEFS = {
     "complexnum": {
@@ -244,11 +205,12 @@ def _quantization_from(doc_part: dict, pointer: str) -> Quantization:
     try:
         return Quantization.from_dict(doc_part)
     except (KeyError, ValueError, TypeError) as exc:
-        raise InputError(f"bad quantization at {pointer}: {exc}") from exc
+        diag = [{"pointer": pointer, "message": str(exc)}]
+        raise InputError(f"bad quantization at {pointer}: {exc}", diag) from exc
 
 
 def _element_from(doc: dict) -> np.ndarray:
-    """The element matrix of a validated document; every entry must be finite."""
+    """The element matrix of a validated document; entries and norm must be finite."""
     U = matrix_from_json(doc["element"])
     bad = np.argwhere(~np.isfinite(U))
     if bad.size:
@@ -257,6 +219,10 @@ def _element_from(doc: dict) -> np.ndarray:
             f"non-finite entry at {pointer}",
             [{"pointer": pointer, "message": "entries must be finite numbers"}],
         )
+    try:
+        frobenius_norm(U)
+    except ValueError as exc:
+        raise InputError(str(exc), [{"pointer": "/element", "message": str(exc)}]) from exc
     return U
 
 

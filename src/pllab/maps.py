@@ -25,6 +25,7 @@ from .bases import BaseNorm, DualMax
 from .hilbert import PairingMap, coeffs_of
 from .quantizations import NormValue, Quantization, amp_norm, underlying_norm
 from .sampling import make_rng, random_complex
+from .wire import matrix_to_json
 
 __all__ = [
     "LinearMap",
@@ -67,7 +68,7 @@ class LinearMap:
 
     def to_dict(self) -> dict:
         return {
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in self.matrix],
+            "matrix": matrix_to_json(self.matrix),
             "source": self.source.to_dict(),
             "target": self.target.to_dict(),
             "provenance": self.provenance,
@@ -133,12 +134,6 @@ def amplify_bilinear(r: BilinearMap, u, v, pairing: PairingMap = PairingMap()) -
     out = np.empty_like(t)
     out[pairing.flat(U.shape[0], V.shape[0]).ravel()] = t
     return out
-
-
-def linearized_image(r: BilinearMap, u) -> np.ndarray:
-    """Image of an amplified element of H (x) (E (x) F) under id (x) R."""
-    U = coeffs_of(u)
-    return U @ r.linearized_matrix
 
 
 # -- underlying dual machinery ------------------------------------------------

@@ -21,16 +21,16 @@ scale before evaluation, so every reported quantity is exactly homogeneous.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .bases import BaseNorm, DualMax
-from .hilbert import coeffs_of
+from .hilbert import coeffs_of, frobenius_norm
 from .projective import EuclidFactor, proj_bracket
 from .sampling import make_rng, random_complex
+from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
 __all__ = [
     "NormValue",
@@ -40,6 +40,7 @@ __all__ = [
     "semi_ruan_witness_search",
     "is_semi_ruan_witness_search",
     "AmpFactor",
+    "tensor_p_bracket",
 ]
 
 _KINDS = ("min", "max", "lp", "hilbert", "concrete", "tensor_p")
@@ -107,15 +108,15 @@ class Quantization:
             if self.p is None or not (1.0 <= self.p):
                 raise ValueError("lp quantization needs p in [1, inf]")
             w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or w.size < 1 or np.any(w <= 0):
-                raise ValueError("lp quantization needs positive point weights")
+            if w.ndim != 1 or w.size < 1 or not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("lp quantization needs positive finite point weights")
             object.__setattr__(self, "weights", w)
             if self.inner is None:
                 object.__setattr__(self, "inner", Quantization.scalar())
         elif self.kind == "concrete":
             gens = tuple(np.asarray(g, dtype=complex) for g in self.generators)
-            if not gens or any(g.ndim != 2 or g.shape != gens[0].shape for g in gens):
-                raise ValueError("concrete quantization needs generator matrices of equal shape")
+            if not gens or any(g.ndim != 2 or g.shape != gens[0].shape or not np.isfinite(g).all() for g in gens):
+                raise ValueError("concrete quantization needs finite generator matrices of equal shape")
             object.__setattr__(self, "generators", gens)
         elif self.kind == "tensor_p":
             if self.base is None or self.inner is None:
@@ -167,29 +168,6 @@ class Quantization:
             return len(self.generators)
         return self.base.dim * self.inner.dim
 
-    @property
-    def exactness(self) -> str:
-        """Short description of when amp_norm is exact for this kind."""
-        if self.kind == "hilbert" or self.kind == "concrete":
-            return "exact"
-        if self.kind == "min":
-            b = self.base
-            if b.kind in ("euclidean", "polytope") or (
-                b.kind == "lp" and (np.isinf(b.p) or b.p == 2.0 or (b.p == 1.0 and b.real))
-            ):
-                return "exact"
-            return "bracketed"
-        if self.kind == "lp":
-            return self.inner.exactness
-        # max / tensor_p
-        if self.base.kind == "lp" and self.base.p == 1.0:
-            return "exact" if self.kind == "max" else self.inner.exactness
-        return "bracketed"
-
-    def is_hilbert_type(self) -> bool:
-        """Frobenius-normed quantization of a euclidean base."""
-        return self.kind == "hilbert"
-
     def is_min_euclidean(self) -> bool:
         return self.kind == "min" and self.base.kind == "euclidean"
 
@@ -212,10 +190,10 @@ class Quantization:
         if self.kind in ("min", "max", "tensor_p"):
             params["base"] = self.base.to_dict()
         if self.kind == "lp":
-            params["p"] = "inf" if np.isinf(self.p) else self.p
+            params["p"] = p_to_json(self.p)
             params["weights"] = [float(w) for w in self.weights]
         if self.kind == "concrete":
-            params["generators"] = [_matrix_to_json(g) for g in self.generators]
+            params["generators"] = [matrix_to_json(g) for g in self.generators]
         if self.kind in ("lp", "tensor_p"):
             out["inner"] = self.inner.to_dict()
         return out
@@ -232,11 +210,9 @@ class Quantization:
         elif kind == "hilbert":
             q = Quantization.hilbert(int(d["dim"]))
         elif kind == "lp":
-            p = params["p"]
-            p = np.inf if p in ("inf", "Infinity") else float(p)
-            q = Quantization.lp(p, params["weights"], inner=inner)
+            q = Quantization.lp(p_from_json(params["p"]), params["weights"], inner=inner)
         elif kind == "concrete":
-            q = Quantization.concrete([_matrix_from_json(g) for g in params["generators"]])
+            q = Quantization.concrete([matrix_from_json(g) for g in params["generators"]])
         elif kind == "tensor_p":
             q = Quantization.tensor_p(BaseNorm.from_dict(params["base"]), inner)
         else:
@@ -246,14 +222,6 @@ class Quantization:
         return q
 
 
-def _matrix_to_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
-def _matrix_from_json(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=complex)
-
-
 # -- amplified norm ---------------------------------------------------------
 
 
@@ -261,17 +229,13 @@ def amp_norm(q: Quantization, u, budget: int = 200, seed: int = 0, rng=None) -> 
     """Evaluate the quantized norm of an amplified element.
 
     The returned NormValue.value is always a certified upper bound; for the
-    exact kinds it is the norm itself.  Raises ValueError when the Frobenius
-    norm of the element is not finite.
+    exact kinds it is the norm itself.  Raises ValueError when the element
+    has non-finite entries.
     """
     U = q.check_element(u)
-    scale = float(np.linalg.norm(U))
-    if not 0.0 < scale < math.inf:
-        if scale == 0.0:
-            return NormValue(0.0, 0.0, True, f"{q.kind}/zero")
-        raise ValueError(
-            "element has a non-finite Frobenius norm (NaN or inf entries, or overflow)"
-        )
+    scale = frobenius_norm(U)
+    if scale == 0.0:
+        return NormValue(0.0, 0.0, True, f"{q.kind}/zero")
     rng = make_rng(seed, "amp", q.kind) if rng is None else rng
     nv = _amp_dispatch(q, U / scale, budget, rng)
     return nv.scaled(scale)
@@ -295,13 +259,21 @@ def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue
         res = proj_bracket(q.base, EuclidFactor(U.shape[0]), U.T, budget=budget, rng=rng,
                            cap=U.shape[0] * q.dim)
         return NormValue(res.upper, res.lower, res.exact, f"max/{res.upper_method}")
-    # tensor_p
-    factor = AmpFactor(q.inner, budget=max(budget // 4, 20), rng=rng, d=U.shape[0])
-    Z = _beta_slices(U, q.base.dim, q.inner.dim)
-    res = proj_bracket(q.base, factor, Z, budget=budget, rng=rng,
-                       cap=U.shape[0] * q.dim)
-    return NormValue(res.upper, res.lower, res.exact and factor.all_exact,
-                     f"tensor_p/{res.upper_method}")
+    res, all_exact = tensor_p_bracket(q.base, q.inner, U, budget, rng)
+    return NormValue(res.upper, res.lower, res.exact and all_exact, f"tensor_p/{res.upper_method}")
+
+
+def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget: int, rng) -> tuple:
+    """(ProjResult, all_exact): the projective bracket of U over base (x)
+    inner, and whether every inner norm evaluated on the way was exact.
+
+    U has one row per H coordinate and base.dim * inner.dim columns.
+    """
+    d = U.shape[0]
+    factor = AmpFactor(inner, budget=max(budget // 4, 20), rng=rng, d=d)
+    Z = _beta_slices(U, base.dim, inner.dim)
+    res = proj_bracket(base, factor, Z, budget=budget, rng=rng, cap=d * base.dim * inner.dim)
+    return res, factor.all_exact
 
 
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
@@ -339,14 +311,8 @@ class AmpFactor:
         self.euclid_like = inner.kind == "hilbert"
         self.size = d * inner.dim
 
-    def _shape(self, v: np.ndarray):
-        m = self.inner.dim
-        if v.size % m:
-            raise ValueError("flat factor vector does not fit the inner dimension")
-        return v.reshape(v.size // m, m)
-
     def _eval(self, v: np.ndarray) -> NormValue:
-        nv = amp_norm(self.inner, self._shape(v), budget=self.budget, rng=self.rng)
+        nv = amp_norm(self.inner, v.reshape(-1, self.inner.dim), budget=self.budget, rng=self.rng)
         if not nv.exact:
             self.all_exact = False
         return nv

@@ -27,17 +27,11 @@ from typing import Optional
 import numpy as np
 
 from .bases import BaseNorm
-from .hilbert import PairingMap, coeffs_of, diamond_amp, op_norm
+from .hilbert import PairingMap, coeffs_of, diamond_amp, frobenius_norm, op_norm
 from .maps import builtin_certificates
-from .projective import proj_bracket
-from .quantizations import (
-    AmpFactor,
-    Quantization,
-    _beta_slices,
-    amp_norm,
-    semi_ruan_witness_search,
-)
+from .quantizations import Quantization, amp_norm, semi_ruan_witness_search, tensor_p_bracket
 from .sampling import make_rng, parallel_map
+from .wire import canonical, matrix_to_json
 
 __all__ = [
     "PLRepresentation",
@@ -107,8 +101,8 @@ class PLRepresentation:
         return out
 
     def residual(self) -> float:
-        scale = max(float(np.linalg.norm(self.target)), 1e-30)
-        return float(np.linalg.norm(self.reconstruct() - self.target)) / scale
+        scale = frobenius_norm(self.target) or 1.0
+        return frobenius_norm(self.reconstruct() - self.target) / scale
 
     def term_values(self, budget: int = 60, seed: int = 0) -> list:
         out = []
@@ -133,9 +127,9 @@ class PLRepresentation:
         if include_data:
             out["terms"] = [
                 {
-                    "block": _mat_json(block),
-                    "left": _mat_json(left),
-                    "right": _mat_json(right),
+                    "block": matrix_to_json(block),
+                    "left": matrix_to_json(left),
+                    "right": matrix_to_json(right),
                 }
                 for block, left, right in self.terms
             ]
@@ -197,15 +191,6 @@ class LRepresentation:
         if res > 1e-8:
             raise ValueError(f"representation does not reconstruct its target (residual {res:.2e})")
 
-    def support_projections(self) -> list:
-        P = self.terms[0][0].shape[0] if self.terms else 0
-        out = []
-        for off, size in self.supports:
-            proj = np.zeros((P, P), dtype=complex)
-            proj[off : off + size, off : off + size] = np.eye(size)
-            out.append(proj)
-        return out
-
     def reconstruct(self) -> np.ndarray:
         if not self.terms:
             return np.zeros_like(self.target)
@@ -213,8 +198,8 @@ class LRepresentation:
         return self.block @ total
 
     def residual(self) -> float:
-        scale = max(float(np.linalg.norm(self.target)), 1e-30)
-        return float(np.linalg.norm(self.reconstruct() - self.target)) / scale
+        scale = frobenius_norm(self.target) or 1.0
+        return frobenius_norm(self.reconstruct() - self.target) / scale
 
     def term_norms(self, budget: int = 60, seed: int = 0) -> list:
         out = []
@@ -241,15 +226,11 @@ class LRepresentation:
             "pairing": self.pairing.scheme,
         }
         if include_data:
-            out["block"] = _mat_json(self.block)
+            out["block"] = matrix_to_json(self.block)
             out["terms"] = [
-                {"left": _mat_json(u), "right": _mat_json(v)} for u, v in self.terms
+                {"left": matrix_to_json(u), "right": matrix_to_json(v)} for u, v in self.terms
             ]
         return out
-
-
-def _mat_json(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.atleast_2d(m)]
 
 
 @dataclass(frozen=True)
@@ -284,24 +265,10 @@ class NormBracket:
             "lower": self.lower,
             "upper": self.upper,
             "gap": self.has_gap,
-            "lower_witness": _jsonable(self.lower_witness),
+            "lower_witness": canonical(self.lower_witness),
             "upper_witness": rep.to_dict(include_representation) if rep is not None else None,
-            "details": _jsonable(self.details),
+            "details": canonical(self.details),
         }
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _mat_json(np.atleast_2d(obj))
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
 
 
 # -- upper-bound generators ---------------------------------------------------
@@ -414,33 +381,25 @@ def _projective_base(q: Quantization) -> Optional[BaseNorm]:
 def _family_projective(U, E, F, budget, seed, side: str):
     """Decompose against one projectively normed factor.
 
-    Runs the same bracketing routine as the TENSOR_P quantization, on the
+    Calls tensor_p_bracket, the routine of the TENSOR_P quantization, on the
     same seed stream, so the value agrees with amp_norm of the matching
     tensor quantization evaluated at (budget, seed).
     """
     d = U.shape[0]
     mE, mF = E.dim, F.dim
     if side == "left":
-        base = _projective_base(E)
-        other, m_other = F, mF
-        W = U
+        base, other, W = _projective_base(E), F, U
     else:
-        base = _projective_base(F)
-        other, m_other = E, mE
+        base, other = _projective_base(F), E
         W = np.ascontiguousarray(U.reshape(d, mE, mF).transpose(0, 2, 1)).reshape(d, mF * mE)
     if base is None:
         return None, np.inf, None
     scale = float(np.linalg.norm(W))
-    if scale == 0.0:
-        return [], 0.0, "zero"
-    rng = make_rng(seed, "amp", "tensor_p")
-    factor = AmpFactor(other, budget=max(budget // 4, 20), rng=rng, d=d)
-    Z = _beta_slices(W / scale, base.dim, m_other)
-    res = proj_bracket(base, factor, Z, budget=budget, rng=rng, cap=d * mE * mF)
+    res, _ = tensor_p_bracket(base, other, W / scale, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
     terms = []
     for xvec, flat in res.terms:
-        V = scale * flat.reshape(d, m_other)
+        V = scale * flat.reshape(d, other.dim)
         if side == "left":
             terms.append((eye, xvec[None, :], V))
         else:
@@ -534,7 +493,7 @@ def _best_lower(cert_rows) -> tuple:
     lower, lw = 0.0, {"certificate": None}
     for name, val, info in cert_rows:
         if val > lower:
-            lower, lw = val, {"certificate": name, **{k: _jsonable(v) for k, v in info.items()}}
+            lower, lw = val, {"certificate": name, **canonical(info)}
     return lower, lw
 
 
@@ -617,11 +576,7 @@ def _unit_bracket(norm, E, F, U, budget, seed, pairing, certificates=None) -> tu
         raise ValueError(
             f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}"
         )
-    scale = float(np.linalg.norm(U))
-    if not math.isfinite(scale):
-        raise ValueError(
-            "element has a non-finite Frobenius norm (NaN or inf entries, or overflow)"
-        )
+    scale = frobenius_norm(U)
     if scale == 0.0:
         return _zero_bracket(norm, E, F, U, pairing), scale, U
     unit = _UNIT_BRACKETS[norm](E, F, U / scale, budget, seed, pairing, certificates)

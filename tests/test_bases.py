@@ -132,6 +132,15 @@ def test_element_dimension_check():
         BaseNorm.euclidean(3).norm(np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_descriptor_numbers_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        BaseNorm.lp(1.0, weights=[bad, 1.0])
+    verts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [bad, 0.0], [-bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        BaseNorm.polytope(verts)
+
+
 def test_serialization_roundtrip():
     verts = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0j], [0.0, -1.0j]])
     for base in (

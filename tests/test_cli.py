@@ -218,6 +218,51 @@ def test_non_finite_element_is_input_error(capsys, command, bad):
     assert rep["error"]["diagnostics"][0]["pointer"] == want
 
 
+def _bad_quantization(kind: str, bad: float) -> dict:
+    """A dim-2 descriptor with one non-finite number."""
+    if kind == "lp-weights":
+        return {"kind": "lp", "params": {"p": 1, "weights": [bad, 1.0]}}
+    if kind == "base-weights":
+        base = {"kind": "lp", "dim": 2, "p": 1, "weights": [bad, 1.0]}
+        return {"kind": "min", "params": {"base": base}}
+    if kind == "generators":
+        gens = [[[[1, 0], [0, 0]], [[0, 0], [1, 0]]], [[[0, 0], [bad, 0]], [[1, 0], [0, 0]]]]
+        return {"kind": "concrete", "params": {"generators": gens}}
+    verts = [[[1, 0], [0, 0]], [[-1, 0], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [-1, 0]], [[bad, 0], [0, 0]]]
+    return {"kind": "min", "params": {"base": {"kind": "polytope", "dim": 2, "vertices": verts}}}
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("kind", ["lp-weights", "base-weights", "generators", "vertices"])
+@pytest.mark.parametrize("pointer", ["/quantization", "/left", "/right"])
+def test_non_finite_descriptor_is_input_error(capsys, pointer, kind, bad):
+    q = _bad_quantization(kind, bad)
+    if pointer == "/quantization":
+        command, doc = "norm", norm_doc(quantization=q)
+    else:
+        command, doc = "pl", pair_doc(**{pointer[1:]: q})
+    code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error"
+    assert rep["error"]["diagnostics"][0]["pointer"] == pointer
+
+
+def test_element_of_any_finite_magnitude_is_bracketed(capsys):
+    code, out, _ = run_cli(capsys, "--command", "pl", "--input", pair_doc())
+    unit = json.loads(out)["cases"][0]
+    huge = [[[1e200 * re, 1e200 * im] for re, im in row] for row in json.loads(pair_doc())["element"]]
+    code_huge, out, _ = run_cli(capsys, "--command", "pl", "--input", pair_doc(element=huge))
+    assert code == code_huge == 0
+    case = json.loads(out)["cases"][0]
+    assert case["lower"] == pytest.approx(1e200 * unit["lower"], rel=1e-12, abs=0)
+    assert case["upper"] == pytest.approx(1e200 * unit["upper"], rel=1e-12, abs=0)
+    # a norm beyond the float range is an input error
+    code, out, _ = run_cli(capsys, "--command", "pl", "--input", pair_doc(element=[[[1e308, 0]] * 4]))
+    assert code == 3
+    assert json.loads(out)["error"]["diagnostics"][0]["pointer"] == "/element"
+
+
 def test_missing_input_is_input_error(capsys):
     code, out, _ = run_cli(capsys, "--command", "pl")
     assert code == 3

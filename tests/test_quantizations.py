@@ -263,6 +263,28 @@ def test_error_contract():
         Quantization.from_dict({"kind": "hilbert", "dim": 3}).check_element(np.ones((1, 2)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_descriptor_numbers_are_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Quantization.lp(1.0, [bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Quantization.concrete([np.eye(2), np.array([[0.0, bad], [1.0, 0.0]])])
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e200])
+def test_amp_norm_is_homogeneous_at_extreme_scales(s):
+    """np.linalg.norm underflows to 0 at 1e-170 and overflows at 1e200."""
+    from pllab.suites import quantization_pool
+
+    rng = make_rng(35, "extreme-scale")
+    for q in quantization_pool():
+        U = random_complex(rng, 2, q.dim, real=q.base.real if q.base is not None else False)
+        ref = amp_norm(q, U, budget=40, seed=9)
+        nv = amp_norm(q, s * U, budget=40, seed=9)
+        assert nv.value == pytest.approx(s * ref.value, rel=1e-12, abs=0)
+        assert nv.lower == pytest.approx(s * ref.lower, rel=1e-12, abs=0)
+
+
 def test_real_mode_rejects_complex_elements():
     q = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True))
     with pytest.raises(ValueError):
