@@ -12,7 +12,8 @@ injective-type quantized norm and the certificate machinery run on:
 * ``dual_ball_maximize(A)``: sup of ||A c||_2 over the dual unit ball, with a
   certified [lower, upper] enclosure and a witness.  Exact for euclidean,
   polytope, weighted l-infinity, p = 2, and real-mode l1 bases (sign
-  enumeration up to 16 coordinates); multi-start ascent otherwise.
+  enumeration up to 16 coordinates); multi-start ascent otherwise, with all
+  starts iterated at once as the columns of one m x starts matrix.
 * ``primal_align(c)``: a norming vector for a coefficient vector in the
   primal unit ball (Hoelder alignment).
 """
@@ -196,11 +197,7 @@ class BaseNorm:
                 return x
             if np.isinf(self.p):
                 return phase / w
-            q = self.p / (self.p - 1.0)
-            h = a * w ** (-1.0 / self.p)
-            hn = np.linalg.norm(h, q)
-            t = (h / hn) ** (q - 1.0)
-            return phase * t * w ** (-1.0 / self.p)
+            return self._holder_align(c[:, None])[:, 0]
         # polytope: try the scaled conjugate and coordinate directions
         cands = [np.conj(c)]
         cands.extend(np.eye(self.dim, dtype=complex))
@@ -214,10 +211,25 @@ class BaseNorm:
                 best, best_val = x / n, val
         return best
 
+    def _holder_align(self, C: np.ndarray) -> np.ndarray:
+        """primal_align of each column of C, for an lp base with 1 < p < inf."""
+        s = self.weights[:, None] ** (-1.0 / self.p)
+        h = np.abs(C) * s
+        q = self.p / (self.p - 1.0)
+        hn = np.linalg.norm(h, q, axis=0)
+        t = (h / np.where(hn > 0, hn, 1.0)) ** (q - 1.0)
+        return _phases(np.conj(C)) * t * s
+
     # -- ball suprema -------------------------------------------------------
 
     def dual_ball_maximize(self, A, rng=None, starts: int = 8, iters: int = 60) -> DualMax:
-        """sup of ||A c||_2 over the dual unit ball of this base."""
+        """sup of ||A c||_2 over the dual unit ball of this base.
+
+        The multi-start ascents (weighted l1 polydisc, lq ball) run all starts
+        as columns of one m x starts matrix; a column stops under the same rule
+        as a lone start would (phases settled, or no gain above 1e-15), and the
+        first of the best columns is returned.
+        """
         A = np.asarray(A, dtype=complex)
         if A.shape[1] != self.dim:
             raise ValueError("matrix columns must match the base dimension")
@@ -272,25 +284,25 @@ class BaseNorm:
             return DualMax(v, v, w.astype(complex).copy(), True)
         rng = np.random.default_rng(0) if rng is None else rng
         Q = B.conj().T @ B
-        best_val, best_z = -1.0, None
-        for s in range(starts):
-            if s == 0:
-                z = np.ones(m, dtype=complex)
-            elif s == 1:
-                j = int(np.argmax(np.linalg.norm(B, axis=0)))
-                g = B.conj().T @ B[:, j]
-                z = _phases(g)
-            else:
-                z = _phases(rng.standard_normal(m) + 1j * rng.standard_normal(m))
-            for _ in range(iters):
-                z_new = _phases(Q @ z)
-                if np.allclose(z_new, z, atol=1e-14):
-                    z = z_new
-                    break
-                z = z_new
-            val = float(np.linalg.norm(B @ z))
-            if val > best_val:
-                best_val, best_z = val, z
+        # starts as columns: ones, the phases of the Gram column of the
+        # heaviest coordinate, then random phases
+        j = int(np.argmax(np.linalg.norm(B, axis=0)))
+        g = rng.standard_normal((max(starts - 2, 0), 2, m))
+        Z = np.column_stack(
+            [np.ones(m), _phases(B.conj().T @ B[:, j]), _phases(g[:, 0] + 1j * g[:, 1]).T]
+        )[:, :starts]
+        live = np.arange(starts)
+        for _ in range(iters):
+            Zl = Z[:, live]
+            Zn = _phases(Q @ Zl)
+            Z[:, live] = Zn
+            # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
+            live = live[np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=0)]
+            if not live.size:
+                break
+        vals = np.linalg.norm(B @ Z, axis=0)
+        k = int(np.argmax(vals))
+        best_val, best_z = float(vals[k]), Z[:, k]
         upper = min(
             float(np.sum(np.linalg.norm(B, axis=0))),
             float(np.linalg.norm(B, 2)) * np.sqrt(m),
@@ -301,32 +313,29 @@ class BaseNorm:
     def _dual_ball_max_lq(self, A, rng, starts, iters) -> DualMax:
         dd = self.dual_descriptor()  # an lq(w') descriptor
         rng = np.random.default_rng(0) if rng is None else rng
-        m = self.dim
-        best_val, best_c = -1.0, None
-        for s in range(starts):
-            if s == 0:
-                c = dd.primal_align(np.sum(A, axis=0).conj() + 1e-30)
-            else:
-                c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                if self.real:
-                    c = c.real.astype(complex)
-                c = c / max(dd.norm(c), 1e-30)
-            val = float(np.linalg.norm(A @ c))
-            for _ in range(iters):
-                y = A @ c
-                ny = np.linalg.norm(y)
-                if ny <= 0:
-                    break
-                g = np.conj(A.conj().T @ (y / ny))
-                c_new = dd.primal_align(g)
-                val_new = float(np.linalg.norm(A @ c_new))
-                if val_new <= val + 1e-15:
-                    break
-                c, val = c_new, val_new
-            if val > best_val:
-                best_val, best_c = val, c
-        q = dd.p
-        wq = dd.weights
+        q, wq = dd.p, dd.weights
+        # starts as columns: the aligner of the summed rows, then random
+        # directions scaled to the dual sphere
+        g = rng.standard_normal((starts - 1, 2, self.dim))
+        R = (g[:, 0] + 1j * g[:, 1]).T
+        if self.real:
+            R = R.real.astype(complex)
+        R = R / np.maximum(np.sum(wq[:, None] * np.abs(R) ** q, axis=0) ** (1.0 / q), 1e-30)
+        C = np.column_stack([dd.primal_align(np.sum(A, axis=0).conj() + 1e-30), R])
+        Y = A @ C
+        vals = np.linalg.norm(Y, axis=0)
+        live = np.flatnonzero(vals > 0)
+        for _ in range(iters):
+            if not live.size:
+                break
+            Cn = dd._holder_align(np.conj(A.conj().T @ (Y[:, live] / vals[live])))
+            Yn = A @ Cn
+            vn = np.linalg.norm(Yn, axis=0)
+            up = vn > vals[live] + 1e-15
+            live = live[up]
+            C[:, live], Y[:, live], vals[live] = Cn[:, up], Yn[:, up], vn[up]
+        k = int(np.argmax(vals))
+        best_val, best_c = float(vals[k]), C[:, k]
         if q <= 2.0:
             embed = float(np.max(wq ** (-1.0 / q)))
         else:

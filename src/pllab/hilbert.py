@@ -268,10 +268,12 @@ def frobenius_norm(a) -> float:
     """Frobenius norm of an array of finite entries of any magnitude.
 
     np.linalg.norm squares the entries, so it returns 0 or inf for some such
-    arrays; those are rescaled by their largest entry first.  Raises
+    arrays; those are rescaled by their largest entry first, without a numpy
+    overflow warning from the first try.  Raises
     ValueError for NaN or infinite entries, or a norm beyond the float range.
     """
-    n = float(np.linalg.norm(a))
+    with np.errstate(over="ignore", under="ignore"):
+        n = float(np.linalg.norm(a))
     if 0.0 < n < math.inf:
         return n
     big = float(np.max(np.abs(a), initial=0.0))

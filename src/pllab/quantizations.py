@@ -38,7 +38,6 @@ __all__ = [
     "amp_norm",
     "underlying_norm",
     "semi_ruan_witness_search",
-    "is_semi_ruan_witness_search",
     "AmpFactor",
     "tensor_p_bracket",
 ]
@@ -398,7 +397,3 @@ def semi_ruan_witness_search(
         if w is not None:
             return w
     return None
-
-
-# alias kept for callers that expect the predicate-style name
-is_semi_ruan_witness_search = semi_ruan_witness_search

@@ -1,6 +1,10 @@
 """Command-line front end: formats, determinism, exit codes, diagnostics."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -261,6 +265,20 @@ def test_element_of_any_finite_magnitude_is_bracketed(capsys):
     code, out, _ = run_cli(capsys, "--command", "pl", "--input", pair_doc(element=[[[1e308, 0]] * 4]))
     assert code == 3
     assert json.loads(out)["error"]["diagnostics"][0]["pointer"] == "/element"
+
+
+def test_element_of_huge_magnitude_leaves_stderr_quiet():
+    """A fresh CLI process on a 1e200 element prints no numpy RuntimeWarning."""
+    huge = [[[1e200 * re, 1e200 * im] for re, im in row] for row in json.loads(pair_doc())["element"]]
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pllab.cli", "--command", "pl", "--input", pair_doc(element=huge)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "elapsed" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_missing_input_is_input_error(capsys):

@@ -1,5 +1,7 @@
 """Quantized norms on amplifications: per-kind oracles and shared invariants."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from pllab import (
     semi_ruan_witness_search,
     underlying_norm,
 )
-from pllab.quantizations import is_semi_ruan_witness_search
 from pllab.sampling import make_rng, random_complex, random_unit
 
 
@@ -223,7 +224,6 @@ def test_semi_ruan_verdicts():
     lhs = amp_norm(q, u + v).lower ** 2
     rhs = amp_norm(q, u).value ** 2 + amp_norm(q, v).value ** 2
     assert lhs > rhs + 1e-9  # the witness certifies the violation on re-check
-    assert is_semi_ruan_witness_search is semi_ruan_witness_search
 
 
 def test_semi_ruan_single_point_l1_passes():
@@ -283,6 +283,25 @@ def test_amp_norm_is_homogeneous_at_extreme_scales(s):
         nv = amp_norm(q, s * U, budget=40, seed=9)
         assert nv.value == pytest.approx(s * ref.value, rel=1e-12, abs=0)
         assert nv.lower == pytest.approx(s * ref.lower, rel=1e-12, abs=0)
+
+
+def test_huge_elements_raise_no_runtime_warning():
+    """np.linalg.norm overflows at 1e200; the rescaled path answers without a warning."""
+    from pllab import pl_norm_bracket
+
+    q = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0]))
+    E, F = Quantization.hilbert(2), Quantization.lp(1.0, [1.0, 2.0])
+    U = random_complex(make_rng(36, "huge-quiet"), 2, 4)
+    ref_amp = amp_norm(q, U[:, :3], seed=9)
+    ref_pl = pl_norm_bracket(E, F, U, seed=9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        nv = amp_norm(q, 1e200 * U[:, :3], seed=9)
+        b = pl_norm_bracket(E, F, 1e200 * U, seed=9)
+    assert nv.value == pytest.approx(1e200 * ref_amp.value, rel=1e-12, abs=0)
+    assert nv.lower == pytest.approx(1e200 * ref_amp.lower, rel=1e-12, abs=0)
+    assert b.lower == pytest.approx(1e200 * ref_pl.lower, rel=1e-12, abs=0)
+    assert b.upper == pytest.approx(1e200 * ref_pl.upper, rel=1e-12, abs=0)
 
 
 def test_real_mode_rejects_complex_elements():
