@@ -7,9 +7,6 @@ maps.  All computations run on finite truncations with complex scalars.
 """
 
 from .hilbert import (
-    AmplifiedElement,
-    GradedVector,
-    OperatorBlock,
     PairingMap,
     coeffs_of,
     diamond_amp,
@@ -53,9 +50,6 @@ from .tensorlab import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplifiedElement",
-    "GradedVector",
-    "OperatorBlock",
     "PairingMap",
     "coeffs_of",
     "diamond_amp",

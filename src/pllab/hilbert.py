@@ -15,15 +15,12 @@ on top is scheme-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "PairingMap",
-    "GradedVector",
-    "OperatorBlock",
-    "AmplifiedElement",
     "diamond_vec",
     "diamond_op",
     "diamond_amp",
@@ -41,8 +38,6 @@ _SCHEMES = ("row-major", "column-major")
 
 def coeffs_of(u) -> np.ndarray:
     """Coefficient matrix of an amplified element, as a 2-d complex array."""
-    if isinstance(u, AmplifiedElement):
-        return u.coeffs
     arr = np.asarray(u, dtype=complex)
     if arr.ndim == 1:
         arr = arr[None, :]
@@ -53,8 +48,6 @@ def coeffs_of(u) -> np.ndarray:
 
 def block_of(a) -> np.ndarray:
     """Matrix of an operator block, as a 2-d complex array."""
-    if isinstance(a, OperatorBlock):
-        return a.entries
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise ValueError("operator block must be a 2-d matrix")
@@ -62,8 +55,6 @@ def block_of(a) -> np.ndarray:
 
 
 def _vec(x) -> np.ndarray:
-    if isinstance(x, GradedVector):
-        return x.coeffs
     arr = np.asarray(x, dtype=complex)
     if arr.ndim != 1:
         raise ValueError("expected a coordinate vector")
@@ -101,102 +92,6 @@ class PairingMap:
         perm = np.empty(d1 * d2, dtype=int)
         perm[self.flat(d1, d2).ravel()] = np.arange(d1 * d2)
         return perm
-
-
-@dataclass(frozen=True)
-class GradedVector:
-    """Vector in the d-dimensional truncation of H."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 1:
-            raise ValueError("GradedVector holds a 1-d coordinate array")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def pad(self, dim: int) -> "GradedVector":
-        """Zero-pad into a larger truncation; the norm is unchanged."""
-        if dim < self.dim:
-            raise ValueError("cannot pad to a smaller dimension")
-        out = np.zeros(dim, dtype=complex)
-        out[: self.dim] = self.coeffs
-        return GradedVector(out)
-
-
-@dataclass(frozen=True)
-class OperatorBlock:
-    """Bounded operator between truncations, stored as a cols -> rows matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("OperatorBlock holds a 2-d matrix")
-        object.__setattr__(self, "entries", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.entries.shape[1]
-
-    def norm(self) -> float:
-        return op_norm(self.entries)
-
-    def adjoint(self) -> "OperatorBlock":
-        return OperatorBlock(self.entries.conj().T)
-
-    def compose(self, other: "OperatorBlock") -> "OperatorBlock":
-        return OperatorBlock(block_of(self) @ block_of(other))
-
-    def apply(self, x) -> GradedVector:
-        v = _vec(x)
-        if v.shape[0] != self.cols:
-            raise ValueError("operator/vector dimension mismatch")
-        return GradedVector(self.entries @ v)
-
-
-@dataclass(frozen=True)
-class AmplifiedElement:
-    """Element of H (x) E for a d-truncation of H and an m-dimensional E.
-
-    coeffs[i, j] is the coordinate of the j-th base vector of E along the
-    i-th basis vector of H, so column j is the H-vector paired with e_j.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("AmplifiedElement holds a d x m coefficient matrix")
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def d(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.coeffs.shape[1]
-
-    def pad(self, d: int) -> "AmplifiedElement":
-        if d < self.d:
-            raise ValueError("cannot pad to a smaller truncation")
-        out = np.zeros((d, self.m), dtype=complex)
-        out[: self.d] = self.coeffs
-        return AmplifiedElement(out)
 
 
 def diamond_vec(xi, eta, pairing: PairingMap = PairingMap()) -> np.ndarray:

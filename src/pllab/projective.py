@@ -26,7 +26,7 @@ from .bases import BaseNorm
 
 __all__ = ["EuclidFactor", "ProjResult", "proj_bracket"]
 
-_RECON_TOL = 1e-10
+RECON_TOL = 1e-10  # residual bound of every decomposition, pl and l representations too
 
 
 @dataclass
@@ -123,7 +123,7 @@ def _svd_decomposition(base, factor, Zf):
         val += base.norm(x) * factor.upper(v)
     # exactness of the truncated reconstruction
     recon = sum(np.multiply.outer(x, v) for x, v in terms)
-    if np.linalg.norm(recon - Zf) > _RECON_TOL * max(1.0, np.linalg.norm(Zf)):
+    if np.linalg.norm(recon - Zf) > RECON_TOL * max(1.0, np.linalg.norm(Zf)):
         return None, np.inf
     return terms, val
 
@@ -166,7 +166,7 @@ def _refine(base, factor, terms, Zf, budget, rng):
     keep = vals > 1e-15 * max(1.0, total)
     terms = [(X[:, r].copy(), V[r].copy()) for r in range(n_terms) if keep[r]]
     recon = sum(np.multiply.outer(x, v) for x, v in terms)
-    if np.linalg.norm(recon - Zf) > _RECON_TOL * max(1.0, np.linalg.norm(Zf)):
+    if np.linalg.norm(recon - Zf) > RECON_TOL * max(1.0, np.linalg.norm(Zf)):
         return None, np.inf
     return terms, float(vals[keep].sum())
 

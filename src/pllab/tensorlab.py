@@ -8,14 +8,15 @@ Both norms are infima over structured representations of the element:
 
 Upper bounds come from explicitly constructed representations (several
 deterministic families); lower bounds come from the certificate catalog in
-:mod:`pllab.maps`.  Both norms are homogeneous, so the drivers bracket the
-unit-Frobenius element U/||U|| and scale the result back.  The unit bracket
+:mod:`pllab.maps`.  Both norms are homogeneous, so the driver brackets the
+unit-Frobenius element U/||U|| and scales the result back.  The unit bracket
 satisfies lower <= upper + 1e-9 as a hard assertion: a violation is a bug in
 the machinery, never data.
 
-The l norm never exceeds the pl norm, so pl representations double as l
-upper bounds and semi-Ruan-passing certificates serve both pools; the l
-pool is the subset of certificates whose target has the semi-Ruan property.
+The l norm never exceeds the pl norm.  One driver serves both: it builds the
+pl representation families once, orthogonalizes them into l upper bounds and
+evaluates each certificate once; the l pool is the certificates whose target
+is semi-Ruan.  compare_pl_l thus reports the standalone brackets of both norms.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from .bases import BaseNorm
 from .hilbert import PairingMap, coeffs_of, diamond_amp, frobenius_norm, op_norm
 from .maps import builtin_certificates
+from .projective import RECON_TOL
 from .quantizations import Quantization, amp_norm, semi_ruan_witness_search, tensor_p_bracket
 from .sampling import make_rng, parallel_map
 from .wire import canonical, matrix_to_json
@@ -91,7 +93,7 @@ class PLRepresentation:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "target", target)
         res = self.residual()
-        if res > 1e-8:
+        if res > RECON_TOL:
             raise ValueError(f"representation does not reconstruct its target (residual {res:.2e})")
 
     def reconstruct(self) -> np.ndarray:
@@ -188,7 +190,7 @@ class LRepresentation:
         object.__setattr__(self, "supports", supports)
         object.__setattr__(self, "target", target)
         res = self.residual()
-        if res > 1e-8:
+        if res > RECON_TOL:
             raise ValueError(f"representation does not reconstruct its target (residual {res:.2e})")
 
     def reconstruct(self) -> np.ndarray:
@@ -283,7 +285,7 @@ def _basis_norms(q: Quantization, budget: int, seed: int) -> np.ndarray:
     return out
 
 
-def _family_columns(U, E, F, pairing, nE, nF):
+def _family_columns(U, E, F, nE, nF):
     """One elementary term per nonzero base column of U."""
     mF = F.dim
     terms, value = [], 0.0
@@ -459,9 +461,7 @@ def _zero_bracket(norm, E, F, U, pairing):
     if norm == "pl":
         rep = PLRepresentation((), U, E, F, pairing, label="zero")
     else:
-        rep = LRepresentation(
-            np.zeros((coeffs_of(U).shape[0], 0)), (), (), U, E, F, pairing, label="zero"
-        )
+        rep = LRepresentation(np.zeros((U.shape[0], 0)), (), (), U, E, F, pairing, label="zero")
     return NormBracket(0.0, 0.0, norm, {"certificate": None}, rep, {"families": {}, "certificates": {}})
 
 
@@ -469,7 +469,7 @@ def _pl_families(U, E, F, budget, seed, pairing):
     nE = _basis_norms(E, max(budget // 4, 20), seed)
     nF = _basis_norms(F, max(budget // 4, 20), seed)
     fam = {}
-    t, v = _family_columns(U, E, F, pairing, nE, nF)
+    t, v = _family_columns(U, E, F, nE, nF)
     fam["columns"] = (t, v, {})
     t, v = _family_svd_split(U, E, F, max(budget // 4, 20), seed)
     fam["svd-split"] = (t, v, {})
@@ -497,49 +497,62 @@ def _best_lower(cert_rows) -> tuple:
     return lower, lw
 
 
-def _pl_unit_bracket(E, F, U, budget, seed, pairing, certificates) -> NormBracket:
-    fam = _pl_families(U, E, F, budget, seed, pairing)
-    best_name, (best_terms, best_val, _) = min(fam.items(), key=lambda kv: kv[1][1])
-    rep = PLRepresentation(tuple(best_terms), U, E, F, pairing, label=best_name)
+def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
+    """(brackets of U/||U|| for norms out of ("pl", "l"), ||U||, coefficients of U).
 
+    One family build and one certificate pass serve every requested norm: all
+    certificates when pl is requested, else only the l pool; the semi-Ruan
+    screen runs only for l.  The zero element gets the zero brackets.
+    """
+    U = coeffs_of(U)
+    if U.shape[1] != E.dim * F.dim:
+        raise ValueError(f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}")
+    scale = frobenius_norm(U)
+    if scale == 0.0:
+        return tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms), scale, U
+    unit = U / scale
+    fam = _pl_families(unit, E, F, budget, seed, pairing)
     certs = builtin_certificates(E, F) if certificates is None else list(certificates)
-    cert_rows = _certificate_lowers(certs, U, budget, seed)
-    lower, lw = _best_lower(cert_rows)
-    details = {
-        "families": {k: v[1] for k, v in fam.items()},
-        "family_info": {k: v[2] for k, v in fam.items() if v[2]},
-        "certificates": {name: val for name, val, _ in cert_rows},
-        "method": best_name,
-    }
-    return NormBracket(lower, best_val, "pl", lw, rep, details)
-
-
-def _l_unit_bracket(E, F, U, budget, seed, pairing, certificates) -> NormBracket:
-    fam = _pl_families(U, E, F, budget, seed, pairing)
-    candidates = {}  # name -> (value, representation)
-    for name, (terms, val, _) in fam.items():
-        if not np.isfinite(val):
-            continue
-        try:
-            plrep = PLRepresentation(tuple(terms), U, E, F, pairing, label=name)
-            lrep = orthogonalize_representation(plrep)
-            lval = lrep.value(budget=max(budget // 4, 20), seed=seed)
-            candidates[name + "+orth"] = (lval, lrep)
-        except ValueError:
-            pass
-    best_name, (best_val, best_rep) = min(candidates.items(), key=lambda kv: kv[1][0])
-
-    certs = builtin_certificates(E, F) if certificates is None else list(certificates)
-    pool = _l_pool(certs, seed)
-    cert_rows = _certificate_lowers(pool, U, budget, seed)
-    lower, lw = _best_lower(cert_rows)
-    details = {
-        "families": {k: v[0] for k, v in candidates.items()},
-        "certificates": {name: val for name, val, _ in cert_rows},
-        "pool": [c.name for c in pool],
-        "method": best_name,
-    }
-    return NormBracket(lower, best_val, "l", lw, best_rep, details)
+    pool = _l_pool(certs, seed) if "l" in norms else []
+    evaluated = certs if "pl" in norms else pool
+    cert_rows = _certificate_lowers(evaluated, unit, budget, seed)
+    out = {}
+    if "pl" in norms:
+        best_name, (best_terms, best_val, _) = min(fam.items(), key=lambda kv: kv[1][1])
+        rep = PLRepresentation(tuple(best_terms), unit, E, F, pairing, label=best_name)
+        details = {
+            "families": {k: v[1] for k, v in fam.items()},
+            "family_info": {k: v[2] for k, v in fam.items() if v[2]},
+            "certificates": {name: val for name, val, _ in cert_rows},
+            "method": best_name,
+        }
+        lower, lw = _best_lower(cert_rows)
+        out["pl"] = NormBracket(lower, best_val, "pl", lw, rep, details)
+    if "l" in norms:
+        candidates = {}  # name -> (value, representation); a family that fails is skipped
+        for name, (terms, val, _) in fam.items():
+            if not np.isfinite(val):
+                continue
+            try:
+                plrep = PLRepresentation(tuple(terms), unit, E, F, pairing, label=name)
+                lrep = orthogonalize_representation(plrep)
+                lval = lrep.value(budget=max(budget // 4, 20), seed=seed)
+                candidates[name + "+orth"] = (lval, lrep)
+            except ValueError:
+                pass
+        best_name, (best_val, best_rep) = min(candidates.items(), key=lambda kv: kv[1][0])
+        # pool rows by identity: certificates hold arrays, and names may repeat
+        pooled = {id(c) for c in pool}
+        l_rows = [row for c, row in zip(evaluated, cert_rows) if id(c) in pooled]
+        details = {
+            "families": {k: v[0] for k, v in candidates.items()},
+            "certificates": {name: val for name, val, _ in l_rows},
+            "pool": [c.name for c in pool],
+            "method": best_name,
+        }
+        lower, lw = _best_lower(l_rows)
+        out["l"] = NormBracket(lower, best_val, "l", lw, best_rep, details)
+    return tuple(out[norm] for norm in norms), scale, U
 
 
 def _rescaled(b: NormBracket, scale: float, U: np.ndarray) -> NormBracket:
@@ -566,23 +579,6 @@ def _rescaled(b: NormBracket, scale: float, U: np.ndarray) -> NormBracket:
     return NormBracket(lower, upper, b.norm, b.lower_witness, rep, details)
 
 
-_UNIT_BRACKETS = {"pl": _pl_unit_bracket, "l": _l_unit_bracket}
-
-
-def _unit_bracket(norm, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
-    """(bracket of U/||U||, ||U||, coefficients of U); the zero bracket when U = 0."""
-    U = coeffs_of(U)
-    if U.shape[1] != E.dim * F.dim:
-        raise ValueError(
-            f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}"
-        )
-    scale = frobenius_norm(U)
-    if scale == 0.0:
-        return _zero_bracket(norm, E, F, U, pairing), scale, U
-    unit = _UNIT_BRACKETS[norm](E, F, U / scale, budget, seed, pairing, certificates)
-    return unit, scale, U
-
-
 def pl_norm_bracket(
     E: Quantization,
     F: Quantization,
@@ -599,7 +595,8 @@ def pl_norm_bracket(
     Both are certified, and lower <= upper + 1e-9 is asserted on the
     unit-Frobenius element.  Raises ValueError on non-finite input.
     """
-    return _rescaled(*_unit_bracket("pl", E, F, U, budget, seed, pairing, certificates))
+    (pl,), scale, U = _unit_brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
+    return _rescaled(pl, scale, U)
 
 
 def l_norm_bracket(
@@ -621,7 +618,8 @@ def l_norm_bracket(
     asserted on the unit-Frobenius element.  Raises ValueError on non-finite
     input.
     """
-    return _rescaled(*_unit_bracket("l", E, F, U, budget, seed, pairing, certificates))
+    (l,), scale, U = _unit_brackets(("l",), E, F, U, budget, seed, pairing, certificates)
+    return _rescaled(l, scale, U)
 
 
 def orthogonalize_representation(rep: PLRepresentation) -> LRepresentation:
@@ -678,7 +676,8 @@ def compare_pl_l(
     seed: int = 0,
     pairing: PairingMap = PairingMap(),
 ) -> dict:
-    """Run both brackets and the sound cross-checks between them.
+    """Both brackets, from one family build and one certificate pass and equal
+    to the standalone ones, and the sound cross-checks between them.
 
     Asserted (a failure is a bug): pl.lower >= l.lower - 1e-9, interval
     consistency l.lower <= pl.upper + 1e-9, and every l-certificate value
@@ -687,8 +686,7 @@ def compare_pl_l(
     overlap is reported there as a soft check.  All checks run on the
     brackets of the unit-Frobenius element, so they hold at every scale.
     """
-    pl, scale, U = _unit_bracket("pl", E, F, U, budget, seed, pairing)
-    l, _, _ = _unit_bracket("l", E, F, U, budget, seed, pairing)
+    (pl, l), scale, U = _unit_brackets(("pl", "l"), E, F, U, budget, seed, pairing)
     checks = [
         ("pl_lower_ge_l_lower", pl.lower >= l.lower - 1e-9),
         ("l_lower_le_pl_upper", l.lower <= pl.upper + 1e-9),

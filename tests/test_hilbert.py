@@ -1,12 +1,9 @@
-"""Diamond calculus on truncations: product laws, pairings, wrappers."""
+"""Diamond calculus on truncations: product laws, pairings, coefficient arrays."""
 
 import numpy as np
 import pytest
 
 from pllab import (
-    AmplifiedElement,
-    GradedVector,
-    OperatorBlock,
     PairingMap,
     coeffs_of,
     diamond_amp,
@@ -126,6 +123,7 @@ def test_module_action_columnwise_and_associative():
     a = random_complex(rng, 4, 3)
     b = random_complex(rng, 3, 2)
     U = random_complex(rng, 2, 5)
+    np.testing.assert_allclose(coeffs_of(U), U)
     np.testing.assert_allclose(module_action(a, module_action(b, U)),
                                module_action(a @ b, U), atol=1e-12)
     xi = random_complex(rng, 2)
@@ -143,36 +141,3 @@ def test_rank_one_action():
     z = np.array([3.0, 1.0j])
     out = rank_one(x, y) @ z
     np.testing.assert_allclose(out, np.vdot(y, z) * x, atol=1e-12)
-
-
-def test_graded_vector_pad_preserves_norm():
-    v = GradedVector(np.array([3.0, 4.0j]))
-    assert v.norm() == pytest.approx(5.0)
-    w = v.pad(5)
-    assert w.dim == 5
-    assert w.norm() == pytest.approx(5.0)
-    with pytest.raises(ValueError):
-        v.pad(1)
-
-
-def test_operator_block_compose_adjoint_apply():
-    a = OperatorBlock(np.array([[1.0, 2.0], [0.0, 1.0j]]))
-    b = OperatorBlock(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    c = a.compose(b)
-    np.testing.assert_allclose(c.entries, a.entries @ b.entries)
-    np.testing.assert_allclose(a.adjoint().entries, a.entries.conj().T)
-    out = a.apply([1.0, 1.0])
-    assert isinstance(out, GradedVector)
-    np.testing.assert_allclose(out.coeffs, [3.0, 1.0j])
-    with pytest.raises(ValueError):
-        a.apply([1.0, 0.0, 0.0])
-
-
-def test_amplified_element_pad_and_coeffs_of():
-    u = AmplifiedElement(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    assert (u.d, u.m) == (2, 2)
-    p = u.pad(4)
-    assert p.coeffs.shape == (4, 2)
-    np.testing.assert_allclose(p.coeffs[2:], 0)
-    np.testing.assert_allclose(coeffs_of(u), u.coeffs)
-    np.testing.assert_allclose(coeffs_of(u.coeffs), u.coeffs)

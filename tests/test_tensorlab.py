@@ -281,3 +281,60 @@ def test_non_finite_elements_raise_value_error(bad):
             fn(E, F, U)
     with pytest.raises(ValueError, match="non-finite"):
         amp_norm(E, U[:, 2:])
+
+
+@pytest.mark.parametrize("i", range(13))
+def test_compare_brackets_equal_standalone_brackets(i):
+    E, F = _factor_pairs()[i]
+    U = random_complex(make_rng(0, "pinned", i), 2, E.dim * F.dim)
+    report = compare_pl_l(E, F, U, seed=0)
+    assert report["pl"] == pl_norm_bracket(E, F, U, seed=0).to_dict(False)
+    assert report["l"] == l_norm_bracket(E, F, U, seed=0).to_dict(False)
+
+
+def test_compare_builds_families_once_and_evaluates_each_certificate_once(monkeypatch):
+    from pllab import tensorlab
+    from pllab.maps import Certificate, builtin_certificates
+
+    evaluated, builds = [], []
+    evaluate, families = Certificate.evaluate_lower, tensorlab._pl_families
+
+    def counted_evaluate(self, *args, **kwargs):
+        evaluated.append(self.name)
+        return evaluate(self, *args, **kwargs)
+
+    def counted_families(*args):
+        builds.append(args)
+        return families(*args)
+
+    monkeypatch.setattr(Certificate, "evaluate_lower", counted_evaluate)
+    monkeypatch.setattr(tensorlab, "_pl_families", counted_families)
+    E, F = hilbert_pair(2)
+    report = compare_pl_l(E, F, v_example(2), budget=60, seed=0)
+    catalog = [c.name for c in builtin_certificates(E, F)]
+    assert sorted(evaluated) == sorted(catalog)
+    assert len(builds) == 1
+    # the l pool is a proper part of the catalog, and its rows come from the same pass
+    assert set(report["l"]["details"]["pool"]) < set(catalog)
+    for name, val in report["l"]["details"]["certificates"].items():
+        assert val == report["pl"]["details"]["certificates"][name]
+
+
+def test_pl_bracket_runs_no_semi_ruan_screen(monkeypatch):
+    from pllab import tensorlab
+
+    searched = []
+    search = tensorlab.semi_ruan_witness_search
+
+    def counted_search(q, *args, **kwargs):
+        searched.append(q.kind)
+        return search(q, *args, **kwargs)
+
+    monkeypatch.setattr(tensorlab, "_SR_CACHE", {})
+    monkeypatch.setattr(tensorlab, "semi_ruan_witness_search", counted_search)
+    E, F = _factor_pairs()[4]  # max(weighted l1) x H: its tensor_p target needs the search
+    U = random_complex(make_rng(0, "pinned", 4), 2, E.dim * F.dim)
+    pl_norm_bracket(E, F, U, budget=60, seed=0)
+    assert searched == []
+    l_norm_bracket(E, F, U, budget=60, seed=0)
+    assert searched == ["tensor_p"]  # the l bracket screens the same target
