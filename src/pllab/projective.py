@@ -12,8 +12,10 @@ coefficient matrix, and a unitary/scaling refinement of the best of those);
 every decomposition is checked to reconstruct Z before its value counts.
 Lower bounds come from the injective-type dual (a functional in the dual
 ball of E against the factor norm) and, when the factor is euclidean-like,
-from trace-duality certificates.  Weighted-l1 bases collapse to the exact
-column-sum closed form.
+from trace-duality certificates; tensor_p over a weighted Frobenius inner
+(hilbert, lp(2, ...)) takes this path with the factor columns scaled by the
+metric, and on a euclidean base both bounds are the nuclear norm.  Weighted-l1
+bases collapse to the exact column-sum closed form.
 """
 
 from __future__ import annotations

@@ -17,11 +17,15 @@ normed.  Six kinds are supported:
 is a certified upper bound and ``lower`` records the best certified lower
 bound found within the budget.  Inputs are normalized to unit Frobenius
 scale before evaluation, so every reported quantity is exactly homogeneous.
+
+``hilbert`` and ``lp(2, ...)`` over such an inner are weighted Frobenius norms
+||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over them is bracketed
+as a column-scaled euclidean projective norm, with no inner norm evaluations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -36,6 +40,7 @@ __all__ = [
     "NormValue",
     "Quantization",
     "amp_norm",
+    "frobenius_metric",
     "underlying_norm",
     "semi_ruan_witness_search",
     "AmpFactor",
@@ -170,15 +175,18 @@ class Quantization:
     def is_min_euclidean(self) -> bool:
         return self.kind == "min" and self.base.kind == "euclidean"
 
+    @property
+    def real(self) -> bool:  # a real-restricted base here or in an inner
+        return (self.base is not None and self.base.real) or (self.inner is not None and self.inner.real)
+
     def check_element(self, u) -> np.ndarray:
         U = coeffs_of(u)
         if U.shape[1] != self.dim:
             raise ValueError(
                 f"element has {U.shape[1]} base coordinates, quantization has {self.dim}"
             )
-        for b in (self.base,):
-            if b is not None and b.real and np.abs(U.imag).max(initial=0.0) > 1e-12:
-                raise ValueError("element must be real-valued in real-restricted mode")
+        if self.real and np.abs(U.imag).max(initial=0.0) > 1e-12:
+            raise ValueError("element must be real-valued in real-restricted mode")
         return U
 
     # -- serialization ------------------------------------------------------
@@ -266,23 +274,45 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
     """(ProjResult, all_exact): the projective bracket of U over base (x)
     inner, and whether every inner norm evaluated on the way was exact.
 
-    U has one row per H coordinate and base.dim * inner.dim columns.
+    U has one row per H coordinate and base.dim * inner.dim columns.  An
+    inner with a frobenius_metric g is bracketed as the euclidean factor with
+    columns scaled by g, terms scaled back; any other inner by an AmpFactor.
     """
     d = U.shape[0]
-    factor = AmpFactor(inner, budget=max(budget // 4, 20), rng=rng, d=d)
     Z = _beta_slices(U, base.dim, inner.dim)
-    res = proj_bracket(base, factor, Z, budget=budget, rng=rng, cap=d * base.dim * inner.dim)
-    return res, factor.all_exact
+    g = frobenius_metric(inner)
+    if g is None:
+        factor = AmpFactor(inner, budget=max(budget // 4, 20), rng=rng, d=d)
+        return proj_bracket(base, factor, Z, budget=budget, rng=rng, cap=Z.size), factor.all_exact
+    G = np.tile(g, d)
+    res = proj_bracket(base, EuclidFactor(Z.shape[1]), Z * G, budget=budget, rng=rng, cap=Z.size)
+    return replace(res, terms=[(x, v / G) for x, v in res.terms]), True
+
+
+def frobenius_metric(q: Quantization) -> Optional[np.ndarray]:
+    """Column weights g with amp_norm(q, U) == ||U diag(g)||_F, or None: ones
+    for hilbert, sqrt(w_t) g' on point t for lp(2, w) over an inner with
+    metric g' (the scalar inner counts), None for every other kind."""
+    if q.kind == "hilbert":
+        return np.ones(q.dim)
+    if q.kind == "lp" and q.p == 2.0:
+        g = frobenius_metric(q.inner)
+        return None if g is None else np.kron(np.sqrt(q.weights), g)
+    return None
 
 
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
     mi = q.inner.dim
-    uppers = np.empty(q.points)
-    lowers = np.empty(q.points)
+    uppers = np.zeros(q.points)
+    lowers = np.zeros(q.points)
     exact = True
     for t in range(q.points):
+        # U is checked and unit-scaled: no amp_norm re-check or overflow guard
         block = U[:, t * mi : (t + 1) * mi]
-        nv = amp_norm(q.inner, block, budget=max(budget // 4, 20), rng=rng)
+        scale = float(np.linalg.norm(block)) or frobenius_norm(block)  # the latter on underflow
+        if scale == 0.0:
+            continue
+        nv = _amp_dispatch(q.inner, block / scale, max(budget // 4, 20), rng).scaled(scale)
         uppers[t], lowers[t], exact = nv.value, nv.lower, exact and nv.exact
     w = q.weights
     if np.isinf(q.p):
@@ -300,14 +330,15 @@ def _beta_slices(U: np.ndarray, m_base: int, m_inner: int) -> np.ndarray:
 
 
 class AmpFactor:
-    """Projective-search factor normed by an inner quantization."""
+    """Projective-search factor for an inner without a frobenius_metric: one amp_norm per evaluation."""
+
+    euclid_like = False
 
     def __init__(self, inner: Quantization, budget: int, rng, d: int):
         self.inner = inner
         self.budget = budget
         self.rng = rng
         self.all_exact = True
-        self.euclid_like = inner.kind == "hilbert"
         self.size = d * inner.dim
 
     def _eval(self, v: np.ndarray) -> NormValue:
@@ -350,7 +381,6 @@ def semi_ruan_witness_search(
     """
     rng = make_rng(seed, "semi-ruan", q.kind)
     m = q.dim
-    real = q.base.real if q.base is not None else False
 
     def check(Ublock, Vblock):
         d1 = Ublock.shape[0]
@@ -391,8 +421,8 @@ def semi_ruan_witness_search(
         d1 = int(rng.integers(1, 3))
         d2 = int(rng.integers(1, 3))
         w = check(
-            random_complex(rng, d1, m, real=real),
-            random_complex(rng, d2, m, real=real),
+            random_complex(rng, d1, m, real=q.real),
+            random_complex(rng, d2, m, real=q.real),
         )
         if w is not None:
             return w

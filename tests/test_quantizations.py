@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pllab import (
     BaseNorm,
@@ -12,6 +14,7 @@ from pllab import (
     semi_ruan_witness_search,
     underlying_norm,
 )
+from pllab.quantizations import frobenius_metric
 from pllab.sampling import make_rng, random_complex, random_unit
 
 
@@ -308,3 +311,110 @@ def test_real_mode_rejects_complex_elements():
     q = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True))
     with pytest.raises(ValueError):
         amp_norm(q, np.array([[1.0j, 0.0]]))
+
+
+_positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["hilbert", "lp", "lp-hilbert", "lp-lp"]),
+    st.lists(_positive, min_size=1, max_size=3),
+    st.lists(_positive, min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.floats(min_value=1e-6, max_value=1e6),
+)
+def test_weighted_frobenius_metric_gives_amp_norm(shape, w, w_inner, d, seed, s):
+    """amp_norm(q, U) is ||U diag(g)||_F for the metric g of q."""
+    q = {
+        "hilbert": Quantization.hilbert(3),
+        "lp": Quantization.lp(2.0, w),
+        "lp-hilbert": Quantization.lp(2.0, w, Quantization.hilbert(2)),
+        "lp-lp": Quantization.lp(2.0, w, Quantization.lp(2.0, w_inner)),
+    }[shape]
+    g = frobenius_metric(q)
+    assert g.shape == (q.dim,)
+    U = s * random_complex(make_rng(seed, "metric"), d, q.dim)
+    nv = amp_norm(q, U)
+    assert nv.exact
+    assert nv.value == pytest.approx(np.linalg.norm(U * g), rel=1e-12, abs=0)
+
+
+def test_frobenius_metric_values_and_none_kinds():
+    w = [1.0, 0.25]
+    np.testing.assert_array_equal(frobenius_metric(Quantization.hilbert(3)), np.ones(3))
+    np.testing.assert_array_equal(frobenius_metric(Quantization.lp(2.0, w)), [1.0, 0.5])
+    np.testing.assert_array_equal(
+        frobenius_metric(Quantization.lp(2.0, w, Quantization.hilbert(2))), [1.0, 1.0, 0.5, 0.5]
+    )
+    euc = BaseNorm.euclidean(2)
+    for q in (
+        Quantization.lp(1.0, w),
+        Quantization.lp(3.0, w),
+        Quantization.lp(np.inf, w),
+        Quantization.lp(2.0, w, Quantization.min(euc)),
+        Quantization.lp(2.0, w, Quantization.lp(1.0, w)),
+        Quantization.min(euc),
+        Quantization.max(euc),
+        Quantization.concrete([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]),
+        Quantization.tensor_p(euc, Quantization.hilbert(2)),
+    ):
+        assert frobenius_metric(q) is None, q.kind
+
+
+def _counted_amp_norm(monkeypatch):
+    """Count calls of amp_norm made through the quantizations module."""
+    from pllab import quantizations
+
+    calls = []
+    amp = quantizations.amp_norm
+
+    def counted(q, *args, **kwargs):
+        calls.append(q.kind)
+        return amp(q, *args, **kwargs)
+
+    monkeypatch.setattr(quantizations, "amp_norm", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        Quantization.hilbert(2),
+        Quantization.lp(2.0, [1.0, 0.5]),
+        Quantization.lp(2.0, [1.0, 0.5], Quantization.hilbert(2)),
+        Quantization.lp(2.0, [2.0, 0.3], Quantization.lp(2.0, [0.7, 1.5])),
+    ],
+    ids=["hilbert", "lp2", "lp2-hilbert", "lp2-lp2"],
+)
+def test_tensor_p_bracket_on_euclidean_base_is_exact_without_amp_norm(inner, monkeypatch):
+    """A weighted Frobenius inner makes the bracket the nuclear norm of the
+    column-scaled slices, with no inner norm evaluated term by term."""
+    from pllab.projective import RECON_TOL
+    from pllab.quantizations import _beta_slices, tensor_p_bracket
+
+    base = BaseNorm.euclidean(3)
+    calls = _counted_amp_norm(monkeypatch)
+    for d in (1, 2, 3):
+        U = random_complex(make_rng(37, "tp-metric", d), d, base.dim * inner.dim)
+        res, all_exact = tensor_p_bracket(base, inner, U, 200, make_rng(0, "tp"))
+        assert all_exact
+        Z = _beta_slices(U, base.dim, inner.dim)
+        nuclear = np.linalg.norm(Z * np.tile(frobenius_metric(inner), d), "nuc")
+        assert res.upper == pytest.approx(nuclear, rel=1e-12, abs=0)
+        assert res.lower == pytest.approx(res.upper, rel=1e-12, abs=0)
+        recon = sum(np.multiply.outer(x, v) for x, v in res.terms)
+        assert np.linalg.norm(recon - Z) <= RECON_TOL * max(1.0, np.linalg.norm(Z))
+    assert calls == []
+
+
+def test_semi_ruan_search_finds_the_tensor_p_witness_in_its_structured_phase(monkeypatch):
+    """tensor_p(euclidean 2, lp(2, [1, 1])) is not semi-Ruan: e_(0,0) and
+    e_(1,0) on two H rows have norm 1 each, their sum the nuclear norm 2."""
+    q = Quantization.tensor_p(BaseNorm.euclidean(2), Quantization.lp(2.0, [1.0, 1.0]))
+    calls = _counted_amp_norm(monkeypatch)
+    w = semi_ruan_witness_search(q, trials=200)
+    assert w is not None
+    assert w["excess"] >= 2 - 1e-9
+    assert len(calls) <= 3 * q.dim**2  # three amp_norm calls per structured trial
