@@ -52,6 +52,7 @@ class ProjResult:
     lower: float
     exact: bool
     terms: list  # list of (x, flatV) pairs reconstructing Z
+    values: list  # ||x_k||_E ||V_k||_W of each term; they sum to upper
     upper_method: str
     lower_method: str
     lower_witness: dict = field(default_factory=dict)
@@ -68,18 +69,19 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None, cap: in
     l1_type = base.kind == "lp" and base.p == 1.0
 
     candidates = []
-    slice_terms, slice_val = _slice_decomposition(base, factor, Zf)
-    candidates.append((slice_val, slice_terms, "basis-slices"))
-    svd_terms, svd_val = _svd_decomposition(base, factor, Zf)
+    slice_terms, slice_vals, slice_val = _slice_decomposition(base, factor, Zf)
+    candidates.append((slice_val, slice_terms, slice_vals, "basis-slices"))
+    svd_terms, svd_vals, svd_val = _svd_decomposition(base, factor, Zf)
     if svd_terms is not None:
-        candidates.append((svd_val, svd_terms, "svd"))
+        candidates.append((svd_val, svd_terms, svd_vals, "svd"))
     candidates.sort(key=lambda c: c[0])
-    up_val, up_terms, up_method = candidates[0]
+    up_val, up_terms, up_vals, up_method = candidates[0]
 
     if not l1_type and budget > 0 and len(up_terms) > 1:
-        ref_terms, ref_val = _refine(base, factor, up_terms, Zf, budget, rng)
+        ref_terms, ref_vals, ref_val = _refine(base, factor, up_terms, Zf, budget, rng)
         if ref_terms is not None and ref_val < up_val - 1e-15:
-            up_val, up_terms, up_method = ref_val, ref_terms, up_method + "+refine"
+            up_val, up_terms, up_vals = ref_val, ref_terms, ref_vals
+            up_method += "+refine"
 
     low_val, low_method, low_witness = _lower_bound(base, factor, Zf, rng)
 
@@ -87,47 +89,45 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None, cap: in
     if l1_type and factor.all_exact:
         # closed form: both sides are the weighted column sum
         exact = True
-        up_val, up_terms, up_method = slice_val, slice_terms, "l1-columns"
+        up_val, up_terms, up_vals, up_method = slice_val, slice_terms, slice_vals, "l1-columns"
         low_val, low_method = slice_val, "l1-columns"
 
     low_val = min(low_val, up_val)  # guard float jitter in collapsed brackets
     if len(up_terms) > cap:
         # basis slices never exceed m_E terms, which is within any cap
-        up_terms, up_val = _slice_decomposition(base, factor, Zf)
+        up_terms, up_vals, up_val = _slice_decomposition(base, factor, Zf)
         up_method = "basis-slices(cap)"
-    return ProjResult(up_val, low_val, exact, up_terms, up_method, low_method, low_witness)
+    return ProjResult(up_val, low_val, exact, up_terms, up_vals, up_method, low_method, low_witness)
 
 
 def _slice_decomposition(base, factor, Zf):
-    terms = []
-    val = 0.0
+    terms, vals = [], []
     for j in range(base.dim):
         if not np.any(Zf[j]):
             continue
         e = np.zeros(base.dim, dtype=complex)
         e[j] = 1.0
         terms.append((e, Zf[j].copy()))
-        val += base.norm(e) * factor.upper(Zf[j])
-    return terms, val
+        vals.append(base.norm(e) * factor.upper(Zf[j]))
+    return terms, vals, sum(vals, 0.0)
 
 
 def _svd_decomposition(base, factor, Zf):
     if not np.any(Zf):
-        return [], 0.0
+        return [], [], 0.0
     u, s, vh = np.linalg.svd(Zf, full_matrices=False)
     keep = s > s[0] * 1e-15
-    terms = []
-    val = 0.0
+    terms, vals = [], []
     for k in np.nonzero(keep)[0]:
         x = u[:, k] * s[k]
         v = vh[k]
         terms.append((x, v.copy()))
-        val += base.norm(x) * factor.upper(v)
+        vals.append(base.norm(x) * factor.upper(v))
     # exactness of the truncated reconstruction
     recon = sum(np.multiply.outer(x, v) for x, v in terms)
     if np.linalg.norm(recon - Zf) > RECON_TOL * max(1.0, np.linalg.norm(Zf)):
-        return None, np.inf
-    return terms, val
+        return None, None, np.inf
+    return terms, vals, sum(vals, 0.0)
 
 
 def _term_value(base, factor, x, v):
@@ -169,8 +169,8 @@ def _refine(base, factor, terms, Zf, budget, rng):
     terms = [(X[:, r].copy(), V[r].copy()) for r in range(n_terms) if keep[r]]
     recon = sum(np.multiply.outer(x, v) for x, v in terms)
     if np.linalg.norm(recon - Zf) > RECON_TOL * max(1.0, np.linalg.norm(Zf)):
-        return None, np.inf
-    return terms, float(vals[keep].sum())
+        return None, None, np.inf
+    return terms, list(vals[keep]), float(vals[keep].sum())
 
 
 def _lower_bound(base, factor, Zf, rng):

@@ -14,9 +14,11 @@ satisfies lower <= upper + 1e-9 as a hard assertion: a violation is a bug in
 the machinery, never data.
 
 The l norm never exceeds the pl norm.  One driver serves both: it builds the
-pl representation families once, orthogonalizes them into l upper bounds and
-evaluates each certificate once; the l pool is the certificates whose target
-is semi-Ruan.  compare_pl_l thus reports the standalone brackets of both norms.
+pl representation families once, values their orthogonalizations, plain or
+balanced, from the families' own term values as l upper bounds (no amplified
+norm is evaluated again; see _l_candidate) and evaluates each certificate
+once; the l pool is the certificates whose target is semi-Ruan.  compare_pl_l
+thus reports the standalone brackets of both norms, with l.upper <= pl.upper.
 """
 
 from __future__ import annotations
@@ -288,7 +290,7 @@ def _basis_norms(q: Quantization, budget: int, seed: int) -> np.ndarray:
 def _family_columns(U, E, F, nE, nF):
     """One elementary term per nonzero base column of U."""
     mF = F.dim
-    terms, value = [], 0.0
+    terms, vals = [], []
     for c in range(U.shape[1]):
         col = U[:, c]
         w = float(np.linalg.norm(col))
@@ -300,15 +302,15 @@ def _family_columns(U, E, F, nE, nF):
         right = np.zeros((1, mF), dtype=complex)
         right[0, jF] = 1.0
         terms.append((col[:, None], left, right))
-        value += w * nE[jE] * nF[jF]
-    return terms, value
+        vals.append((w, nE[jE], nF[jF]))
+    return terms, vals
 
 
 def _family_svd_split(U, E, F, budget, seed):
     """H-side SVD, then an elementary split of each base-side singular vector."""
     mE, mF = E.dim, F.dim
     x, s, yh = np.linalg.svd(U, full_matrices=False)
-    terms, value = [], 0.0
+    terms, vals = [], []
     for t in range(s.size):
         if s[t] <= 1e-14 * s[0]:
             break
@@ -324,15 +326,15 @@ def _family_svd_split(U, E, F, budget, seed):
             rng = make_rng(seed, "svdsplit", t, r)
             nu = amp_norm(E, left, budget=budget, rng=rng).value
             nv = amp_norm(F, right, budget=budget, rng=rng).value
-            value += s[t] * tau[r] * nu * nv
-    return terms, value
+            vals.append((s[t] * tau[r], nu, nv))
+    return terms, vals
 
 
 def _family_unfold(U, E, F, budget, seed, side: str):
     """Identity-block terms from an SVD of one base-slot unfolding."""
     d = U.shape[0]
     mE, mF = E.dim, F.dim
-    terms, value = [], 0.0
+    terms, vals = [], []
     eye = np.eye(d, dtype=complex)
     if side == "left":
         M = U.reshape(d, mE, mF).reshape(d * mE, mF)
@@ -352,8 +354,8 @@ def _family_unfold(U, E, F, budget, seed, side: str):
         terms.append((eye, left, right))
         nu = amp_norm(E, left, budget=budget, rng=rng).value
         nv = amp_norm(F, right, budget=budget, rng=rng).value
-        value += nu * nv
-    return terms, value
+        vals.append((1.0, nu, nv))
+    return terms, vals
 
 
 def _family_identity_block(U, E, F, pairing, budget, seed):
@@ -361,14 +363,14 @@ def _family_identity_block(U, E, F, pairing, budget, seed):
     inverse of the (unitary) identity diamond."""
     mE, mF = E.dim, F.dim
     if mE * mF > 4096:
-        return None, np.inf
+        return None
     D = diamond_amp(np.eye(mE, dtype=complex), np.eye(mF, dtype=complex), pairing)
     block = U @ D.conj().T
     rng = make_rng(seed, "identity-block")
     nu = amp_norm(E, np.eye(mE, dtype=complex), budget=budget, rng=rng).value
     nv = amp_norm(F, np.eye(mF, dtype=complex), budget=budget, rng=rng).value
-    value = op_norm(block) * nu * nv
-    return [(block, np.eye(mE, dtype=complex), np.eye(mF, dtype=complex))], value
+    eye = (np.eye(mE, dtype=complex), np.eye(mF, dtype=complex))
+    return [(block, *eye)], [(op_norm(block), nu, nv)]
 
 
 def _projective_base(q: Quantization) -> Optional[BaseNorm]:
@@ -385,7 +387,8 @@ def _family_projective(U, E, F, budget, seed, side: str):
 
     Calls tensor_p_bracket, the routine of the TENSOR_P quantization, on the
     same seed stream, so the value agrees with amp_norm of the matching
-    tensor quantization evaluated at (budget, seed).
+    tensor quantization evaluated at (budget, seed).  None when the factor on
+    that side is not of projective type.
     """
     d = U.shape[0]
     mE, mF = E.dim, F.dim
@@ -395,7 +398,7 @@ def _family_projective(U, E, F, budget, seed, side: str):
         base, other = _projective_base(F), E
         W = np.ascontiguousarray(U.reshape(d, mE, mF).transpose(0, 2, 1)).reshape(d, mF * mE)
     if base is None:
-        return None, np.inf, None
+        return None
     scale = float(np.linalg.norm(W))
     res, _ = tensor_p_bracket(base, other, W / scale, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
@@ -406,7 +409,8 @@ def _family_projective(U, E, F, budget, seed, side: str):
             terms.append((eye, xvec[None, :], V))
         else:
             terms.append((eye, V, xvec[None, :]))
-    return terms, res.upper * scale, res.upper_method
+    vals = [(1.0, c * scale, 1.0) for c in res.values]
+    return terms, vals, res.upper * scale, res.upper_method
 
 
 # -- semi-Ruan screening of certificate targets --------------------------------
@@ -466,27 +470,47 @@ def _zero_bracket(norm, E, F, U, pairing):
 
 
 def _pl_families(U, E, F, budget, seed, pairing):
-    nE = _basis_norms(E, max(budget // 4, 20), seed)
-    nF = _basis_norms(F, max(budget // 4, 20), seed)
+    """name -> (terms, pl value, info, term values (||block_k||, ||u_k||, ||v_k||)),
+    the projective families giving (1, ||u_k|| ||v_k||, 1)."""
+    b = max(budget // 4, 20)
+    nE, nF = _basis_norms(E, b, seed), _basis_norms(F, b, seed)
     fam = {}
-    t, v = _family_columns(U, E, F, nE, nF)
-    fam["columns"] = (t, v, {})
-    t, v = _family_svd_split(U, E, F, max(budget // 4, 20), seed)
-    fam["svd-split"] = (t, v, {})
-    t, v = _family_unfold(U, E, F, max(budget // 4, 20), seed, "left")
-    fam["left-unfold"] = (t, v, {})
-    t, v = _family_unfold(U, E, F, max(budget // 4, 20), seed, "right")
-    fam["right-unfold"] = (t, v, {})
-    t, v = _family_identity_block(U, E, F, pairing, max(budget // 4, 20), seed)
-    if t is not None:
-        fam["identity-block"] = (t, v, {})
-    t, v, method = _family_projective(U, E, F, budget, seed, "left")
-    if t is not None:
-        fam["projective-left"] = (t, v, {"method": method})
-    t, v, method = _family_projective(U, E, F, budget, seed, "right")
-    if t is not None:
-        fam["projective-right"] = (t, v, {"method": method})
+    for name, built in (
+        ("columns", _family_columns(U, E, F, nE, nF)),
+        ("svd-split", _family_svd_split(U, E, F, b, seed)),
+        ("left-unfold", _family_unfold(U, E, F, b, seed, "left")),
+        ("right-unfold", _family_unfold(U, E, F, b, seed, "right")),
+        ("identity-block", _family_identity_block(U, E, F, pairing, b, seed)),
+    ):
+        if built is not None:
+            t, vals = built
+            fam[name] = (t, sum((a * nu * nv for a, nu, nv in vals), 0.0), {}, vals)
+    for side in ("left", "right"):
+        proj = _family_projective(U, E, F, budget, seed, side)
+        if proj is not None:
+            t, vals, value, method = proj
+            fam["projective-" + side] = (t, value, {"method": method}, vals)
     return fam
+
+
+def _l_candidate(terms, vals) -> tuple:
+    """(l value, terms to orthogonalize) of one pl family, from its term values.
+
+    Orthogonalized terms value ||[block_1 ... block_n]|| ||c||_2, c_k = ||u_k||
+    ||v_k||: the zero-padding is an H-block isometry, which leaves amplified
+    norms unchanged.  Balanced terms (block_k / t_k, t_k u_k, v_k), t_k^2 =
+    a_k / c_k with a_k = ||block_k||, value at most sum_k a_k c_k, the pl
+    value, by Cauchy-Schwarz and homogeneity; the lesser value wins.
+    """
+    a, nu, nv = np.array(vals).T
+    c = nu * nv
+    t = np.sqrt(a / c)
+    balanced = [(blk / tk, tk * u, v) for (blk, u, v), tk in zip(terms, t)]
+    return min(
+        ((op_norm(np.hstack([blk for blk, _, _ in ts])) * float(np.linalg.norm(tc)), ts)
+         for ts, tc in ((terms, c), (balanced, t * c))),
+        key=lambda vt: vt[0],
+    )
 
 
 def _best_lower(cert_rows) -> tuple:
@@ -518,7 +542,7 @@ def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> 
     cert_rows = _certificate_lowers(evaluated, unit, budget, seed)
     out = {}
     if "pl" in norms:
-        best_name, (best_terms, best_val, _) = min(fam.items(), key=lambda kv: kv[1][1])
+        best_name, (best_terms, best_val, _, _) = min(fam.items(), key=lambda kv: kv[1][1])
         rep = PLRepresentation(tuple(best_terms), unit, E, F, pairing, label=best_name)
         details = {
             "families": {k: v[1] for k, v in fam.items()},
@@ -529,26 +553,24 @@ def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> 
         lower, lw = _best_lower(cert_rows)
         out["pl"] = NormBracket(lower, best_val, "pl", lw, rep, details)
     if "l" in norms:
-        candidates = {}  # name -> (value, representation); a family that fails is skipped
-        for name, (terms, val, _) in fam.items():
-            if not np.isfinite(val):
-                continue
+        candidates = {}  # name -> (value, terms); a family that fails validation is skipped
+        for name, (terms, _, _, term_values) in fam.items():
             try:
-                plrep = PLRepresentation(tuple(terms), unit, E, F, pairing, label=name)
-                lrep = orthogonalize_representation(plrep)
-                lval = lrep.value(budget=max(budget // 4, 20), seed=seed)
-                candidates[name + "+orth"] = (lval, lrep)
+                PLRepresentation(tuple(terms), unit, E, F, pairing)
             except ValueError:
-                pass
-        best_name, (best_val, best_rep) = min(candidates.items(), key=lambda kv: kv[1][0])
+                continue
+            candidates[name] = _l_candidate(terms, term_values)
+        best_name, (best_val, best_terms) = min(candidates.items(), key=lambda kv: kv[1][0])
+        plrep = PLRepresentation(tuple(best_terms), unit, E, F, pairing, label=best_name)
+        best_rep = orthogonalize_representation(plrep)
         # pool rows by identity: certificates hold arrays, and names may repeat
         pooled = {id(c) for c in pool}
         l_rows = [row for c, row in zip(evaluated, cert_rows) if id(c) in pooled]
         details = {
-            "families": {k: v[0] for k, v in candidates.items()},
+            "families": {k + "+orth": v[0] for k, v in candidates.items()},
             "certificates": {name: val for name, val, _ in l_rows},
             "pool": [c.name for c in pool],
-            "method": best_name,
+            "method": best_name + "+orth",
         }
         lower, lw = _best_lower(l_rows)
         out["l"] = NormBracket(lower, best_val, "l", lw, best_rep, details)
@@ -611,12 +633,11 @@ def l_norm_bracket(
     """Bracket the l norm: orthogonalized representations above, semi-Ruan
     certificates below.
 
-    Every pl family with a finite value is orthogonalized into an l
-    representation and its l value computed; the upper bound is the least of
-    these.  There is no construction specific to the l norm, and plain pl
-    values do not take part in the minimum.  lower <= upper + 1e-9 is
-    asserted on the unit-Frobenius element.  Raises ValueError on non-finite
-    input.
+    Every pl family that reconstructs the element is valued orthogonalized,
+    plain or balanced (see _l_candidate), from its own term values; the upper
+    bound is the least of these, so it is at most the pl upper, and only the
+    winner is orthogonalized.  lower <= upper + 1e-9 is asserted on the
+    unit-Frobenius element.  Raises ValueError on non-finite input.
     """
     (l,), scale, U = _unit_brackets(("l",), E, F, U, budget, seed, pairing, certificates)
     return _rescaled(l, scale, U)
@@ -629,7 +650,9 @@ def orthogonalize_representation(rep: PLRepresentation) -> LRepresentation:
     coordinate block (growing the left truncation to the sum of the term
     truncations); right factors are zero-padded to a common truncation; the
     blocks concatenate into the single l block.  Reconstruction is preserved
-    exactly.
+    exactly, and so is every amplified norm of a factor (the padding is an
+    H-block isometry), which lets the l driver value the result, and the
+    balanced terms it may pass in, without building it.
     """
     terms = rep.terms
     d = rep.target.shape[0]
@@ -680,11 +703,12 @@ def compare_pl_l(
     to the standalone ones, and the sound cross-checks between them.
 
     Asserted (a failure is a bug): pl.lower >= l.lower - 1e-9, interval
-    consistency l.lower <= pl.upper + 1e-9, and every l-certificate value
-    <= pl.upper + 1e-9.  Upper bounds are search artifacts and are not
-    compared.  At H-truncation 1 the two underlying norms agree, so bracket
-    overlap is reported there as a soft check.  All checks run on the
-    brackets of the unit-Frobenius element, so they hold at every scale.
+    consistency l.lower <= pl.upper + 1e-9, every l-certificate value
+    <= pl.upper + 1e-9, and l.upper <= pl.upper (1 + 1e-12), which the
+    balanced orthogonalization ensures.  At H-truncation 1 the two underlying
+    norms agree, so bracket overlap is reported there as a soft check.  All
+    checks run on the brackets of the unit-Frobenius element, so they hold at
+    every scale.
     """
     (pl, l), scale, U = _unit_brackets(("pl", "l"), E, F, U, budget, seed, pairing)
     checks = [
@@ -694,6 +718,7 @@ def compare_pl_l(
             "l_certificates_le_pl_upper",
             all(v <= pl.upper + 1e-9 for v in l.details["certificates"].values()),
         ),
+        ("l_upper_le_pl_upper", l.upper <= pl.upper * (1 + 1e-12)),
     ]
     for name, ok in checks:
         if not ok:

@@ -418,3 +418,31 @@ def test_semi_ruan_search_finds_the_tensor_p_witness_in_its_structured_phase(mon
     assert w is not None
     assert w["excess"] >= 2 - 1e-9
     assert len(calls) <= 3 * q.dim**2  # three amp_norm calls per structured trial
+
+
+@pytest.mark.parametrize(
+    "base",
+    [
+        BaseNorm.euclidean(3),
+        BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0]),
+        BaseNorm.lp(3.0, dim=3),
+        BaseNorm.polytope(np.vstack([np.eye(3), np.ones((1, 3)), -np.eye(3), -np.ones((1, 3))])),
+    ],
+    ids=["euclidean", "weighted-l1", "l3", "polytope"],
+)
+def test_proj_bracket_values_are_the_term_values_of_its_upper(base):
+    """One value ||x_k|| ||V_k|| per term, summing to the upper bound, on every
+    path: svd, slices, the l1 closed form and the refinement."""
+    from pllab.projective import EuclidFactor, proj_bracket
+
+    methods = set()
+    for n in (1, 2, 4):
+        Z = random_complex(make_rng(41, "proj-values", base.kind, n), base.dim, n)
+        res = proj_bracket(base, EuclidFactor(n), Z, budget=200, rng=make_rng(0, "proj"))
+        methods.add(res.upper_method)
+        assert len(res.values) == len(res.terms)
+        assert sum(res.values) == pytest.approx(res.upper, rel=1e-12, abs=0)
+        for (x, v), val in zip(res.terms, res.values):
+            assert val == pytest.approx(base.norm(x) * np.linalg.norm(v), rel=1e-12, abs=0)
+    if base.kind in ("lp", "polytope") and base.p != 1.0:
+        assert "svd+refine" in methods

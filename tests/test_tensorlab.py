@@ -12,6 +12,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pllab import (
     BaseNorm,
@@ -376,6 +379,91 @@ def test_pl_bracket_runs_no_semi_ruan_screen(monkeypatch):
     assert searched == []
     l_norm_bracket(E, F, U, budget=60, seed=0)
     assert searched == ["tensor_p"]  # the l bracket screens the same target
+
+
+# (pl lower, pl upper, l lower, l upper) of the thirteen pinned pairs while the
+# l upper was the value of the unbalanced orthogonalization, each term's
+# amplified norms evaluated again on the zero-padded factors
+_UNBALANCED_ROWS = [
+    (4.600887867689945, 5.702506118167487, 4.106785970502511, 6.428532253669796),
+    (5.647517779356557, 9.350242109030786, 4.880793439241503, 10.318509276045049),
+    (5.561829468984976, 5.561829468984977, 5.561829468984976, 5.561829468984977),
+    (3.248817316675565, 4.594521510915151, 3.248817316675565, 4.594521510915151),
+    (8.601495538180714, 8.601495538180714, 6.132005882467868, 9.121696001256764),
+    (6.850891669199025, 6.850891669199026, 4.558527536280892, 7.268559120353239),
+    (6.75171174868715, 6.75171174868715, 4.957653364329681, 7.492034257923683),
+    (11.989546551295032, 11.989546551295032, 9.32940799997854, 10.937113733739537),
+    (4.176589671507163, 4.176589671507163, 4.155107603652271, 4.206132332207827),
+    (5.848488096232464, 6.182560181993362, 5.848488096232464, 6.182560181993364),
+    (9.4964934006931, 9.4964934006931, 3.413485859749294, 9.652253434613904),
+    (4.921853311072688, 10.240945755344335, 4.921853311072688, 11.166253993487546),
+    (9.648175661411658, 18.526838669188205, 9.648175661411658, 18.52683866918821),
+]
+
+
+@pytest.mark.parametrize("i", range(13))
+def test_balanced_orthogonalization_moves_only_l_uppers_down(i):
+    pl_lower, pl_upper, l_lower, l_upper = _UNBALANCED_ROWS[i]
+    pl, l = _pinned_brackets(i)
+    got = (pl.lower, pl.upper, l.lower)
+    assert got == pytest.approx((pl_lower, pl_upper, l_lower), rel=1e-12, abs=0)
+    assert l.upper <= l_upper * (1 + 1e-12)
+    assert l.upper <= pl.upper * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("i", range(13))
+def test_upper_witnesses_re_evaluate_to_the_reported_uppers(i):
+    """The l witness carries the balanced blocks and factors its upper was
+    valued from, so re-evaluating its amplified norms gives that upper."""
+    for b in _pinned_brackets(i):
+        assert b.upper_witness.value(budget=50, seed=0) == pytest.approx(b.upper, rel=1e-9)
+
+
+def test_l_bracket_evaluates_no_amp_norm_beyond_the_families(monkeypatch):
+    from pllab import quantizations
+
+    calls = []
+    dispatch = quantizations._amp_dispatch
+
+    def counted(q, *args, **kwargs):
+        calls.append(q.kind)
+        return dispatch(q, *args, **kwargs)
+
+    monkeypatch.setattr(quantizations, "_amp_dispatch", counted)
+    for E, F in _factor_pairs():
+        U = random_complex(make_rng(0, "amp-count"), 2, E.dim * F.dim)
+        pl_norm_bracket(E, F, U, seed=0, certificates=[])
+        pl_calls = len(calls)
+        calls.clear()
+        l_norm_bracket(E, F, U, seed=0, certificates=[])
+        assert len(calls) == pl_calls > 0
+        calls.clear()
+
+
+# hilbert x hilbert, min(euclidean) x hilbert, max(weighted l1) x hilbert, lp1 x lp1
+_PROPERTY_PAIRS = (0, 3, 4, 7)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(_PROPERTY_PAIRS),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_bracket_properties_on_random_elements(i, d, data):
+    E, F = _factor_pairs()[i]
+    parts = hnp.arrays(np.float64, (2, d, E.dim * F.dim), elements=st.floats(-1, 1, width=32))
+    re, im = data.draw(parts)
+    U = re + 1j * im
+    ref = compare_pl_l(E, F, U, seed=0)
+    pl, l = ref["pl"], ref["l"]
+    assert pl["lower"] <= pl["upper"] and l["lower"] <= l["upper"]
+    assert l["upper"] <= pl["upper"] * (1 + 1e-12)
+    for s in (1e-3, 1e3):
+        got = compare_pl_l(E, F, s * U, seed=0)
+        for norm in ("pl", "l"):
+            for key in ("lower", "upper"):
+                assert got[norm][key] == pytest.approx(s * ref[norm][key], rel=1e-12, abs=0)
 
 
 if __name__ == "__main__":
