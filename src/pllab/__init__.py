@@ -33,9 +33,7 @@ from .maps import (
     amplify_bilinear,
     amplify_linear,
     builtin_certificates,
-    clear_registered_certificates,
     lb_norm_lower,
-    register_certificate,
 )
 from .tensorlab import (
     LRepresentation,
@@ -72,9 +70,7 @@ __all__ = [
     "amplify_bilinear",
     "amplify_linear",
     "builtin_certificates",
-    "clear_registered_certificates",
     "lb_norm_lower",
-    "register_certificate",
     "LRepresentation",
     "NormBracket",
     "PLRepresentation",

@@ -31,6 +31,8 @@ __all__ = ["BaseNorm", "DualMax"]
 
 _REAL_TOL = 1e-12
 _SIGN_ENUM_LIMIT = 16
+_ASCENT_ITERS = 60  # iteration cap of the multi-start dual-ball ascents
+_PRIMAL_STARTS = 8  # starts of primal_ball_maximize
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ class BaseNorm:
 
     # -- ball suprema -------------------------------------------------------
 
-    def dual_ball_maximize(self, A, rng=None, starts: int = 8, iters: int = 60) -> DualMax:
+    def dual_ball_maximize(self, A, rng=None, starts: int = 8) -> DualMax:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
         The multi-start ascents (weighted l1 polydisc, lq ball) run all starts
@@ -254,10 +256,10 @@ class BaseNorm:
             val, z = _top_direction(B)
             return DualMax(val, val, z * w**0.5, True)
         if self.p == 1.0:
-            return self._dual_ball_max_l1(A, rng, starts, iters)
-        return self._dual_ball_max_lq(A, rng, starts, iters)
+            return self._dual_ball_max_l1(A, rng, starts)
+        return self._dual_ball_max_lq(A, rng, starts)
 
-    def _dual_ball_max_l1(self, A, rng, starts, iters) -> DualMax:
+    def _dual_ball_max_l1(self, A, rng, starts) -> DualMax:
         # dual ball is the weighted polydisc {|c_j| <= w_j}
         w = self.weights
         B = A * w[None, :]
@@ -292,7 +294,7 @@ class BaseNorm:
             [np.ones(m), _phases(B.conj().T @ B[:, j]), _phases(g[:, 0] + 1j * g[:, 1]).T]
         )[:, :starts]
         live = np.arange(starts)
-        for _ in range(iters):
+        for _ in range(_ASCENT_ITERS):
             Zl = Z[:, live]
             Zn = _phases(Q @ Zl)
             Z[:, live] = Zn
@@ -310,7 +312,7 @@ class BaseNorm:
         upper = max(upper, best_val)
         return DualMax(best_val, upper, best_z * w, False)
 
-    def _dual_ball_max_lq(self, A, rng, starts, iters) -> DualMax:
+    def _dual_ball_max_lq(self, A, rng, starts) -> DualMax:
         dd = self.dual_descriptor()  # an lq(w') descriptor
         rng = np.random.default_rng(0) if rng is None else rng
         q, wq = dd.p, dd.weights
@@ -325,7 +327,7 @@ class BaseNorm:
         Y = A @ C
         vals = np.linalg.norm(Y, axis=0)
         live = np.flatnonzero(vals > 0)
-        for _ in range(iters):
+        for _ in range(_ASCENT_ITERS):
             if not live.size:
                 break
             Cn = dd._holder_align(np.conj(A.conj().T @ (Y[:, live] / vals[live])))
@@ -344,11 +346,11 @@ class BaseNorm:
         upper = max(min(float(np.linalg.norm(A, 2)) * embed, col_bound), best_val)
         return DualMax(best_val, upper, best_c, False)
 
-    def primal_ball_maximize(self, A, rng=None, starts: int = 8, iters: int = 60) -> DualMax:
+    def primal_ball_maximize(self, A, rng=None) -> DualMax:
         """sup of ||A x||_2 over the primal unit ball of this base."""
         dd = self.dual_descriptor()
         if dd is not None:
-            return dd.dual_ball_maximize(A, rng=rng, starts=starts, iters=iters)
+            return dd.dual_ball_maximize(A, rng=rng, starts=_PRIMAL_STARTS)
         A = np.asarray(A, dtype=complex)
         # polytope primal ball: crude but certified enclosure
         v = self.vertices
@@ -356,7 +358,7 @@ class BaseNorm:
         upper = float(np.linalg.norm(A, 2)) * np.sqrt(v.shape[0]) / max(sigma_min, 1e-30)
         best_val, best_x = -1.0, np.zeros(self.dim, dtype=complex)
         rng = np.random.default_rng(0) if rng is None else rng
-        for s in range(starts + self.dim):
+        for s in range(_PRIMAL_STARTS + self.dim):
             if s < self.dim:
                 x = np.eye(self.dim, dtype=complex)[s]
             else:

@@ -23,7 +23,6 @@ from .jsonio import (
     render_json,
 )
 from .quantizations import amp_norm
-from .sampling import thread_count
 from .suites import properties_suite, verify_paper_suite
 from .tensorlab import compare_pl_l, l_norm_bracket, pl_norm_bracket
 
@@ -190,7 +189,7 @@ def run_job(args: argparse.Namespace) -> tuple:
             "budget": args.budget,
             "seed": args.seed,
             "tolerance": args.tolerance,
-            "threads": thread_count(),
+            "threads": 1,  # a field of the report schema; evaluation is serial
             **({"n_max": args.n_max} if args.command == "verify-paper" else {}),
             **({"trials": args.trials} if args.command == "properties" else {}),
         },

@@ -11,11 +11,13 @@ Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
 is a sound lower bound for its pl (and, for semi-Ruan targets, l) tensor
 norm.  ``builtin_certificates`` assembles every catalog entry applicable to
-a factor pair, and ``register_certificate`` adds user factories to the pool.
+a factor pair; a user certificate is built for one pair and reaches the
+brackets only through their ``certificates=`` argument.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -36,8 +38,6 @@ __all__ = [
     "amplify_bilinear",
     "lb_norm_lower",
     "builtin_certificates",
-    "register_certificate",
-    "clear_registered_certificates",
 ]
 
 
@@ -317,7 +317,6 @@ def lb_norm_lower(
     budget: int = 200,
     seed: int = 0,
     use_closed_forms: bool = True,
-    rng=None,
 ) -> LbNormEstimate:
     """Lower-bound the lb-norm sup ||phi_inf(U)|| / ||U||.
 
@@ -326,7 +325,7 @@ def lb_norm_lower(
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
     singular value of the coefficient matrix).
     """
-    rng = make_rng(seed, "lbnorm") if rng is None else rng
+    rng = make_rng(seed, "lbnorm")
     if isinstance(phi, BilinearMap):
         return _lb_lower_bilinear(phi, budget, rng, use_closed_forms)
     if use_closed_forms and phi.is_functional:
@@ -484,7 +483,10 @@ class Certificate:
     For an amplified element U over E (x) F, ``evaluate_lower`` returns a
     certified lower bound for ||U||_pl (and for ||U||_l whenever the target
     satisfies semi-Ruan): the target's certified lower bound of the
-    linearized image, divided by the certified lb-bound of the map.
+    linearized image, divided by the certified lb-bound of the map.  The
+    bound is trusted as stated, so it must be positive and finite, and
+    target must be the bilinear map's target.  The value is sound only over
+    the factor pair of ``sources``; the brackets reject any other.
     """
 
     name: str
@@ -495,8 +497,23 @@ class Certificate:
     left: Optional[Quantization] = None
     right: Optional[Quantization] = None
 
-    def evaluate_lower(self, U: np.ndarray, budget: int = 200, rng=None, seed: int = 0):
-        rng = make_rng(seed, "certificate", self.name) if rng is None else rng
+    def __post_init__(self):
+        if not (self.bound > 0 and math.isfinite(self.bound)):
+            raise ValueError(f"certificate {self.name!r}: bound {self.bound!r} is not positive and finite")
+        if self.bilinear is not None and self.target.to_dict() != self.bilinear.target.to_dict():
+            raise ValueError(f"certificate {self.name!r}: target differs from the bilinear map's target")
+        if any(q is None for q in self.sources):
+            raise ValueError(f"certificate {self.name!r}: a functional pair needs left and right")
+
+    @property
+    def sources(self) -> tuple:
+        """The factor pair (E, F) this certificate was built for."""
+        if self.bilinear is None:
+            return self.left, self.right
+        return self.bilinear.source_left, self.bilinear.source_right
+
+    def evaluate_lower(self, U: np.ndarray, budget: int = 200, seed: int = 0):
+        rng = make_rng(seed, "certificate", self.name)
         U = np.asarray(U, dtype=complex)
         if self.bilinear is not None:
             W = U @ self.bilinear.linearized_matrix
@@ -559,45 +576,13 @@ def _identity_reindex_tensor(mE: int, mF: int) -> np.ndarray:
     return t
 
 
-_USER_CERTIFICATES: list = []
-
-
-def register_certificate(
-    bilinear: BilinearMap,
-    bound: float = 1.0,
-    provenance: str = "user-supplied",
-    name: Optional[str] = None,
-) -> Certificate:
-    """Register a user certificate triple (bilinear map, certified bound, target).
-
-    The bound is trusted as stated; a wrong bound makes later lower bounds
-    unsound, so the provenance note travels with every report that uses it.
-    builtin_certificates returns the entry whenever the factor pair matches
-    the map's sources.
-    """
-    if bound <= 0:
-        raise ValueError("certified bound must be positive")
-    cert = Certificate(
-        name=name or f"user-{len(_USER_CERTIFICATES)}",
-        provenance=provenance,
-        target=bilinear.target,
-        bilinear=bilinear,
-        bound=float(bound),
-    )
-    _USER_CERTIFICATES.append(cert)
-    return cert
-
-
-def clear_registered_certificates():
-    _USER_CERTIFICATES.clear()
-
-
 def builtin_certificates(E: Quantization, F: Quantization) -> list:
-    """Catalog certificates applicable to the pair (E, F).
+    """Catalog certificates applicable to the pair (E, F), and nothing else.
 
     Every entry carries a certified lb-bound of 1; lower bounds obtained
     through them are sound for the pl norm, and for the l norm when the
-    target passes the semi-Ruan search.
+    target passes the semi-Ruan search.  User certificates built for (E, F)
+    go to a bracket's certificates= argument, with this list or without it.
     """
     certs = [
         Certificate(
@@ -681,14 +666,6 @@ def builtin_certificates(E: Quantization, F: Quantization) -> list:
                 ),
             )
         )
-    e_desc, f_desc = E.to_dict(), F.to_dict()
-    for cert in _USER_CERTIFICATES:
-        if (
-            cert.bilinear is not None
-            and cert.bilinear.source_left.to_dict() == e_desc
-            and cert.bilinear.source_right.to_dict() == f_desc
-        ):
-            certs.append(cert)
     return certs
 
 

@@ -58,13 +58,12 @@ class ProjResult:
     lower_witness: dict = field(default_factory=dict)
 
 
-def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None, cap: int = None) -> ProjResult:
+def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None) -> ProjResult:
     """Bracket the projective norm of Z (shape (m_E, factor.size))."""
     Zf = np.asarray(Z, dtype=complex)
     if Zf.ndim != 2 or Zf.shape[0] != base.dim or Zf.shape[1] != factor.size:
         raise ValueError("Z must have one factor-vector per base coordinate")
     rng = np.random.default_rng(0) if rng is None else rng
-    cap = cap if cap is not None else max(1, base.dim * factor.size)
 
     l1_type = base.kind == "lp" and base.p == 1.0
 
@@ -93,10 +92,6 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None, cap: in
         low_val, low_method = slice_val, "l1-columns"
 
     low_val = min(low_val, up_val)  # guard float jitter in collapsed brackets
-    if len(up_terms) > cap:
-        # basis slices never exceed m_E terms, which is within any cap
-        up_terms, up_vals, up_val = _slice_decomposition(base, factor, Zf)
-        up_method = "basis-slices(cap)"
     return ProjResult(up_val, low_val, exact, up_terms, up_vals, up_method, low_method, low_witness)
 
 

@@ -263,8 +263,7 @@ def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue
     if q.kind == "lp":
         return _amp_lp(q, U, budget, rng)
     if q.kind == "max":
-        res = proj_bracket(q.base, EuclidFactor(U.shape[0]), U.T, budget=budget, rng=rng,
-                           cap=U.shape[0] * q.dim)
+        res = proj_bracket(q.base, EuclidFactor(U.shape[0]), U.T, budget=budget, rng=rng)
         return NormValue(res.upper, res.lower, res.exact, f"max/{res.upper_method}")
     res, all_exact = tensor_p_bracket(q.base, q.inner, U, budget, rng)
     return NormValue(res.upper, res.lower, res.exact and all_exact, f"tensor_p/{res.upper_method}")
@@ -283,9 +282,9 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
     g = frobenius_metric(inner)
     if g is None:
         factor = AmpFactor(inner, budget=max(budget // 4, 20), rng=rng, d=d)
-        return proj_bracket(base, factor, Z, budget=budget, rng=rng, cap=Z.size), factor.all_exact
+        return proj_bracket(base, factor, Z, budget=budget, rng=rng), factor.all_exact
     G = np.tile(g, d)
-    res = proj_bracket(base, EuclidFactor(Z.shape[1]), Z * G, budget=budget, rng=rng, cap=Z.size)
+    res = proj_bracket(base, EuclidFactor(Z.shape[1]), Z * G, budget=budget, rng=rng)
     return replace(res, terms=[(x, v / G) for x, v in res.terms]), True
 
 

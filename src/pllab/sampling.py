@@ -7,9 +7,7 @@ regardless of evaluation order.
 
 from __future__ import annotations
 
-import os
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -18,8 +16,6 @@ __all__ = [
     "random_complex",
     "random_unit",
     "random_orthonormal",
-    "thread_count",
-    "parallel_map",
 ]
 
 
@@ -60,26 +56,3 @@ def random_orthonormal(rng, d: int, k: int, real: bool = False) -> np.ndarray:
     ph = np.where(np.abs(ph) > 0, ph / np.abs(ph), 1.0)
     return q * np.conj(ph)[None, :]
 
-
-def thread_count() -> int:
-    """Worker count from the PLLAB_THREADS environment variable (default 1)."""
-    raw = os.environ.get("PLLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def parallel_map(fn, items) -> list:
-    """Map preserving order; runs threaded when PLLAB_THREADS > 1.
-
-    Results are identical either way: every work item must derive its own
-    rng stream, so scheduling order cannot leak into the numbers.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))

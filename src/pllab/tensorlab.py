@@ -34,7 +34,7 @@ from .hilbert import PairingMap, coeffs_of, diamond_amp, frobenius_norm, op_norm
 from .maps import builtin_certificates
 from .projective import RECON_TOL
 from .quantizations import Quantization, amp_norm, semi_ruan_witness_search, tensor_p_bracket
-from .sampling import make_rng, parallel_map
+from .sampling import make_rng
 from .wire import canonical, matrix_to_json
 
 __all__ = [
@@ -453,14 +453,6 @@ def _l_pool(certs, seed: int):
 # -- brackets -------------------------------------------------------------------
 
 
-def _certificate_lowers(certs, U, budget, seed):
-    def run(cert):
-        val, info = cert.evaluate_lower(U, budget=budget, seed=seed)
-        return cert.name, val, info
-
-    return parallel_map(run, certs)
-
-
 def _zero_bracket(norm, E, F, U, pairing):
     if norm == "pl":
         rep = PLRepresentation((), U, E, F, pairing, label="zero")
@@ -526,20 +518,27 @@ def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> 
 
     One family build and one certificate pass serve every requested norm: all
     certificates when pl is requested, else only the l pool; the semi-Ruan
-    screen runs only for l.  The zero element gets the zero brackets.
+    screen runs only for l.  Passed certificates must have sources equal to
+    (E, F) by to_dict(): a lower bound is sound only over its own sources.
+    The zero element gets the zero brackets.
     """
     U = coeffs_of(U)
     if U.shape[1] != E.dim * F.dim:
         raise ValueError(f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}")
+    if certificates is not None:
+        certificates, pair = list(certificates), (E.to_dict(), F.to_dict())
+        for cert in certificates:
+            if tuple(q.to_dict() for q in cert.sources) != pair:
+                raise ValueError(f"certificate {cert.name!r} was built for another factor pair")
     scale = frobenius_norm(U)
     if scale == 0.0:
         return tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms), scale, U
     unit = U / scale
     fam = _pl_families(unit, E, F, budget, seed, pairing)
-    certs = builtin_certificates(E, F) if certificates is None else list(certificates)
+    certs = builtin_certificates(E, F) if certificates is None else certificates
     pool = _l_pool(certs, seed) if "l" in norms else []
     evaluated = certs if "pl" in norms else pool
-    cert_rows = _certificate_lowers(evaluated, unit, budget, seed)
+    cert_rows = [(c.name, *c.evaluate_lower(unit, budget=budget, seed=seed)) for c in evaluated]
     out = {}
     if "pl" in norms:
         best_name, (best_terms, best_val, _, _) = min(fam.items(), key=lambda kv: kv[1][1])
@@ -613,9 +612,11 @@ def pl_norm_bracket(
     """Bracket the pl norm of an amplified element of H (x) (E (x) F).
 
     The upper bound is the least value over the generated representation
-    families; the lower bound is the best catalog-certificate evaluation.
-    Both are certified, and lower <= upper + 1e-9 is asserted on the
-    unit-Frobenius element.  Raises ValueError on non-finite input.
+    families; the lower bound is the best evaluation of the certificates,
+    builtin_certificates(E, F) unless a list is passed.  Both are certified,
+    and lower <= upper + 1e-9 is asserted on the unit-Frobenius element.
+    Raises ValueError on non-finite input and on a passed certificate whose
+    sources (Certificate.sources) are not (E, F).
     """
     (pl,), scale, U = _unit_brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
     return _rescaled(pl, scale, U)
@@ -636,8 +637,11 @@ def l_norm_bracket(
     Every pl family that reconstructs the element is valued orthogonalized,
     plain or balanced (see _l_candidate), from its own term values; the upper
     bound is the least of these, so it is at most the pl upper, and only the
-    winner is orthogonalized.  lower <= upper + 1e-9 is asserted on the
-    unit-Frobenius element.  Raises ValueError on non-finite input.
+    winner is orthogonalized.  The lower bound is the best semi-Ruan member
+    of builtin_certificates(E, F), or of the passed list.  lower <= upper +
+    1e-9 is asserted on the unit-Frobenius element.  Raises ValueError on
+    non-finite input and on a passed certificate whose sources
+    (Certificate.sources) are not (E, F).
     """
     (l,), scale, U = _unit_brackets(("l",), E, F, U, budget, seed, pairing, certificates)
     return _rescaled(l, scale, U)

@@ -303,11 +303,18 @@ def test_violation_exit_code_and_repro(capsys, monkeypatch):
     assert "--seed 0" in bad["repro"]
 
 
-def test_threads_parameter_reflects_env(capsys, monkeypatch):
-    monkeypatch.setenv("PLLAB_THREADS", "2")
-    code, out, _ = run_cli(capsys, "--command", "norm", "--input", norm_doc())
+@pytest.mark.parametrize(
+    "command,doc", [("norm", norm_doc()), ("compare", pair_doc())], ids=["norm", "compare"]
+)
+def test_reports_do_not_read_the_environment(capsys, monkeypatch, command, doc):
+    """PLLAB_THREADS is no knob: the report is the same bytes without it and
+    with it set, and its threads parameter stays 1."""
+    monkeypatch.delenv("PLLAB_THREADS", raising=False)
+    code, unset, _ = run_cli(capsys, "--command", command, "--input", doc)
     assert code == 0
-    assert json.loads(out)["parameters"]["threads"] == 2
+    monkeypatch.setenv("PLLAB_THREADS", "2")
+    assert run_cli(capsys, "--command", command, "--input", doc)[:2] == (code, unset)
+    assert json.loads(unset)["parameters"]["threads"] == 1
 
 
 def test_pairing_scheme_accepted(capsys):

@@ -13,10 +13,10 @@ from pllab import (
     amplify_bilinear,
     amplify_linear,
     builtin_certificates,
-    clear_registered_certificates,
     diamond_amp,
+    l_norm_bracket,
     lb_norm_lower,
-    register_certificate,
+    pl_norm_bracket,
 )
 from pllab.maps import embedding_map, underlying_dual_maximize, underlying_dual_norm
 from pllab.sampling import make_rng, random_complex
@@ -213,28 +213,58 @@ def test_embedding_map_achieves_equality():
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def test_register_certificate_roundtrip():
-    E = Quantization.hilbert(2)
-    F = Quantization.hilbert(2)
-    try:
-        base_names = {c.name for c in builtin_certificates(E, F)}
-        # identity reindex into the Frobenius norm of the pair space
-        tensor = np.zeros((2, 2, 4), dtype=complex)
-        for j in range(2):
-            for k in range(2):
-                tensor[j, k, 2 * j + k] = 1.0
-        r = BilinearMap(tensor, E, F, Quantization.hilbert(4))
-        cert = register_certificate(r, bound=1.0, name="frobenius-reindex")
-        names = {c.name for c in builtin_certificates(E, F)}
-        assert names == base_names | {"frobenius-reindex"}
-        # and it is not offered for a mismatched pair
-        other = Quantization.hilbert(3)
-        assert "frobenius-reindex" not in {c.name for c in builtin_certificates(other, F)}
-        assert isinstance(cert, Certificate)
-        with pytest.raises(ValueError):
-            register_certificate(r, bound=0.0)
-    finally:
-        clear_registered_certificates()
+def _frobenius_reindex(n: int) -> BilinearMap:
+    """hilbert(n) x hilbert(n) -> hilbert(n^2), the identity reindex."""
+    E = Quantization.hilbert(n)
+    tensor = np.zeros((n, n, n * n), dtype=complex)
+    for j in range(n):
+        for k in range(n):
+            tensor[j, k, n * j + k] = 1.0
+    return BilinearMap(tensor, E, E, Quantization.hilbert(n * n))
+
+
+def test_user_certificate_reaches_brackets_through_the_argument():
+    E = F = Quantization.hilbert(2)
+    r = _frobenius_reindex(2)
+    cert = Certificate("frobenius-reindex", "user-supplied", r.target, r)
+    certs = builtin_certificates(E, F) + [cert]
+    U = random_complex(make_rng(49, "user-cert"), 2, 4)
+    pl = pl_norm_bracket(E, F, U, seed=0, certificates=certs)
+    l = l_norm_bracket(E, F, U, seed=0, certificates=certs)
+    assert "frobenius-reindex" in pl.details["certificates"]
+    assert "frobenius-reindex" in l.details["pool"]
+
+
+@pytest.mark.parametrize(
+    "E",
+    [Quantization.lp(np.inf, [1.0, 1.0]), Quantization.lp(1.0, [0.1, 0.1])],
+    ids=["linf", "l1"],
+)
+@pytest.mark.parametrize("fn", [pl_norm_bracket, l_norm_bracket], ids=["pl", "l"])
+def test_certificates_of_another_pair_are_rejected(fn, E):
+    """The hilbert(2) x hilbert(2) catalog is not sound over E x E of the same
+    dimensions; a bracket handed it raises instead of reporting its value."""
+    hilbert = Quantization.hilbert(2)
+    r = _frobenius_reindex(2)
+    U = random_complex(make_rng(50, "foreign-certs"), 2, 4)
+    for certs in (builtin_certificates(hilbert, hilbert), [Certificate("reindex", "", r.target, r)]):
+        with pytest.raises(ValueError, match="another factor pair"):
+            fn(E, E, U, seed=0, certificates=certs)
+
+
+@pytest.mark.parametrize("bound", [0.0, -1.0, np.nan, np.inf])
+def test_certificate_bound_must_be_positive_and_finite(bound):
+    r = _frobenius_reindex(2)
+    with pytest.raises(ValueError, match="positive and finite"):
+        Certificate("bad-bound", "", r.target, r, bound=bound)
+
+
+def test_certificate_target_must_be_the_bilinear_target():
+    r = _frobenius_reindex(2)
+    with pytest.raises(ValueError, match="target"):
+        Certificate("bad-target", "", Quantization.lp(1.0, np.ones(4)), r)
+    with pytest.raises(ValueError, match="left and right"):
+        Certificate("bad-pair", "", Quantization.scalar())
 
 
 def test_linear_map_shape_validation():

@@ -459,8 +459,9 @@ def test_bracket_properties_on_random_elements(i, d, data):
     pl, l = ref["pl"], ref["l"]
     assert pl["lower"] <= pl["upper"] and l["lower"] <= l["upper"]
     assert l["upper"] <= pl["upper"] * (1 + 1e-12)
-    for s in (1e-3, 1e3):
-        got = compare_pl_l(E, F, s * U, seed=0)
+    # homogeneity, and invariance under the scheme that pairs the H slots
+    for s, pairing in ((1e-3, PairingMap()), (1e3, PairingMap()), (1.0, PairingMap("column-major"))):
+        got = compare_pl_l(E, F, s * U, seed=0, pairing=pairing)
         for norm in ("pl", "l"):
             for key in ("lower", "upper"):
                 assert got[norm][key] == pytest.approx(s * ref[norm][key], rel=1e-12, abs=0)

@@ -59,8 +59,7 @@ def _jobs() -> list:
     return jobs
 
 
-def _report(capsys, monkeypatch, argv) -> dict:
-    monkeypatch.setenv("PLLAB_THREADS", "1")
+def _report(capsys, argv) -> dict:
     cli.main(list(argv))
     return json.loads(capsys.readouterr().out)
 
@@ -90,11 +89,11 @@ def test_descriptors_match_golden():
 
 
 @pytest.mark.parametrize("i", range(1 + len(_COMPARE_PAIRS)))
-def test_cli_reports_match_golden(capsys, monkeypatch, i):
+def test_cli_reports_match_golden(capsys, i):
     golden = json.loads(REPORTS.read_text())[i]
     argv = _jobs()[i]
     assert argv == golden["argv"]
-    _assert_same(_report(capsys, monkeypatch, argv), golden["report"], rel=1e-12)
+    _assert_same(_report(capsys, argv), golden["report"], rel=1e-12)
 
 
 # -- round trips ---------------------------------------------------------------
@@ -133,9 +132,7 @@ def _record():
     """Write the golden data from the current code."""
     import contextlib
     import io
-    import os
 
-    os.environ["PLLAB_THREADS"] = "1"
     DATA.mkdir(exist_ok=True)
     DESCRIPTORS.write_text(json.dumps(_descriptors(), indent=1) + "\n")
     reports = []
