@@ -9,10 +9,11 @@ Frobenius-to-Frobenius maps.
 
 Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
-is a sound lower bound for its pl (and, for semi-Ruan targets, l) tensor
-norm.  ``builtin_certificates`` assembles every catalog entry applicable to
-a factor pair; a user certificate is built for one pair and reaches the
-brackets only through their ``certificates=`` argument.
+is a sound lower bound for its pl tensor norm, and for its l norm only when
+the target is proved semi-Ruan from its descriptor (tensorlab._semi_ruan).
+``builtin_certificates`` assembles every catalog entry applicable to a factor
+pair; a user certificate is built for one pair and reaches the brackets only
+through their ``certificates=`` argument.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .bases import BaseNorm, DualMax
 from .hilbert import PairingMap, coeffs_of
-from .quantizations import NormValue, Quantization, amp_norm, underlying_norm
+from .quantizations import NormValue, Quantization, amp_norm, point_base, underlying_norm
 from .sampling import make_rng, random_complex
 from .wire import matrix_to_json
 
@@ -149,14 +150,14 @@ def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
     if q.kind == "lp":
         mi = q.inner.dim
         if mi == 1:
-            return BaseNorm.lp(q.p, weights=q.weights).dual_norm(c)
+            return point_base(q).dual_norm(c)
         pointwise = []
         for t in range(q.points):
             dn = underlying_dual_norm(q.inner, c[t * mi : (t + 1) * mi])
             if dn is None:
                 return None
             pointwise.append(dn)
-        return BaseNorm.lp(q.p, weights=q.weights).dual_norm(np.asarray(pointwise) * q.weights)
+        return point_base(q).dual_norm(np.asarray(pointwise))
     return None
 
 
@@ -173,7 +174,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
         return BaseNorm.euclidean(q.dim).dual_ball_maximize(A, rng=rng)
     if q.kind == "lp":
         mi = q.inner.dim
-        scalar = BaseNorm.lp(q.p, weights=q.weights)
+        scalar = point_base(q)
         if mi == 1:
             return scalar.dual_ball_maximize(A, rng=rng, starts=starts)
         # per-point inner witnesses, outer weights through the scalar dual ball
@@ -261,7 +262,7 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
     elif q.kind == "hilbert":
         add(np.conj(c))
     elif q.kind == "lp" and q.inner.dim == 1:
-        add(BaseNorm.lp(q.p, weights=q.weights).primal_align(c))
+        add(point_base(q).primal_align(c))
     elif q.kind == "lp":
         mi = q.inner.dim
         blocks, scores, uppers = [], [], []
@@ -276,7 +277,7 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
             blocks.append(y)
             scores.append(abs(np.dot(c[t * mi : (t + 1) * mi], y)) / max(up, 1e-30))
             uppers.append(max(up, 1e-30))
-        s = BaseNorm.lp(q.p, weights=q.weights).primal_align(np.asarray(scores, dtype=complex))
+        s = point_base(q).primal_align(np.asarray(scores, dtype=complex))
         x = np.concatenate([s[t] / uppers[t] * blocks[t] for t in range(q.points)])
         add(x)
     elif q.kind == "tensor_p":
@@ -481,12 +482,12 @@ class Certificate:
     """Contractive bilinear map into an exactly evaluable target.
 
     For an amplified element U over E (x) F, ``evaluate_lower`` returns a
-    certified lower bound for ||U||_pl (and for ||U||_l whenever the target
-    satisfies semi-Ruan): the target's certified lower bound of the
-    linearized image, divided by the certified lb-bound of the map.  The
-    bound is trusted as stated, so it must be positive and finite, and
-    target must be the bilinear map's target.  The value is sound only over
-    the factor pair of ``sources``; the brackets reject any other.
+    certified lower bound for ||U||_pl (and for ||U||_l when the target is
+    proved semi-Ruan from its descriptor): the target's certified lower
+    bound of the linearized image, divided by the certified lb-bound of the
+    map.  The bound is trusted as stated, so it must be positive and finite,
+    and target must be the bilinear map's target.  The value is sound only
+    over the factor pair of ``sources``; the brackets reject any other.
     """
 
     name: str
@@ -580,9 +581,10 @@ def builtin_certificates(E: Quantization, F: Quantization) -> list:
     """Catalog certificates applicable to the pair (E, F), and nothing else.
 
     Every entry carries a certified lb-bound of 1; lower bounds obtained
-    through them are sound for the pl norm, and for the l norm when the
-    target passes the semi-Ruan search.  User certificates built for (E, F)
-    go to a bracket's certificates= argument, with this list or without it.
+    through them are sound for the pl norm, and count for the l norm only
+    when the target is proved semi-Ruan from its descriptor.  User
+    certificates built for (E, F) go to a bracket's certificates= argument,
+    with this list or without it.
     """
     certs = [
         Certificate(

@@ -300,6 +300,13 @@ def frobenius_metric(q: Quantization) -> Optional[np.ndarray]:
     return None
 
 
+def point_base(q: Quantization) -> BaseNorm:
+    """Norm that combines the point norms n_t of an lp quantization as
+    _amp_lp does: (sum_t w_t n_t^p)^(1/p), and max_t n_t (no weights) at
+    p = inf."""
+    return BaseNorm.lp(q.p, weights=np.ones(q.points) if np.isinf(q.p) else q.weights)
+
+
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
     mi = q.inner.dim
     uppers = np.zeros(q.points)

@@ -17,8 +17,9 @@ The l norm never exceeds the pl norm.  One driver serves both: it builds the
 pl representation families once, values their orthogonalizations, plain or
 balanced, from the families' own term values as l upper bounds (no amplified
 norm is evaluated again; see _l_candidate) and evaluates each certificate
-once; the l pool is the certificates whose target is semi-Ruan.  compare_pl_l
-thus reports the standalone brackets of both norms, with l.upper <= pl.upper.
+once; an l lower bound counts only when its target is proved semi-Ruan from
+its descriptor (_semi_ruan), with no search.  compare_pl_l thus reports the
+standalone brackets of both norms, with l.upper <= pl.upper.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .bases import BaseNorm
 from .hilbert import PairingMap, coeffs_of, diamond_amp, frobenius_norm, op_norm
 from .maps import builtin_certificates
 from .projective import RECON_TOL
-from .quantizations import Quantization, amp_norm, semi_ruan_witness_search, tensor_p_bracket
+from .quantizations import Quantization, amp_norm, point_base, tensor_p_bracket
 from .sampling import make_rng
 from .wire import canonical, matrix_to_json
 
@@ -378,7 +379,7 @@ def _projective_base(q: Quantization) -> Optional[BaseNorm]:
     if q.kind == "max":
         return q.base
     if q.kind == "lp" and q.p == 1.0 and q.inner.dim == 1:
-        return BaseNorm.lp(1.0, weights=q.weights)
+        return point_base(q)
     return None
 
 
@@ -415,39 +416,22 @@ def _family_projective(U, E, F, budget, seed, side: str):
 
 # -- semi-Ruan screening of certificate targets --------------------------------
 
-_SR_CACHE: dict = {}
 
-
-def _semi_ruan_verdict(q: Quantization):
-    """True/False when decidable from the descriptor, None when unknown."""
-    if q.kind in ("min", "hilbert"):
+def _semi_ruan(q: Quantization) -> bool:
+    """True only when the descriptor proves ||u + v||^2 <= ||u||^2 + ||v||^2
+    for u, v on orthogonal H-blocks: min and hilbert, concrete (the column
+    stack ||[A; B]||^2 <= ||A||^2 + ||B||^2), and lp with p >= 2 or one point,
+    over a scalar or proved inner (the triangle inequality of l_(p/2) on the
+    squared point norms).  False for every other descriptor, semi-Ruan or not."""
+    if q.kind in ("min", "hilbert", "concrete"):
         return True
-    if q.kind == "lp":
-        inner_ok = True if q.inner.dim == 1 else _semi_ruan_verdict(q.inner)
-        if q.points == 1:
-            return inner_ok
-        if q.p >= 2 or np.isinf(q.p):
-            return inner_ok
-        return False
-    return None
+    return q.kind == "lp" and (q.p >= 2 or q.points == 1) and (q.inner.dim == 1 or _semi_ruan(q.inner))
 
 
-def _l_pool(certs, seed: int):
-    """Certificates whose target is semi-Ruan: decidable descriptors are
-    screened analytically, the rest by the witness search (a found witness
-    rejects; exhausting the search budget admits, per the bracket contract)."""
-    pool = []
-    for cert in certs:
-        verdict = _semi_ruan_verdict(cert.target)
-        if verdict is None:
-            key = repr(sorted(cert.target.to_dict().items(), key=lambda kv: kv[0]))
-            if key not in _SR_CACHE:
-                w = semi_ruan_witness_search(cert.target, trials=200, seed=seed)
-                _SR_CACHE[key] = w is None
-            verdict = _SR_CACHE[key]
-        if verdict:
-            pool.append(cert)
-    return pool
+def _l_pool(certs) -> list:
+    """The certificates whose bounds count for l: an l lower bound counts
+    only when its target is proved semi-Ruan; no search admits a target."""
+    return [c for c in certs if _semi_ruan(c.target)]
 
 
 # -- brackets -------------------------------------------------------------------
@@ -476,7 +460,7 @@ def _pl_families(U, E, F, budget, seed, pairing):
     ):
         if built is not None:
             t, vals = built
-            fam[name] = (t, sum((a * nu * nv for a, nu, nv in vals), 0.0), {}, vals)
+            fam[name] = (t, float(sum(a * nu * nv for a, nu, nv in vals)), {}, vals)
     for side in ("left", "right"):
         proj = _family_projective(U, E, F, budget, seed, side)
         if proj is not None:
@@ -517,10 +501,10 @@ def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> 
     """(brackets of U/||U|| for norms out of ("pl", "l"), ||U||, coefficients of U).
 
     One family build and one certificate pass serve every requested norm: all
-    certificates when pl is requested, else only the l pool; the semi-Ruan
-    screen runs only for l.  Passed certificates must have sources equal to
-    (E, F) by to_dict(): a lower bound is sound only over its own sources.
-    The zero element gets the zero brackets.
+    certificates when pl is requested, else only the l pool (_l_pool).
+    Passed certificates must have sources equal to (E, F) by to_dict(): a
+    lower bound is sound only over its own sources.  The zero element gets
+    the zero brackets.
     """
     U = coeffs_of(U)
     if U.shape[1] != E.dim * F.dim:
@@ -536,7 +520,7 @@ def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> 
     unit = U / scale
     fam = _pl_families(unit, E, F, budget, seed, pairing)
     certs = builtin_certificates(E, F) if certificates is None else certificates
-    pool = _l_pool(certs, seed) if "l" in norms else []
+    pool = _l_pool(certs) if "l" in norms else []
     evaluated = certs if "pl" in norms else pool
     cert_rows = [(c.name, *c.evaluate_lower(unit, budget=budget, seed=seed)) for c in evaluated]
     out = {}
@@ -637,8 +621,10 @@ def l_norm_bracket(
     Every pl family that reconstructs the element is valued orthogonalized,
     plain or balanced (see _l_candidate), from its own term values; the upper
     bound is the least of these, so it is at most the pl upper, and only the
-    winner is orthogonalized.  The lower bound is the best semi-Ruan member
-    of builtin_certificates(E, F), or of the passed list.  lower <= upper +
+    winner is orthogonalized.  The lower bound is the best member of
+    builtin_certificates(E, F), or of the passed list, in the l pool
+    (details["pool"]): an l lower bound counts only when its target is proved
+    semi-Ruan from its descriptor (_semi_ruan).  lower <= upper +
     1e-9 is asserted on the unit-Frobenius element.  Raises ValueError on
     non-finite input and on a passed certificate whose sources
     (Certificate.sources) are not (E, F).

@@ -237,3 +237,21 @@ def test_multi_start_ascents_are_pinned(case):
 
 if __name__ == "__main__":
     _record_ascent_pins()
+
+
+def test_polytope_primal_align_is_feasible_and_norms_the_vertices():
+    """For a vertex v of the dual ball, sup |v . x| over the primal ball is 1."""
+    tri = np.array([[1.0, 0.5], [-1.0, -0.5], [0.0, 1.0], [0.0, -1.0], [1.0, -1.0], [-1.0, 1.0]])
+    base = BaseNorm.polytope(tri)
+    for v in tri:
+        for s in (1.0, 2.5j):
+            x = base.primal_align(s * v)
+            assert base.norm(x) <= 1 + 1e-12
+            assert abs(np.dot(s * v, x)) == pytest.approx(abs(s), rel=1e-12)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        x = base.primal_align(c)
+        assert base.norm(x) <= 1 + 1e-12
+        # the dual norm of c is at most sum_k |a_k| for any c = sum_k a_k v_k
+        assert abs(np.dot(c, x)) <= np.sum(np.abs(np.linalg.lstsq(tri[[0, 2]].T, c, rcond=None)[0])) + 1e-9

@@ -1,5 +1,7 @@
 """Command-line front end: formats, determinism, exit codes, diagnostics."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pllab import cli
 from pllab.jsonio import (
@@ -220,6 +224,32 @@ def test_non_finite_element_is_input_error(capsys, command, bad):
     assert rep["outcome"] == "input-error"
     want = "/element/1/1" if command == "norm" else "/element/0/2"
     assert rep["error"]["diagnostics"][0]["pointer"] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["norm", "pl", "l", "compare"]),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3), st.integers(0, 1),
+                       st.sampled_from([float("nan"), float("inf"), float("-inf")])),
+             min_size=1, max_size=3),
+)
+def test_non_finite_entries_anywhere_exit_3_with_the_first_pointer(command, d, bad_entries):
+    """Exit 3 with the pointer /element/i/j of the first non-finite entry in
+    row-major order, whichever part of the [re, im] pair holds it."""
+    m = 2 if command == "norm" else 4
+    element = [[[1.0, 0.5] for _ in range(m)] for _ in range(d)]
+    for i, j, part, bad in bad_entries:
+        element[i % d][j % m][part] = bad
+    first = min((i % d, j % m) for i, j, _, _ in bad_entries)
+    doc = norm_doc(element=element) if command == "norm" else pair_doc(element=element)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["--command", command, "--input", doc])
+    assert code == 3
+    rep = json.loads(out.getvalue())
+    assert rep["outcome"] == "input-error"
+    assert rep["error"]["diagnostics"][0]["pointer"] == "/element/{}/{}".format(*first)
 
 
 def _bad_quantization(kind: str, bad: float) -> dict:

@@ -13,6 +13,7 @@ from pllab import (
     amplify_bilinear,
     amplify_linear,
     builtin_certificates,
+    compare_pl_l,
     diamond_amp,
     l_norm_bracket,
     lb_norm_lower,
@@ -277,3 +278,83 @@ def test_linear_map_shape_validation():
             Quantization.hilbert(3),
             Quantization.hilbert(2),
         )
+
+
+def _lp_dual_formula(p, w, c, inner_dim):
+    """Dual norm of c over lp(p, w, inner=hilbert(inner_dim)), or the scalar
+    inner when inner_dim is 1: the point duals ||c_t||_2, combined by the
+    dual of (sum_t w_t n_t^p)^(1/p), and of max_t n_t at p = inf."""
+    n = np.linalg.norm(np.asarray(c).reshape(len(w), inner_dim), axis=1)
+    if p == 1.0:
+        return float(np.max(n / w))
+    if np.isinf(p):
+        return float(np.sum(n))
+    q = p / (p - 1.0)
+    return float(np.sum(n**q * w ** (-q / p)) ** (1.0 / q))
+
+
+@pytest.mark.parametrize("inner_dim", [1, 2], ids=["scalar", "nested"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, np.inf])
+def test_lp_functional_dual_norm_closed_form_matches_search_and_formula(p, inner_dim):
+    w = np.array([0.5, 2.0, 3.0])
+    inner = Quantization.hilbert(inner_dim) if inner_dim > 1 else None
+    q = Quantization.lp(p, w, inner=inner)
+    for k in range(3):
+        c = random_complex(make_rng(50, "lp-dual", k), q.dim)
+        phi = LinearMap(c[:, None], q, scalar())
+        closed = lb_norm_lower(phi)
+        assert closed.exact and closed.method == "functional/dual-norm"
+        assert closed.lower == pytest.approx(_lp_dual_formula(p, w, c, inner_dim), rel=1e-12)
+        search = lb_norm_lower(phi, budget=100, seed=k, use_closed_forms=False)
+        assert search.lower <= closed.lower + 1e-9
+        assert search.lower == pytest.approx(closed.lower, rel=1e-9)
+
+
+def test_pl_bracket_over_unweighted_linf_points_is_sound():
+    """lp(inf, w) is max_t ||U_t|| whatever the weights, so the functional-pair
+    witness lies in the unweighted l1 dual ball."""
+    E, F = Quantization.max(BaseNorm.euclidean(2)), Quantization.lp(np.inf, [1.0, 2.0])
+    U = random_complex(make_rng(0, "probe", 8), 2, 4)
+    pl = pl_norm_bracket(E, F, U)
+    assert pl.lower <= pl.upper
+    assert pl.lower_witness["certificate"] == "functional-pair"
+    _, info = builtin_certificates(E, F)[0].evaluate_lower(U)
+    assert np.sum(np.abs(info["functional_right"])) <= 1 + 1e-12
+    l = l_norm_bracket(E, F, U)
+    assert l.lower <= l.upper
+    report = compare_pl_l(E, F, U)
+    assert all(check["passed"] for check in report["checks"])
+
+
+def test_tensor_p_functional_search_reaches_the_operator_norm():
+    """Over tensor_p(euclidean, hilbert) the underlying norm is the nuclear
+    norm of the coefficient matrix, so a functional's lb-norm is its operator
+    norm; no closed form is wired, the norming search runs."""
+    q = Quantization.tensor_p(BaseNorm.euclidean(2), Quantization.hilbert(3))
+    rng = make_rng(51, "tensor-p-functional")
+    for c in (random_complex(rng, 6), np.multiply.outer(random_complex(rng, 2), random_complex(rng, 3)).ravel()):
+        want = np.linalg.norm(c.reshape(2, 3), 2)
+        est = lb_norm_lower(LinearMap(c[:, None], q, scalar()), budget=100)
+        assert est.method == "search/sampled-ascent"
+        assert est.lower <= want + 1e-9
+        assert est.lower >= want * (1 - 1e-4)
+
+
+def test_scalar_bilinear_search_reaches_the_operator_norm():
+    """hilbert x hilbert -> scalar, of rank two: ||u C v^T||_F <= ||u||_F ||C||_op
+    ||v||_F, with equality at the top singular pair."""
+    C = random_complex(make_rng(52, "scalar-bilinear"), 2, 3)
+    r = BilinearMap(C[:, :, None], Quantization.hilbert(2), Quantization.hilbert(3), scalar())
+    est = lb_norm_lower(r, budget=100)
+    assert est.method == "search/alternating"
+    assert est.lower == pytest.approx(np.linalg.norm(C, 2), rel=1e-12)
+    assert est.lower <= np.linalg.norm(C, 2) + 1e-9
+
+
+def test_coordinate_multiplication_l2_has_lb_norm_one():
+    E = F = Quantization.hilbert(3)
+    cert = next(c for c in builtin_certificates(E, F) if c.name == "coordinate-multiplication-l2")
+    est = lb_norm_lower(cert.bilinear, budget=100)
+    assert est.method == "search/alternating"
+    assert est.lower <= 1.0 + 1e-9
+    assert est.lower == pytest.approx(1.0, rel=1e-12)

@@ -23,6 +23,7 @@ from pllab import (
     PairingMap,
     PLRepresentation,
     Quantization,
+    amp_norm,
     compare_pl_l,
     diamond_amp,
     l_norm_bracket,
@@ -312,8 +313,6 @@ def test_brackets_are_homogeneous_at_extreme_scales(fn, case):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_elements_raise_value_error(bad):
-    from pllab import amp_norm
-
     E, F = hilbert_pair(2)
     U = np.ones((2, 4), dtype=complex)
     U[1, 2] = bad
@@ -322,6 +321,29 @@ def test_non_finite_elements_raise_value_error(bad):
             fn(E, F, U)
     with pytest.raises(ValueError, match="non-finite"):
         amp_norm(E, U[:, 2:])
+
+
+_NON_FINITE = st.sampled_from([np.nan, np.inf, -np.inf])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(range(13)), st.integers(1, 3), st.data())
+def test_non_finite_entries_raise_value_error_anywhere(i, d, data):
+    """A NaN or inf in the real or the imaginary part of any entry."""
+    E, F = _factor_pairs()[i]
+    U = random_complex(make_rng(0, "non-finite", i, d), d, E.dim * F.dim)
+    for _ in range(data.draw(st.integers(1, 3))):
+        row, col = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, E.dim * F.dim - 1))
+        bad = data.draw(_NON_FINITE)
+        U[row, col] = complex(bad, U[row, col].imag) if data.draw(st.booleans()) else complex(U[row, col].real, bad)
+    for fn in (pl_norm_bracket, l_norm_bracket, compare_pl_l):
+        with pytest.raises(ValueError, match="non-finite"):
+            fn(E, F, U, budget=20)
+    # the same entries as elements over each factor (the two unfoldings of U)
+    T = U.reshape(d, E.dim, F.dim)
+    for q, V in ((E, T.transpose(0, 2, 1).reshape(-1, E.dim)), (F, T.reshape(-1, F.dim))):
+        with pytest.raises(ValueError, match="non-finite"):
+            amp_norm(q, V, budget=20)
 
 
 @pytest.mark.parametrize("i", range(13))
@@ -361,24 +383,106 @@ def test_compare_builds_families_once_and_evaluates_each_certificate_once(monkey
         assert val == report["pl"]["details"]["certificates"][name]
 
 
-def test_pl_bracket_runs_no_semi_ruan_screen(monkeypatch):
-    from pllab import tensorlab
+def test_brackets_run_no_semi_ruan_search(monkeypatch):
+    """The l pool is decided from the descriptors alone: pl, l and
+    compare_pl_l never call the witness search, through any binding of it."""
+    import pllab
+    from pllab import quantizations
 
     searched = []
-    search = tensorlab.semi_ruan_witness_search
+    search = quantizations.semi_ruan_witness_search
 
     def counted_search(q, *args, **kwargs):
         searched.append(q.kind)
         return search(q, *args, **kwargs)
 
-    monkeypatch.setattr(tensorlab, "_SR_CACHE", {})
-    monkeypatch.setattr(tensorlab, "semi_ruan_witness_search", counted_search)
-    E, F = _factor_pairs()[4]  # max(weighted l1) x H: its tensor_p target needs the search
-    U = random_complex(make_rng(0, "pinned", 4), 2, E.dim * F.dim)
-    pl_norm_bracket(E, F, U, budget=60, seed=0)
+    for name, mod in list(sys.modules.items()):
+        if name == "pllab" or name.startswith("pllab."):
+            for binding, value in list(vars(mod).items()):
+                if value is search:
+                    monkeypatch.setattr(mod, binding, counted_search)
+    assert pllab.semi_ruan_witness_search is counted_search
+    cases = [(E, F, 2) for E, F in _factor_pairs()]
+    cases.append((Quantization.max(BaseNorm.euclidean(2)), _min_l1(2), 2))
+    for E, F, d in cases:
+        U = random_complex(make_rng(0, "pinned", E.kind, F.kind), d, E.dim * F.dim)
+        pl_norm_bracket(E, F, U, budget=60, seed=0)
+        l_norm_bracket(E, F, U, budget=60, seed=0)
+        compare_pl_l(E, F, U, budget=60, seed=0)
     assert searched == []
-    l_norm_bracket(E, F, U, budget=60, seed=0)
-    assert searched == ["tensor_p"]  # the l bracket screens the same target
+
+
+def _min_l1(n):
+    return Quantization.min(BaseNorm.lp(1.0, weights=np.ones(n)))
+
+
+def _catalog_targets():
+    from pllab.maps import builtin_certificates
+
+    return [c.target for E, F in _factor_pairs() for c in builtin_certificates(E, F)]
+
+
+def test_semi_ruan_verdict_has_no_falsifier():
+    """Every descriptor _semi_ruan proves passes the witness search."""
+    from pllab.quantizations import semi_ruan_witness_search
+    from pllab.suites import quantization_pool
+    from pllab.tensorlab import _semi_ruan
+
+    proved = [q for q in quantization_pool() + _catalog_targets() if _semi_ruan(q)]
+    assert {q.kind for q in proved} == {"min", "hilbert", "lp", "concrete"}
+    for q in proved:
+        assert semi_ruan_witness_search(q, trials=50) is None, q.to_dict()
+
+
+def test_semi_ruan_verdicts_from_the_descriptor():
+    from pllab.suites import quantization_pool
+    from pllab.tensorlab import _semi_ruan
+
+    H = Quantization.hilbert
+    concrete = quantization_pool()[11]
+    proved = [
+        Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 2.0])),
+        H(3),
+        concrete,
+        Quantization.lp(2.0, [1.0, 0.5], inner=H(2)),
+        Quantization.lp(np.inf, [1.0, 2.0]),
+        Quantization.lp(1.0, [2.0], inner=concrete),  # one point over a proved inner
+        Quantization.lp(1.5, [2.0], inner=Quantization.lp(4.0, [1.0, 1.0])),
+    ]
+    unproved = [
+        Quantization.lp(1.0, [1.0, 1.0]),  # not semi-Ruan: the search finds a witness
+        Quantization.lp(1.5, [1.0, 1.0], inner=H(2)),
+        Quantization.lp(2.0, [1.0, 1.0], inner=Quantization.max(BaseNorm.euclidean(2))),
+        Quantization.max(BaseNorm.euclidean(2)),
+        Quantization.tensor_p(BaseNorm.euclidean(2), H(2)),
+    ]
+    assert [_semi_ruan(q) for q in proved] == [True] * len(proved)
+    assert [_semi_ruan(q) for q in unproved] == [False] * len(unproved)
+
+
+def test_l_pool_keeps_proved_targets_only():
+    from pllab.suites import quantization_pool
+
+    concrete = quantization_pool()[11]
+    tri = quantization_pool()[3].base
+    U = random_complex(make_rng(0, "l-pool"), 2, 6)
+    l = l_norm_bracket(Quantization.lp(1.0, [2.0]), concrete, U[:, :3])
+    assert l.details["pool"] == ["functional-pair", "l1-reshape"]  # lp(1, [2], inner=concrete)
+    l = l_norm_bracket(Quantization.max(tri), concrete, U)
+    assert l.details["pool"] == ["functional-pair"]  # max-tensor-identity's tensor_p target is unproved
+    l = l_norm_bracket(Quantization.max(BaseNorm.euclidean(2)), _min_l1(2), U[:, :4])
+    assert l.details["pool"] == ["functional-pair"]
+
+
+def test_pl_bounds_are_floats():
+    E = Quantization.lp(1.0, [0.1, 0.1])
+    b = pl_norm_bracket(E, E, np.ones((2, 4)))
+    assert b.details["method"] in ("columns", "svd-split")
+    assert type(b.upper) is float and type(b.lower) is float
+    for i, (E, F) in enumerate(_factor_pairs()):
+        U = random_complex(make_rng(0, "pinned", i), 2, E.dim * F.dim)
+        for b in (pl_norm_bracket(E, F, U, budget=60), l_norm_bracket(E, F, U, budget=60)):
+            assert {type(v) for v in (b.lower, b.upper, *b.details["families"].values())} == {float}
 
 
 # (pl lower, pl upper, l lower, l upper) of the thirteen pinned pairs while the
