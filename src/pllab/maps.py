@@ -26,7 +26,7 @@ import numpy as np
 
 from .bases import BaseNorm, DualMax
 from .hilbert import PairingMap, coeffs_of
-from .quantizations import NormValue, Quantization, amp_norm, point_base, underlying_norm
+from .quantizations import Quantization, amp_norm, point_base, underlying_norm
 from .sampling import make_rng, random_complex
 from .wire import matrix_to_json
 

@@ -30,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bases import BaseNorm, DualMax
+from .bases import BaseNorm
 from .hilbert import coeffs_of, frobenius_norm
-from .projective import EuclidFactor, proj_bracket
+from .projective import ProjResult, proj_bracket
 from .sampling import make_rng, random_complex
 from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
@@ -43,7 +43,6 @@ __all__ = [
     "frobenius_metric",
     "underlying_norm",
     "semi_ruan_witness_search",
-    "AmpFactor",
     "tensor_p_bracket",
 ]
 
@@ -186,6 +185,9 @@ class Quantization:
                 f"element has {U.shape[1]} base coordinates, quantization has {self.dim}"
             )
         if self.real and np.abs(U.imag).max(initial=0.0) > 1e-12:
+            # finiteness first: amp_norm reports other non-finite entries itself
+            if not np.isfinite(U).all():
+                raise ValueError("element has non-finite entries")
             raise ValueError("element must be real-valued in real-restricted mode")
         return U
 
@@ -263,29 +265,35 @@ def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue
     if q.kind == "lp":
         return _amp_lp(q, U, budget, rng)
     if q.kind == "max":
-        res = proj_bracket(q.base, EuclidFactor(U.shape[0]), U.T, budget=budget, rng=rng)
-        return NormValue(res.upper, res.lower, res.exact, f"max/{res.upper_method}")
-    res, all_exact = tensor_p_bracket(q.base, q.inner, U, budget, rng)
-    return NormValue(res.upper, res.lower, res.exact and all_exact, f"tensor_p/{res.upper_method}")
+        res = proj_bracket(q.base, None, U.T, budget=budget, rng=rng)
+    else:
+        res = tensor_p_bracket(q.base, q.inner, U, budget, rng)
+    return NormValue(res.upper, res.lower, res.exact, f"{q.kind}/{res.upper_method}")
 
 
-def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget: int, rng) -> tuple:
-    """(ProjResult, all_exact): the projective bracket of U over base (x)
-    inner, and whether every inner norm evaluated on the way was exact.
+def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget: int, rng) -> ProjResult:
+    """The projective bracket of U over base (x) inner.
 
     U has one row per H coordinate and base.dim * inner.dim columns.  An
     inner with a frobenius_metric g is bracketed as the euclidean factor with
-    columns scaled by g, terms scaled back; any other inner by an AmpFactor.
+    columns scaled by g, terms scaled back; any other inner by one amp_norm
+    call per factor evaluation, whose (value, lower, exact) is the factor
+    bracket.  On a weighted-l1 base the result is exact iff every inner
+    evaluation was.
     """
-    d = U.shape[0]
     Z = _beta_slices(U, base.dim, inner.dim)
     g = frobenius_metric(inner)
     if g is None:
-        factor = AmpFactor(inner, budget=max(budget // 4, 20), rng=rng, d=d)
-        return proj_bracket(base, factor, Z, budget=budget, rng=rng), factor.all_exact
-    G = np.tile(g, d)
-    res = proj_bracket(base, EuclidFactor(Z.shape[1]), Z * G, budget=budget, rng=rng)
-    return replace(res, terms=[(x, v / G) for x, v in res.terms]), True
+        inner_budget = max(budget // 4, 20)
+
+        def factor(v):
+            nv = amp_norm(inner, v.reshape(-1, inner.dim), budget=inner_budget, rng=rng)
+            return nv.value, nv.lower, nv.exact
+
+        return proj_bracket(base, factor, Z, budget=budget, rng=rng)
+    G = np.tile(g, U.shape[0])
+    res = proj_bracket(base, None, Z * G, budget=budget, rng=rng)
+    return replace(res, terms=[(x, v / G) for x, v in res.terms])
 
 
 def frobenius_metric(q: Quantization) -> Optional[np.ndarray]:
@@ -333,31 +341,6 @@ def _beta_slices(U: np.ndarray, m_base: int, m_inner: int) -> np.ndarray:
     """Regroup H (x) (E (x) F) coefficients into one flat HF vector per E index."""
     d = U.shape[0]
     return U.reshape(d, m_base, m_inner).transpose(1, 0, 2).reshape(m_base, d * m_inner)
-
-
-class AmpFactor:
-    """Projective-search factor for an inner without a frobenius_metric: one amp_norm per evaluation."""
-
-    euclid_like = False
-
-    def __init__(self, inner: Quantization, budget: int, rng, d: int):
-        self.inner = inner
-        self.budget = budget
-        self.rng = rng
-        self.all_exact = True
-        self.size = d * inner.dim
-
-    def _eval(self, v: np.ndarray) -> NormValue:
-        nv = amp_norm(self.inner, v.reshape(-1, self.inner.dim), budget=self.budget, rng=self.rng)
-        if not nv.exact:
-            self.all_exact = False
-        return nv
-
-    def upper(self, v: np.ndarray) -> float:
-        return self._eval(v).value
-
-    def lower(self, v: np.ndarray) -> float:
-        return self._eval(v).lower
 
 
 def underlying_norm(q: Quantization, x) -> float:

@@ -401,7 +401,7 @@ def _family_projective(U, E, F, budget, seed, side: str):
     if base is None:
         return None
     scale = float(np.linalg.norm(W))
-    res, _ = tensor_p_bracket(base, other, W / scale, budget, make_rng(seed, "amp", "tensor_p"))
+    res = tensor_p_bracket(base, other, W / scale, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
     terms = []
     for xvec, flat in res.terms:

@@ -355,3 +355,33 @@ def test_pairing_scheme_accepted(capsys):
     b = json.loads(out_row)["cases"][0]
     assert a["lower"] == pytest.approx(b["lower"], abs=1e-10)
     assert a["upper"] == pytest.approx(b["upper"], abs=1e-10)
+
+
+def test_properties_command_rows_and_bytes(capsys):
+    args = ("--command", "properties", "--trials", "14")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["outcome"] == "pass"
+    assert rep["parameters"]["trials"] == 14
+    ids = [c["case"] for c in rep["cases"]]
+    assert ids == sorted(ids)
+    assert {"module-contractivity", "cross-norm", "semi-ruan-violation/lp1"} <= set(ids)
+    assert len([i for i in ids if i.startswith("semi-ruan-pass/")]) == 5
+    assert all(c["passed"] for c in rep["cases"])
+    assert rep["summary"] == {"total": len(ids), "passed": len(ids), "failed": 0, "gaps": 0}
+    assert run_cli(capsys, *args)[:2] == (code, out)
+
+
+def test_compare_at_truncation_one_reports_the_underlying_overlap(capsys):
+    """At d = 1 pl and l restrict to the same underlying norm, so the
+    brackets overlap and compare adds that row."""
+    element = [[[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.5, -0.5]]]
+    code, out, _ = run_cli(capsys, "--command", "compare", "--input", pair_doc(element=element))
+    assert code in (0, 2)
+    cases = {c["case"]: c for c in json.loads(out)["cases"]}
+    assert cases["underlying-overlap"]["passed"] is True
+    assert cases["pl"]["lower"] <= cases["l"]["upper"] + 1e-9
+    # no overlap row beyond truncation 1
+    _, out, _ = run_cli(capsys, "--command", "compare", "--input", pair_doc())
+    assert "underlying-overlap" not in {c["case"] for c in json.loads(out)["cases"]}

@@ -358,3 +358,31 @@ def test_coordinate_multiplication_l2_has_lb_norm_one():
     assert est.method == "search/alternating"
     assert est.lower <= 1.0 + 1e-9
     assert est.lower == pytest.approx(1.0, rel=1e-12)
+
+
+def test_embedding_map_ascent_over_a_non_hilbert_source_is_seeded_and_sound(monkeypatch):
+    """L_1 x min(euclidean 2) -> L_1(min(euclidean 2)) has lb-norm 1; its
+    sources are not all Frobenius, so the search takes the sampled ascent
+    (50 perturbation steps per start) rather than the alternating SVD."""
+    from pllab import maps
+
+    calls = []
+    ratio = maps._ratio_bilinear
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return ratio(*args, **kwargs)
+
+    def no_alternation(*args, **kwargs):
+        raise AssertionError("alternating SVD steps on a non-hilbert source")
+
+    monkeypatch.setattr(maps, "_ratio_bilinear", counted)
+    monkeypatch.setattr(maps, "_alternate_hilbert", no_alternation)
+    r = embedding_map(1.0, [0.7, 1.6], Quantization.min(BaseNorm.euclidean(2)))
+    est = lb_norm_lower(r, budget=100, seed=4, use_closed_forms=False)
+    assert est.method == "search/alternating"
+    assert 0.0 < est.lower <= 1.0 + 1e-9
+    starts = max(2, 100 // 50)
+    assert len(calls) >= starts * 51
+    again = lb_norm_lower(r, budget=100, seed=4, use_closed_forms=False)
+    assert again.lower == est.lower

@@ -398,8 +398,7 @@ def test_tensor_p_bracket_on_euclidean_base_is_exact_without_amp_norm(inner, mon
     calls = _counted_amp_norm(monkeypatch)
     for d in (1, 2, 3):
         U = random_complex(make_rng(37, "tp-metric", d), d, base.dim * inner.dim)
-        res, all_exact = tensor_p_bracket(base, inner, U, 200, make_rng(0, "tp"))
-        assert all_exact
+        res = tensor_p_bracket(base, inner, U, 200, make_rng(0, "tp"))
         Z = _beta_slices(U, base.dim, inner.dim)
         nuclear = np.linalg.norm(Z * np.tile(frobenius_metric(inner), d), "nuc")
         assert res.upper == pytest.approx(nuclear, rel=1e-12, abs=0)
@@ -433,12 +432,12 @@ def test_semi_ruan_search_finds_the_tensor_p_witness_in_its_structured_phase(mon
 def test_proj_bracket_values_are_the_term_values_of_its_upper(base):
     """One value ||x_k|| ||V_k|| per term, summing to the upper bound, on every
     path: svd, slices, the l1 closed form and the refinement."""
-    from pllab.projective import EuclidFactor, proj_bracket
+    from pllab.projective import proj_bracket
 
     methods = set()
     for n in (1, 2, 4):
         Z = random_complex(make_rng(41, "proj-values", base.kind, n), base.dim, n)
-        res = proj_bracket(base, EuclidFactor(n), Z, budget=200, rng=make_rng(0, "proj"))
+        res = proj_bracket(base, None, Z, budget=200, rng=make_rng(0, "proj"))
         methods.add(res.upper_method)
         assert len(res.values) == len(res.terms)
         assert sum(res.values) == pytest.approx(res.upper, rel=1e-12, abs=0)
@@ -446,3 +445,63 @@ def test_proj_bracket_values_are_the_term_values_of_its_upper(base):
             assert val == pytest.approx(base.norm(x) * np.linalg.norm(v), rel=1e-12, abs=0)
     if base.kind in ("lp", "polytope") and base.p != 1.0:
         assert "svd+refine" in methods
+
+
+def test_proj_bracket_on_a_weighted_l1_base_evaluates_each_nonzero_slice_once():
+    """l1 (x)_pi W = l1(W): the bracket is the weighted column sum of one
+    factor evaluation per nonzero slice, before any SVD or refinement."""
+    from pllab.projective import proj_bracket
+
+    base = BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0, 0.8])
+    Z = random_complex(make_rng(43, "l1-slices"), 4, 3)
+    Z[2] = 0.0
+    seen = []
+
+    def factor(v):
+        seen.append(v.copy())
+        n = float(np.linalg.norm(v))
+        return 1.5 * n, 0.5 * n, len(seen) != 2
+
+    res = proj_bracket(base, factor, Z, budget=200, rng=make_rng(0, "proj"))
+    assert len(seen) == 3
+    assert all(np.array_equal(v, Z[j]) for v, j in zip(seen, (0, 1, 3)))
+    norms = [base.weights[j] * np.linalg.norm(Z[j]) for j in (0, 1, 3)]
+    assert res.upper_method == "l1-columns"
+    assert res.upper == pytest.approx(1.5 * sum(norms), rel=1e-14, abs=0)
+    assert res.lower == pytest.approx(0.5 * sum(norms), rel=1e-14, abs=0)
+    assert res.exact is False  # the second evaluation was not exact
+    assert [len(x) for x, _ in res.terms] == [4, 4, 4]
+    assert sum(res.values) == pytest.approx(res.upper, rel=1e-14, abs=0)
+
+
+def test_tensor_p_bracket_on_a_weighted_l1_base_with_an_inexact_inner(monkeypatch):
+    """Over min(lp(3, ...)) the inner norm is bracketed, not exact: the
+    tensor_p bracket is [sum_j w_j lower_j, sum_j w_j upper_j] of the inner
+    evaluations, one amp_norm call per nonzero slice, and not exact."""
+    from pllab import quantizations
+    from pllab.quantizations import _beta_slices, tensor_p_bracket
+
+    base = BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0])
+    inner = Quantization.min(BaseNorm.lp(3.0, dim=2))
+    evaluations = []
+    amp = quantizations.amp_norm
+
+    def recorded(*args, **kwargs):
+        evaluations.append(amp(*args, **kwargs))
+        return evaluations[-1]
+
+    monkeypatch.setattr(quantizations, "amp_norm", recorded)
+    for d in (1, 2):
+        evaluations.clear()
+        U = random_complex(make_rng(47, "l1-inexact", d), d, base.dim * inner.dim)
+        res = tensor_p_bracket(base, inner, U, 200, make_rng(0, "tp"))
+        assert len(evaluations) == base.dim
+        assert not all(nv.exact for nv in evaluations)
+        w = base.weights
+        assert res.upper == pytest.approx(sum(w * [nv.value for nv in evaluations]), rel=1e-14, abs=0)
+        assert res.lower == pytest.approx(sum(w * [nv.lower for nv in evaluations]), rel=1e-14, abs=0)
+        assert res.lower < res.upper
+        assert res.exact is False
+        assert res.upper_method == "l1-columns"
+        Z = _beta_slices(U, base.dim, inner.dim)
+        assert all(np.array_equal(v, Z[j]) for j, (_, v) in enumerate(res.terms))

@@ -346,6 +346,24 @@ def test_non_finite_entries_raise_value_error_anywhere(i, d, data):
             amp_norm(q, V, budget=20)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_non_finite_entries_of_real_restricted_elements_raise_the_non_finite_error(d, data):
+    """Finiteness is checked before realness: a non-finite imaginary part of
+    an otherwise real element is a non-finite entry, not a complex one."""
+    q = data.draw(st.sampled_from([
+        Quantization.min(BaseNorm.lp(1.0, dim=2, real=True)),
+        Quantization.max(BaseNorm.euclidean(3, real=True)),
+        Quantization.tensor_p(BaseNorm.lp(2.0, dim=2, real=True), Quantization.hilbert(2)),
+    ]))
+    U = make_rng(0, "non-finite-real", d).standard_normal((d, q.dim)).astype(complex)
+    row, col = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, q.dim - 1))
+    bad = data.draw(_NON_FINITE)
+    U[row, col] = complex(U[row, col].real, bad) if data.draw(st.booleans()) else complex(bad, 0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        amp_norm(q, U, budget=20)
+
+
 @pytest.mark.parametrize("i", range(13))
 def test_compare_brackets_equal_standalone_brackets(i):
     E, F = _factor_pairs()[i]
