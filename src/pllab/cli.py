@@ -9,6 +9,7 @@ goes to stderr so it never perturbs the report.
 from __future__ import annotations
 
 import argparse
+import shlex
 import sys
 import time
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _repro(args: argparse.Namespace) -> str:
     parts = [f"pllab --command {args.command}"]
     if args.input:
-        parts.append(f"--input {args.input}")
+        parts.append(f"--input {shlex.quote(args.input)}")
     parts.append(f"--budget {args.budget} --seed {args.seed} --tolerance {args.tolerance}")
     if args.command == "verify-paper":
         parts.append(f"--n-max {args.n_max}")

@@ -236,6 +236,10 @@ def parse_norm_job(doc: dict):
             f"element has {U.shape[1]} columns, quantization dim is {q.dim}",
             [{"pointer": "/element", "message": "column count must equal dim"}],
         )
+    try:
+        q.check_element(U)
+    except ValueError as exc:
+        raise InputError(str(exc), [{"pointer": "/element", "message": str(exc)}]) from exc
     return q, U, doc.get("label", "")
 
 

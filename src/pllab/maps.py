@@ -555,14 +555,11 @@ def _functional_pair_lower(E: Quantization, F: Quantization, U: np.ndarray, budg
             g = underlying_dual_maximize(
                 F, random_complex(rng, max(2, U.shape[0]), mF), rng, starts=1
             ).witness
-        f = None
         for _ in range(rounds):
             Ag = np.einsum("ijk,k->ij", T, g)
             f = underlying_dual_maximize(E, Ag, rng, starts=2).witness
             Bf = np.einsum("ijk,j->ik", T, f)
             g = underlying_dual_maximize(F, Bf, rng, starts=2).witness
-        if f is None or g is None:
-            continue
         val = float(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)))
         if val > best:
             best, best_f, best_g = val, f, g
@@ -570,11 +567,7 @@ def _functional_pair_lower(E: Quantization, F: Quantization, U: np.ndarray, budg
 
 
 def _identity_reindex_tensor(mE: int, mF: int) -> np.ndarray:
-    t = np.zeros((mE, mF, mE * mF), dtype=complex)
-    for j in range(mE):
-        for k in range(mF):
-            t[j, k, j * mF + k] = 1.0
-    return t
+    return np.eye(mE * mF, dtype=complex).reshape(mE, mF, mE * mF)
 
 
 def builtin_certificates(E: Quantization, F: Quantization) -> list:
@@ -582,9 +575,12 @@ def builtin_certificates(E: Quantization, F: Quantization) -> list:
 
     Every entry carries a certified lb-bound of 1; lower bounds obtained
     through them are sound for the pl norm, and count for the l norm only
-    when the target is proved semi-Ruan from its descriptor.  User
-    certificates built for (E, F) go to a bracket's certificates= argument,
-    with this list or without it.
+    when the target is proved semi-Ruan from its descriptor.  After the
+    adaptive functional pair, each entry is a fixed bilinear map E x F ->
+    target, built by ``add`` from its name, its provenance, its coefficient
+    tensor, its target and the map's own provenance.  User certificates
+    built for (E, F) go to a bracket's certificates= argument, with this
+    list or without it.
     """
     certs = [
         Certificate(
@@ -595,79 +591,37 @@ def builtin_certificates(E: Quantization, F: Quantization) -> list:
             right=F,
         )
     ]
+
+    def add(name, provenance, tensor, target, map_provenance):
+        bilinear = BilinearMap(tensor, E, F, target, map_provenance)
+        certs.append(Certificate(name, provenance, target, bilinear))
+
     if E.kind == "hilbert" and F.kind == "hilbert" and E.dim == F.dim:
         n = E.dim
         diag = np.zeros((n, n, n), dtype=complex)
-        for j in range(n):
-            diag[j, j, j] = 1.0
-        certs.append(
-            Certificate(
-                name="coordinate-multiplication-l1",
-                provenance="coordinatewise multiplication of Frobenius-quantized l2 factors into weighted-l1",
-                target=Quantization.lp(1.0, np.ones(n)),
-                bilinear=BilinearMap(
-                    diag,
-                    E,
-                    F,
-                    Quantization.lp(1.0, np.ones(n)),
-                    provenance="coordinatewise multiplication into l1",
-                ),
-            )
-        )
-        certs.append(
-            Certificate(
-                name="coordinate-multiplication-l2",
-                provenance="coordinatewise multiplication of Frobenius-quantized l2 factors into l2",
-                target=Quantization.hilbert(n),
-                bilinear=BilinearMap(
-                    diag,
-                    E,
-                    F,
-                    Quantization.hilbert(n),
-                    provenance="coordinatewise multiplication into l2",
-                ),
-            )
-        )
+        diag[(np.arange(n),) * 3] = 1.0
+        add("coordinate-multiplication-l1",
+            "coordinatewise multiplication of Frobenius-quantized l2 factors into weighted-l1",
+            diag, Quantization.lp(1.0, np.ones(n)), "coordinatewise multiplication into l1")
+        add("coordinate-multiplication-l2",
+            "coordinatewise multiplication of Frobenius-quantized l2 factors into l2",
+            diag, Quantization.hilbert(n), "coordinatewise multiplication into l2")
     hilbert_like = lambda q: q.kind == "hilbert" or q.is_min_euclidean()
     if hilbert_like(E) and hilbert_like(F):
-        target = Quantization.min(BaseNorm.euclidean(E.dim * F.dim))
-        certs.append(
-            Certificate(
-                name="hilbert-tensor-embedding",
-                provenance="canonical bilinear map into the injectively quantized Hilbert tensor product",
-                target=target,
-                bilinear=BilinearMap(
-                    _identity_reindex_tensor(E.dim, F.dim), E, F, target,
-                    provenance="canonical map into the Hilbert tensor product",
-                ),
-            )
-        )
+        add("hilbert-tensor-embedding",
+            "canonical bilinear map into the injectively quantized Hilbert tensor product",
+            _identity_reindex_tensor(E.dim, F.dim), Quantization.min(BaseNorm.euclidean(E.dim * F.dim)),
+            "canonical map into the Hilbert tensor product")
     if E.kind == "max":
-        target = Quantization.tensor_p(E.base, F)
-        certs.append(
-            Certificate(
-                name="max-tensor-identity",
-                provenance="identity of a projectively quantized base into the base-projective tensor quantization",
-                target=target,
-                bilinear=BilinearMap(
-                    _identity_reindex_tensor(E.dim, F.dim), E, F, target,
-                    provenance="canonical map of a projective factor into the tensor quantization",
-                ),
-            )
-        )
+        add("max-tensor-identity",
+            "identity of a projectively quantized base into the base-projective tensor quantization",
+            _identity_reindex_tensor(E.dim, F.dim), Quantization.tensor_p(E.base, F),
+            "canonical map of a projective factor into the tensor quantization")
     if E.kind == "lp" and E.p == 1.0 and E.inner.dim == 1:
-        target = Quantization.lp(1.0, E.weights, inner=F)
-        certs.append(
-            Certificate(
-                name="l1-reshape",
-                provenance="weighted-l1 factor absorbed into vector-valued weighted-l1 over the same atoms",
-                target=target,
-                bilinear=BilinearMap(
-                    _identity_reindex_tensor(E.dim, F.dim), E, F, target,
-                    provenance="reshape of an l1 factor against the second factor",
-                ),
-            )
-        )
+        add("l1-reshape",
+            "weighted-l1 factor absorbed into vector-valued weighted-l1 over the same atoms",
+            _identity_reindex_tensor(E.dim, F.dim), Quantization.lp(1.0, E.weights, inner=F),
+            "reshape of an l1 factor against the second factor")
     return certs
 
 

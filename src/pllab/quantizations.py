@@ -68,23 +68,8 @@ class NormValue:
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "lower", lo)
 
-    def __float__(self) -> float:
-        return self.value
-
-    @property
-    def gap(self) -> float:
-        return self.value - self.lower
-
     def scaled(self, s: float) -> "NormValue":
         return NormValue(self.value * s, self.lower * s, self.exact, self.method)
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "lower": self.lower,
-            "exact": self.exact,
-            "method": self.method,
-        }
 
 
 @dataclass(frozen=True)

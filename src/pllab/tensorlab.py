@@ -8,10 +8,11 @@ Both norms are infima over structured representations of the element:
 
 Upper bounds come from explicitly constructed representations (several
 deterministic families); lower bounds come from the certificate catalog in
-:mod:`pllab.maps`.  Both norms are homogeneous, so the driver brackets the
-unit-Frobenius element U/||U|| and scales the result back.  The unit bracket
-satisfies lower <= upper + 1e-9 as a hard assertion: a violation is a bug in
-the machinery, never data.
+:mod:`pllab.maps`.  Both norms are homogeneous, so the driver finds every
+bound on the unit-Frobenius element U/||U|| and scales the numbers back.  The
+unit bracket satisfies lower <= upper + 1e-9 as a hard assertion: a
+violation is a bug in the machinery, never data.  The winning representation
+is then built once, at U's scale, and validated on construction.
 
 The l norm never exceeds the pl norm.  One driver serves both: it builds the
 pl representation families once, values their orthogonalizations, plain or
@@ -428,12 +429,6 @@ def _semi_ruan(q: Quantization) -> bool:
     return q.kind == "lp" and (q.p >= 2 or q.points == 1) and (q.inner.dim == 1 or _semi_ruan(q.inner))
 
 
-def _l_pool(certs) -> list:
-    """The certificates whose bounds count for l: an l lower bound counts
-    only when its target is proved semi-Ruan; no search admits a target."""
-    return [c for c in certs if _semi_ruan(c.target)]
-
-
 # -- brackets -------------------------------------------------------------------
 
 
@@ -489,19 +484,27 @@ def _l_candidate(terms, vals) -> tuple:
     )
 
 
-def _best_lower(cert_rows) -> tuple:
+def _best_lower(rows) -> tuple:
     lower, lw = 0.0, {"certificate": None}
-    for name, val, info in cert_rows:
+    for cert, val, info in rows:
         if val > lower:
-            lower, lw = val, {"certificate": name, **canonical(info)}
+            lower, lw = val, {"certificate": cert.name, **canonical(info)}
     return lower, lw
 
 
-def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
-    """(brackets of U/||U|| for norms out of ("pl", "l"), ||U||, coefficients of U).
+def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
+    """(unit brackets, brackets) of U for norms out of ("pl", "l").
 
-    One family build and one certificate pass serve every requested norm: all
-    certificates when pl is requested, else only the l pool (_l_pool).
+    Every bound is found on the unit element U/||U||, from one family build
+    and one certificate pass: all certificates when pl is requested, else
+    only those whose target _semi_ruan proves, which are the l rows.  The
+    unit bracket carries no witness; building it asserts lower <= upper +
+    1e-9.  Only then is the winning representation built, once, at U's
+    scale: the winning unit terms with their blocks times ||U||, for l the
+    plain or balanced terms that won (_l_candidate), orthogonalized.  It is
+    validated on construction.  The bracket of U scales the unit numbers by
+    ||U||, its lower bound clamped to its upper one, as NormValue does, so
+    rounding at large scales cannot trip the absolute 1e-9 check again.
     Passed certificates must have sources equal to (E, F) by to_dict(): a
     lower bound is sound only over its own sources.  The zero element gets
     the zero brackets.
@@ -516,72 +519,49 @@ def _unit_brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> 
                 raise ValueError(f"certificate {cert.name!r} was built for another factor pair")
     scale = frobenius_norm(U)
     if scale == 0.0:
-        return tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms), scale, U
+        zero = tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms)
+        return zero, zero
     unit = U / scale
     fam = _pl_families(unit, E, F, budget, seed, pairing)
     certs = builtin_certificates(E, F) if certificates is None else certificates
-    pool = _l_pool(certs) if "l" in norms else []
-    evaluated = certs if "pl" in norms else pool
-    cert_rows = [(c.name, *c.evaluate_lower(unit, budget=budget, seed=seed)) for c in evaluated]
-    out = {}
-    if "pl" in norms:
-        best_name, (best_terms, best_val, _, _) = min(fam.items(), key=lambda kv: kv[1][1])
-        rep = PLRepresentation(tuple(best_terms), unit, E, F, pairing, label=best_name)
-        details = {
-            "families": {k: v[1] for k, v in fam.items()},
-            "family_info": {k: v[2] for k, v in fam.items() if v[2]},
-            "certificates": {name: val for name, val, _ in cert_rows},
-            "method": best_name,
-        }
-        lower, lw = _best_lower(cert_rows)
-        out["pl"] = NormBracket(lower, best_val, "pl", lw, rep, details)
-    if "l" in norms:
-        candidates = {}  # name -> (value, terms); a family that fails validation is skipped
-        for name, (terms, _, _, term_values) in fam.items():
-            try:
-                PLRepresentation(tuple(terms), unit, E, F, pairing)
-            except ValueError:
-                continue
-            candidates[name] = _l_candidate(terms, term_values)
-        best_name, (best_val, best_terms) = min(candidates.items(), key=lambda kv: kv[1][0])
-        plrep = PLRepresentation(tuple(best_terms), unit, E, F, pairing, label=best_name)
-        best_rep = orthogonalize_representation(plrep)
-        # pool rows by identity: certificates hold arrays, and names may repeat
-        pooled = {id(c) for c in pool}
-        l_rows = [row for c, row in zip(evaluated, cert_rows) if id(c) in pooled]
-        details = {
-            "families": {k + "+orth": v[0] for k, v in candidates.items()},
-            "certificates": {name: val for name, val, _ in l_rows},
-            "pool": [c.name for c in pool],
-            "method": best_name + "+orth",
-        }
-        lower, lw = _best_lower(l_rows)
-        out["l"] = NormBracket(lower, best_val, "l", lw, best_rep, details)
-    return tuple(out[norm] for norm in norms), scale, U
-
-
-def _rescaled(b: NormBracket, scale: float, U: np.ndarray) -> NormBracket:
-    """The bracket of U from the bracket b of U/scale.
-
-    b has passed the soundness assertion at unit scale; the lower bound is
-    clamped to the upper one, as NormValue does, so rounding at large scales
-    cannot trip the absolute 1e-9 check again.
-    """
-    upper = b.upper * scale
-    lower = min(b.lower * scale, upper)
-    rep = b.upper_witness
-    if isinstance(rep, PLRepresentation):
-        terms = tuple((scale * blk, left, right) for blk, left, right in rep.terms)
-        rep = PLRepresentation(terms, U, rep.left_space, rep.right_space, rep.pairing, rep.label)
-    else:
-        rep = LRepresentation(
-            scale * rep.block, rep.terms, rep.supports, U, rep.left_space, rep.right_space,
-            rep.pairing, rep.label,
-        )
-    details = dict(b.details)
-    for key in ("families", "certificates"):
-        details[key] = {k: v * scale for k, v in b.details[key].items()}
-    return NormBracket(lower, upper, b.norm, b.lower_witness, rep, details)
+    rows = [
+        (c, *c.evaluate_lower(unit, budget=budget, seed=seed))
+        for c in certs
+        if "pl" in norms or _semi_ruan(c.target)
+    ]
+    units, out = [], []
+    for norm in norms:
+        if norm == "pl":
+            name, (terms, upper, _, _) = min(fam.items(), key=lambda kv: kv[1][1])
+            norm_rows = rows
+            details = {
+                "families": {k: v[1] for k, v in fam.items()},
+                "family_info": {k: v[2] for k, v in fam.items() if v[2]},
+                "certificates": {c.name: val for c, val, _ in norm_rows},
+                "method": name,
+            }
+        else:
+            candidates = {k: _l_candidate(v[0], v[3]) for k, v in fam.items()}
+            name, (upper, terms) = min(candidates.items(), key=lambda kv: kv[1][0])
+            norm_rows = [row for row in rows if _semi_ruan(row[0].target)]
+            details = {
+                "families": {k + "+orth": v[0] for k, v in candidates.items()},
+                "certificates": {c.name: val for c, val, _ in norm_rows},
+                "pool": [c.name for c, _, _ in norm_rows],
+                "method": name + "+orth",
+            }
+        lower, lw = _best_lower(norm_rows)
+        units.append(NormBracket(lower, upper, norm, lw, None, details))
+        terms = tuple((scale * blk, u, v) for blk, u, v in terms)
+        rep = PLRepresentation(terms, U, E, F, pairing, label=name)
+        if norm == "l":
+            rep = orthogonalize_representation(rep)
+        details = dict(details)
+        for key in ("families", "certificates"):
+            details[key] = {k: v * scale for k, v in details[key].items()}
+        upper *= scale
+        out.append(NormBracket(min(lower * scale, upper), upper, norm, lw, rep, details))
+    return tuple(units), tuple(out)
 
 
 def pl_norm_bracket(
@@ -602,8 +582,8 @@ def pl_norm_bracket(
     Raises ValueError on non-finite input and on a passed certificate whose
     sources (Certificate.sources) are not (E, F).
     """
-    (pl,), scale, U = _unit_brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
-    return _rescaled(pl, scale, U)
+    _, (pl,) = _brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
+    return pl
 
 
 def l_norm_bracket(
@@ -618,19 +598,18 @@ def l_norm_bracket(
     """Bracket the l norm: orthogonalized representations above, semi-Ruan
     certificates below.
 
-    Every pl family that reconstructs the element is valued orthogonalized,
-    plain or balanced (see _l_candidate), from its own term values; the upper
-    bound is the least of these, so it is at most the pl upper, and only the
-    winner is orthogonalized.  The lower bound is the best member of
-    builtin_certificates(E, F), or of the passed list, in the l pool
-    (details["pool"]): an l lower bound counts only when its target is proved
-    semi-Ruan from its descriptor (_semi_ruan).  lower <= upper +
-    1e-9 is asserted on the unit-Frobenius element.  Raises ValueError on
-    non-finite input and on a passed certificate whose sources
-    (Certificate.sources) are not (E, F).
+    Every pl family is valued orthogonalized, plain or balanced (see
+    _l_candidate), from its own term values; the upper bound is the least of
+    these, so it is at most the pl upper, and only the winner is built.  The
+    lower bound is the best member of builtin_certificates(E, F), or of the
+    passed list, in the l pool (details["pool"]): an l lower bound counts
+    only when its target is proved semi-Ruan from its descriptor
+    (_semi_ruan).  lower <= upper + 1e-9 is asserted on the unit-Frobenius
+    element.  Raises ValueError on non-finite input and on a passed
+    certificate whose sources (Certificate.sources) are not (E, F).
     """
-    (l,), scale, U = _unit_brackets(("l",), E, F, U, budget, seed, pairing, certificates)
-    return _rescaled(l, scale, U)
+    _, (l,) = _brackets(("l",), E, F, U, budget, seed, pairing, certificates)
+    return l
 
 
 def orthogonalize_representation(rep: PLRepresentation) -> LRepresentation:
@@ -700,7 +679,7 @@ def compare_pl_l(
     checks run on the brackets of the unit-Frobenius element, so they hold at
     every scale.
     """
-    (pl, l), scale, U = _unit_brackets(("pl", "l"), E, F, U, budget, seed, pairing)
+    (pl, l), brackets = _brackets(("pl", "l"), E, F, U, budget, seed, pairing)
     checks = [
         ("pl_lower_ge_l_lower", pl.lower >= l.lower - 1e-9),
         ("l_lower_le_pl_upper", l.lower <= pl.upper + 1e-9),
@@ -714,12 +693,12 @@ def compare_pl_l(
         if not ok:
             raise AssertionError(f"pl/l comparison failed sound check {name}")
     report = {
-        "pl": _rescaled(pl, scale, U).to_dict(include_representation=False),
-        "l": _rescaled(l, scale, U).to_dict(include_representation=False),
+        "pl": brackets[0].to_dict(include_representation=False),
+        "l": brackets[1].to_dict(include_representation=False),
         "checks": [{"name": n, "passed": bool(ok)} for n, ok in checks],
         "separation_ratio": (pl.lower / l.upper) if l.upper > 0 else None,
     }
-    if U.shape[0] == 1:
+    if coeffs_of(U).shape[0] == 1:
         # at truncation 1 both tensor norms restrict to the same underlying
         # norm; bracket overlap is a consistency signal, not a gate
         report["underlying_overlap"] = bool(

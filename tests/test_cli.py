@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -211,6 +212,17 @@ def test_dimension_mismatch_is_input_error(capsys):
     assert rep["error"]["diagnostics"][0]["pointer"] == "/element"
 
 
+def test_complex_element_on_a_real_restricted_norm_job_is_input_error(capsys):
+    base = {"kind": "lp", "dim": 2, "p": 1, "weights": [1, 1], "real": True}
+    doc = norm_doc(quantization={"kind": "min", "params": {"base": base}}, element=[[[1, 0.5], [0, 0]]])
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", doc)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error"
+    assert rep["error"]["diagnostics"][0]["pointer"] == "/element"
+    assert "real-valued" in rep["error"]["message"]
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["norm", "pl"])
 def test_non_finite_element_is_input_error(capsys, command, bad):
@@ -331,6 +343,34 @@ def test_violation_exit_code_and_repro(capsys, monkeypatch):
     assert not bad["passed"]
     assert bad["repro"].startswith("pllab --command compare")
     assert "--seed 0" in bad["repro"]
+
+
+def test_repro_line_parses_back_to_the_job(tmp_path):
+    """The repro line of a failed case is a shell command that gives back the
+    job: inline JSON with spaces and a file path with a space survive
+    shlex.split."""
+    path = tmp_path / "a job.json"
+    path.write_text(pair_doc())
+    assert " " in pair_doc()
+    jobs = [
+        ["--command", "compare", "--input", pair_doc(), "--budget", "60", "--seed", "7",
+         "--tolerance", "1e-06"],
+        ["--command", "pl", "--input", str(path), "--seed", "3"],
+        ["--command", "verify-paper", "--n-max", "3", "--budget", "40"],
+        ["--command", "properties", "--trials", "14", "--tolerance", "0.001"],
+    ]
+    ap = cli.build_parser()
+    for argv in jobs:
+        args = ap.parse_args(argv)
+        words = shlex.split(cli._repro(args))
+        assert words[0] == "pllab"
+        back = ap.parse_args(words[1:])
+        for key in ("command", "input", "budget", "seed", "tolerance"):
+            assert getattr(back, key) == getattr(args, key), key
+        if "--n-max" in argv:
+            assert back.n_max == args.n_max
+        if "--trials" in argv:
+            assert back.trials == args.trials
 
 
 @pytest.mark.parametrize(

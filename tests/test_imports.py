@@ -1,7 +1,9 @@
-"""Every import in src/pllab is used: a stdlib-ast check, no linter needed."""
+"""Every import in src/pllab is used, and so is every module-level private
+name: stdlib-ast checks, no linter needed."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -58,3 +60,61 @@ def test_no_unused_imports(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("import os\nfrom typing import Optional\n__all__ = ['Optional']\n")
     assert {n for n in _imported(tree) if n not in _used(tree)} == {"os"}
+
+
+def _private_definitions(tree) -> dict:
+    """Module-level private function, class or constant name -> its node."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                out[name] = node
+    return out
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in tree: loaded names, attributes and
+    imported names."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            out[node.name] += 1
+    return out
+
+
+def _dead_private_names(trees: dict) -> list:
+    """(module, name) of each module-level private name that nothing else in
+    the modules reads; a definition's reads of itself do not count."""
+    total = sum((_reads(t) for t in trees.values()), Counter())
+    return [
+        (module, name)
+        for module, tree in trees.items()
+        for name, node in _private_definitions(tree).items()
+        if total[name] == _reads(node)[name]
+    ]
+
+
+def test_no_dead_private_names():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in MODULES}
+    assert _dead_private_names(trees) == []
+
+
+def test_the_check_sees_a_dead_private_name():
+    a = ast.parse(
+        "_USED = 1\n_SPARE = 2\n"
+        "def _recursive(n):\n    return _recursive(n - 1) if n else _USED\n"
+        "def _helper():\n    return 0\n"
+    )
+    b = ast.parse("from a import _helper\n")
+    assert _dead_private_names({"a.py": a, "b.py": b}) == [("a.py", "_SPARE"), ("a.py", "_recursive")]

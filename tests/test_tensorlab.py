@@ -30,8 +30,10 @@ from pllab import (
     orthogonalize_representation,
     pl_norm_bracket,
 )
+from pllab.projective import RECON_TOL
 from pllab.sampling import make_rng, random_complex
 from pllab.suites import v_example
+from pllab.wire import matrix_from_json
 
 BRACKET_PINS = pathlib.Path(__file__).resolve().parent / "data" / "bracket_pins.json"
 
@@ -539,6 +541,39 @@ def test_upper_witnesses_re_evaluate_to_the_reported_uppers(i):
     valued from, so re-evaluating its amplified norms gives that upper."""
     for b in _pinned_brackets(i):
         assert b.upper_witness.value(budget=50, seed=0) == pytest.approx(b.upper, rel=1e-9)
+
+
+def _witness_from_wire(data, U, E, F):
+    """The representation held in the wire form of an upper witness."""
+    pairing = PairingMap(data["pairing"])
+    if data["kind"] == "pl":
+        terms = [tuple(matrix_from_json(t[k]) for k in ("block", "left", "right")) for t in data["terms"]]
+        return PLRepresentation(terms, U, E, F, pairing)
+    terms = [(matrix_from_json(t["left"]), matrix_from_json(t["right"])) for t in data["terms"]]
+    return LRepresentation(matrix_from_json(data["block"]), terms, data["supports"], U, E, F, pairing)
+
+
+@pytest.mark.parametrize("scheme", ["row-major", "column-major"])
+@pytest.mark.parametrize("scale", [1.0, 1e12])
+@pytest.mark.parametrize("i", [0, 4, 7, 10, 11])
+def test_upper_witness_data_rebuilds_the_element(i, scale, scheme):
+    """The matrices of to_dict()["upper_witness"] rebuild the element itself,
+    at its own scale, and the metadata names the witness."""
+    E, F = _factor_pairs()[i]
+    U = scale * random_complex(make_rng(0, "witness-data", i), 2, E.dim * F.dim)
+    for b in (
+        pl_norm_bracket(E, F, U, budget=60, pairing=PairingMap(scheme)),
+        l_norm_bracket(E, F, U, budget=60, pairing=PairingMap(scheme)),
+    ):
+        rep = b.upper_witness
+        data = json.loads(json.dumps(b.to_dict()["upper_witness"]))
+        assert (data["kind"], data["label"], data["n_terms"], data["pairing"]) == (
+            b.norm, rep.label, len(rep.terms), scheme
+        )
+        if b.norm == "l":
+            assert data["supports"] == [list(s) for s in rep.supports]
+        back = _witness_from_wire(data, U, E, F)
+        assert back.residual() <= RECON_TOL
 
 
 def test_l_bracket_evaluates_no_amp_norm_beyond_the_families(monkeypatch):
