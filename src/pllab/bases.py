@@ -141,24 +141,14 @@ class BaseNorm:
         return float(np.max(np.abs(self.vertices @ x)))
 
     def dual_norm(self, c) -> Optional[float]:
-        """Exact dual norm of the functional with coefficients c, when closed form.
+        """Exact dual norm of the functional with coefficients c: its norm
+        under dual_descriptor(), which holds the lp duality formulas.
 
         Returns None for polytope bases (the gauge of the vertex hull has no
-        closed form here); callers fall back to the search machinery.
+        descriptor here); callers fall back to the search machinery.
         """
-        c = self.check_element(c)
-        if self.kind == "euclidean":
-            return float(np.linalg.norm(c))
-        if self.kind == "polytope":
-            return None
-        a = np.abs(c)
-        w = self.weights
-        if self.p == 1.0:
-            return float(np.max(a / w))
-        if np.isinf(self.p):
-            return float(np.sum(a / w))
-        q = self.p / (self.p - 1.0)
-        return float(np.sum((a * w ** (-1.0 / self.p)) ** q) ** (1.0 / q))
+        dd = self.dual_descriptor()
+        return None if dd is None else dd.norm(c)
 
     def dual_descriptor(self) -> Optional["BaseNorm"]:
         """Descriptor of the dual norm, when it is again one of the known kinds."""

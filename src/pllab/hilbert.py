@@ -138,12 +138,7 @@ def diamond_amp(u, v, pairing: PairingMap = PairingMap()) -> np.ndarray:
 
 def vec_diamond_amp(xi, u, pairing: PairingMap = PairingMap()) -> np.ndarray:
     """xi <> u for an H-vector and an amplified element; stays over the same base."""
-    x = _vec(xi)
-    U = coeffs_of(u)
-    t = np.einsum("i,kj->ikj", x, U).reshape(x.shape[0] * U.shape[0], U.shape[1])
-    out = np.empty_like(t)
-    out[pairing.flat(x.shape[0], U.shape[0]).ravel()] = t
-    return out
+    return diamond_amp(_vec(xi)[:, None], u, pairing)
 
 
 def rank_one(x, y) -> np.ndarray:

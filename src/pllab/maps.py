@@ -28,7 +28,6 @@ from .bases import BaseNorm, DualMax
 from .hilbert import PairingMap, coeffs_of
 from .quantizations import Quantization, amp_norm, point_base, underlying_norm
 from .sampling import make_rng, random_complex
-from .wire import matrix_to_json
 
 __all__ = [
     "LinearMap",
@@ -66,14 +65,6 @@ class LinearMap:
     @property
     def is_functional(self) -> bool:
         return self.target.dim == 1
-
-    def to_dict(self) -> dict:
-        return {
-            "matrix": matrix_to_json(self.matrix),
-            "source": self.source.to_dict(),
-            "target": self.target.to_dict(),
-            "provenance": self.provenance,
-        }
 
 
 @dataclass(frozen=True)
@@ -140,17 +131,24 @@ def amplify_bilinear(r: BilinearMap, u, v, pairing: PairingMap = PairingMap()) -
 # -- underlying dual machinery ------------------------------------------------
 
 
+def _underlying_base(q: Quantization) -> Optional[BaseNorm]:
+    """Base norm of q's underlying space, when it is one: the base of min, max
+    and hilbert, point_base(q) for an lp over the scalar inner, else None."""
+    if q.kind in ("min", "max", "hilbert"):
+        return q.base
+    if q.kind == "lp" and q.inner.dim == 1:
+        return point_base(q)
+    return None
+
+
 def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
     """Exact dual norm of a functional on the underlying space, when closed form."""
     c = np.asarray(c, dtype=complex).ravel()
-    if q.kind in ("min", "max"):
-        return q.base.dual_norm(c)
-    if q.kind == "hilbert":
-        return float(np.linalg.norm(c))
+    base = _underlying_base(q)
+    if base is not None:
+        return base.dual_norm(c)
     if q.kind == "lp":
         mi = q.inner.dim
-        if mi == 1:
-            return point_base(q).dual_norm(c)
         pointwise = []
         for t in range(q.points):
             dn = underlying_dual_norm(q.inner, c[t * mi : (t + 1) * mi])
@@ -168,15 +166,11 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
     kind; exactness holds only where the base machinery is exact.
     """
     A = np.asarray(A, dtype=complex)
-    if q.kind in ("min", "max"):
-        return q.base.dual_ball_maximize(A, rng=rng, starts=starts)
-    if q.kind == "hilbert":
-        return BaseNorm.euclidean(q.dim).dual_ball_maximize(A, rng=rng)
+    base = _underlying_base(q)
+    if base is not None:
+        return base.dual_ball_maximize(A, rng=rng, starts=starts)
     if q.kind == "lp":
         mi = q.inner.dim
-        scalar = point_base(q)
-        if mi == 1:
-            return scalar.dual_ball_maximize(A, rng=rng, starts=starts)
         # per-point inner witnesses, outer weights through the scalar dual ball
         ys = []
         phis = []
@@ -185,7 +179,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
             phis.append(inner_dm.witness)
             ys.append(A[:, t * mi : (t + 1) * mi] @ inner_dm.witness)
         M = np.stack(ys, axis=1)
-        outer = scalar.dual_ball_maximize(M, rng=rng, starts=starts)
+        outer = point_base(q).dual_ball_maximize(M, rng=rng, starts=starts)
         f = np.concatenate([outer.witness[t] * phis[t] for t in range(q.points)])
         val = float(np.linalg.norm(A @ f))
         return DualMax(val, np.inf, f, False)
@@ -257,12 +251,11 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
             return
         out.append((x, underlying_norm(q, x)))
 
-    if q.kind in ("min", "max"):
-        add(q.base.primal_align(c))
-    elif q.kind == "hilbert":
+    base = _underlying_base(q)
+    if q.kind == "hilbert":
         add(np.conj(c))
-    elif q.kind == "lp" and q.inner.dim == 1:
-        add(point_base(q).primal_align(c))
+    elif base is not None:
+        add(base.primal_align(c))
     elif q.kind == "lp":
         mi = q.inner.dim
         blocks, scores, uppers = [], [], []
@@ -349,7 +342,6 @@ def _ratio_linear(phi: LinearMap, U: np.ndarray, budget: int, rng) -> float:
 
 def _lb_lower_linear_search(phi: LinearMap, budget: int, rng) -> LbNormEstimate:
     starts = max(2, budget // 50)
-    inner_budget = 40
     best, best_U = 0.0, None
     if phi.is_functional:
         c = phi.matrix[:, 0]
@@ -360,20 +352,26 @@ def _lb_lower_linear_search(phi: LinearMap, budget: int, rng) -> LbNormEstimate:
             if val > best:
                 best, best_U = val, x[None, :]
     for s in range(starts):
-        d = 1 + s % 3
-        U = random_complex(rng, d, phi.source.dim)
-        val = _ratio_linear(phi, U, inner_budget, rng)
-        for _ in range(50):
-            step = 0.3 * random_complex(rng, d, phi.source.dim)
-            cand = U + step
-            v2 = _ratio_linear(phi, cand, inner_budget, rng)
-            if v2 > val:
-                U, val = cand, v2
+        U = random_complex(rng, 1 + s % 3, phi.source.dim)
+        val, (U,) = _ascend(lambda U: _ratio_linear(phi, U, 40, rng), [U], rng)
         if val > best:
             best, best_U = val, U
-    return LbNormEstimate(
-        best, False, "search/sampled-ascent", {"element": best_U}
-    )
+    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_U})
+
+
+def _ascend(ratio, xs: list, rng) -> tuple:
+    """(ratio, xs) after 50 hill-climbing steps on ratio(*xs): each adds 0.3
+    times a complex Gaussian to one of xs, the first when there is one or when
+    rng.random() < 0.5, and keeps the move when the ratio grows."""
+    val = ratio(*xs)
+    for _ in range(50):
+        k = 0 if len(xs) == 1 or rng.random() < 0.5 else 1
+        cand = list(xs)
+        cand[k] = xs[k] + 0.3 * random_complex(rng, *xs[k].shape)
+        v2 = ratio(*cand)
+        if v2 > val:
+            xs, val = cand, v2
+    return val, xs
 
 
 def _ratio_bilinear(r: BilinearMap, U, V, budget, rng, pairing=PairingMap()) -> float:
@@ -387,27 +385,25 @@ def _ratio_bilinear(r: BilinearMap, U, V, budget, rng, pairing=PairingMap()) -> 
 
 def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
     starts = max(2, budget // 50)
-    inner_budget = 40
     best, best_pair = 0.0, None
     T = r.tensor
+
+    def ratio(U, V):
+        return _ratio_bilinear(r, U, V, 40, rng)
 
     if r.target.dim == 1:
         # scalar-valued: d=1 ratios are exact quotients |x C y| / (||x|| ||y||)
         C = T[:, :, 0]
-        s = np.linalg.svd(C, compute_uv=False)
-        if use_closed_forms and s.size and (s.size == 1 or s[1] <= 1e-12 * s[0]):
+        uu, ss, vv = np.linalg.svd(C)
+        if use_closed_forms and ss.size and (ss.size == 1 or ss[1] <= 1e-12 * ss[0]):
             # rank-one C = f g^T; recover the factors from the SVD
-            uu, ss, vv = np.linalg.svd(C)
             f = uu[:, 0] * ss[0]
             g = vv[0]
             dn_f = underlying_dual_norm(r.source_left, f)
             dn_g = underlying_dual_norm(r.source_right, g)
             if dn_f is not None and dn_g is not None:
-                return LbNormEstimate(
-                    dn_f * dn_g, True, "functional-product/dual-norms", {"f": f, "g": g}
-                )
+                return LbNormEstimate(dn_f * dn_g, True, "functional-product/dual-norms", {"f": f, "g": g})
         cand_L = _norming_candidates(r.source_left, C @ np.ones(C.shape[1]), rng, n_random=3)
-        uu, ss, vv = np.linalg.svd(C)
         cand_L += _norming_candidates(r.source_left, uu[:, 0], rng, n_random=0)
         cand_R = _norming_candidates(r.source_right, vv[0], rng, n_random=3)
         for x, ux in cand_L:
@@ -426,7 +422,7 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
         for y, uy in _norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2):
             if ux <= 0 or uy <= 0:
                 continue
-            val = _ratio_bilinear(r, x[None, :], y[None, :], inner_budget, rng)
+            val = ratio(x[None, :], y[None, :])
             if val > best:
                 best, best_pair = val, (x[None, :], y[None, :])
 
@@ -441,17 +437,9 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
         V = random_complex(rng, d, r.source_right.dim)
         if all_hilbert:
             U, V = _alternate_hilbert(r, U, V, rounds=8)
-            val = _ratio_bilinear(r, U, V, inner_budget, rng)
+            val = ratio(U, V)
         else:
-            val = _ratio_bilinear(r, U, V, inner_budget, rng)
-            for _ in range(50):
-                if rng.random() < 0.5:
-                    U2, V2 = U + 0.3 * random_complex(rng, *U.shape), V
-                else:
-                    U2, V2 = U, V + 0.3 * random_complex(rng, *V.shape)
-                v2 = _ratio_bilinear(r, U2, V2, inner_budget, rng)
-                if v2 > val:
-                    U, V, val = U2, V2, v2
+            val, (U, V) = _ascend(ratio, [U, V], rng)
         if val > best:
             best, best_pair = val, (U, V)
     witness = {} if best_pair is None else {"u": best_pair[0], "v": best_pair[1]}

@@ -40,6 +40,12 @@ def _row(case: str, passed: bool, **extra) -> dict:
     return out
 
 
+def _bracket_row(case: str, b, want: float, tolerance: float, **extra) -> dict:
+    """Row of a bracket b whose bounds must both lie within tolerance of want."""
+    ok = abs(b.lower - want) <= tolerance and abs(b.upper - want) <= tolerance
+    return _row(case, ok, expected=want, lower=b.lower, upper=b.upper, tolerance=tolerance, **extra)
+
+
 # -- fixed known-value suite ----------------------------------------------------
 
 
@@ -63,23 +69,11 @@ def verify_paper_suite(
         V = v_example(n)
         E = Quantization.hilbert(n)
         F = Quantization.hilbert(n)
-        b = pl_norm_bracket(E, F, V, budget=budget, seed=seed)
-        ok = abs(b.lower - n) <= tolerance and abs(b.upper - n) <= tolerance
-        rows.append(
-            _row(
-                f"v-pl/n={n}", ok, expected=float(n), lower=b.lower, upper=b.upper,
-                tolerance=tolerance, certificate=b.lower_witness.get("certificate"),
-            )
-        )
-        bl = l_norm_bracket(E, F, V, budget=budget, seed=seed)
-        root = float(np.sqrt(n))
-        ok = abs(bl.lower - root) <= tolerance and abs(bl.upper - root) <= tolerance
-        rows.append(
-            _row(
-                f"v-l/n={n}", ok, expected=root, lower=bl.lower, upper=bl.upper,
-                tolerance=tolerance, certificate=bl.lower_witness.get("certificate"),
-            )
-        )
+        for norm, fn, want in (("pl", pl_norm_bracket, float(n)),
+                               ("l", l_norm_bracket, float(np.sqrt(n)))):
+            b = fn(E, F, V, budget=budget, seed=seed)
+            rows.append(_bracket_row(f"v-{norm}/n={n}", b, want, tolerance,
+                                     certificate=b.lower_witness.get("certificate")))
 
     for k in range(10):
         rng = make_rng(seed, "suite-min-svd", k)
@@ -106,12 +100,7 @@ def verify_paper_suite(
         E = Quantization.min(BaseNorm.euclidean(mE))
         F = Quantization.min(BaseNorm.euclidean(mF))
         b = l_norm_bracket(E, F, U, budget=budget, seed=seed)
-        want = float(np.linalg.norm(U, 2))
-        ok = abs(b.lower - want) <= tolerance and abs(b.upper - want) <= tolerance
-        rows.append(
-            _row(f"l-reshape/{k:02d}", ok, expected=want, lower=b.lower, upper=b.upper,
-                 tolerance=tolerance)
-        )
+        rows.append(_bracket_row(f"l-reshape/{k:02d}", b, float(np.linalg.norm(U, 2)), tolerance))
 
     for k in range(8):
         rng = make_rng(seed, "suite-l1-pl", k)
@@ -131,11 +120,7 @@ def verify_paper_suite(
                 for t in range(sF)
             )
         )
-        ok = abs(b.lower - want) <= tolerance and abs(b.upper - want) <= tolerance
-        rows.append(
-            _row(f"l1-pl/{k:02d}", ok, expected=want, lower=b.lower, upper=b.upper,
-                 tolerance=tolerance)
-        )
+        rows.append(_bracket_row(f"l1-pl/{k:02d}", b, want, tolerance))
 
     inners = [
         Quantization.hilbert(2),
@@ -331,13 +316,7 @@ def certificate_sweep(
         nv = amp_norm(F, v, budget=budget, rng=make_rng(seed, "cert-sweep-v", t)).value
         W = diamond_amp(u, v)
         for cert in builtin_certificates(E, F):
-            if cert.bilinear is not None:
-                img = amplify_bilinear(cert.bilinear, u, v)
-                got = amp_norm(
-                    cert.target, img, budget=budget, rng=make_rng(seed, "cert-sweep-g", t, cert.name)
-                ).lower
-            else:
-                got, _ = cert.evaluate_lower(W, budget=budget, seed=seed)
+            got, _ = cert.evaluate_lower(W, budget=budget, seed=seed)
             excess = got - cert.bound * nu * nv
             worst = max(worst, excess)
             checked += 1

@@ -332,27 +332,28 @@ def _family_svd_split(U, E, F, budget, seed):
     return terms, vals
 
 
-def _family_unfold(U, E, F, budget, seed, side: str):
-    """Identity-block terms from an SVD of one base-slot unfolding."""
+def _swap(U, mE, mF):
+    """U over E (x) F with its base slots exchanged, as an element over F (x) E."""
     d = U.shape[0]
-    mE, mF = E.dim, F.dim
+    return np.ascontiguousarray(U.reshape(d, mE, mF).transpose(0, 2, 1)).reshape(d, mF * mE)
+
+
+def _family_unfold(U, E, F, budget, seed, side: str):
+    """Identity-block terms from an SVD of one base-slot unfolding; the right
+    slot's are the left slot's of the swapped element, factors exchanged."""
+    d = U.shape[0]
+    if side == "left":
+        W, mP, mQ, order = U, E.dim, F.dim, slice(None)
+    else:
+        W, mP, mQ, order = _swap(U, E.dim, F.dim), F.dim, E.dim, slice(None, None, -1)
     terms, vals = [], []
     eye = np.eye(d, dtype=complex)
-    if side == "left":
-        M = U.reshape(d, mE, mF).reshape(d * mE, mF)
-    else:
-        M = np.ascontiguousarray(U.reshape(d, mE, mF).transpose(0, 2, 1)).reshape(d * mF, mE)
-    x, s, yh = np.linalg.svd(M, full_matrices=False)
+    x, s, yh = np.linalg.svd(W.reshape(d * mP, mQ), full_matrices=False)
     for t in range(s.size):
         if s[t] <= 1e-14 * s[0]:
             break
         rng = make_rng(seed, "unfold", side, t)
-        if side == "left":
-            left = (s[t] * x[:, t]).reshape(d, mE)
-            right = yh[t][None, :]
-        else:
-            left = yh[t][None, :]
-            right = (s[t] * x[:, t]).reshape(d, mF)
+        left, right = ((s[t] * x[:, t]).reshape(d, mP), yh[t][None, :])[order]
         terms.append((eye, left, right))
         nu = amp_norm(E, left, budget=budget, rng=rng).value
         nv = amp_norm(F, right, budget=budget, rng=rng).value
@@ -393,24 +394,16 @@ def _family_projective(U, E, F, budget, seed, side: str):
     that side is not of projective type.
     """
     d = U.shape[0]
-    mE, mF = E.dim, F.dim
     if side == "left":
-        base, other, W = _projective_base(E), F, U
+        base, other, W, order = _projective_base(E), F, U, slice(None)
     else:
-        base, other = _projective_base(F), E
-        W = np.ascontiguousarray(U.reshape(d, mE, mF).transpose(0, 2, 1)).reshape(d, mF * mE)
+        base, other, W, order = _projective_base(F), E, _swap(U, E.dim, F.dim), slice(None, None, -1)
     if base is None:
         return None
     scale = float(np.linalg.norm(W))
     res = tensor_p_bracket(base, other, W / scale, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
-    terms = []
-    for xvec, flat in res.terms:
-        V = scale * flat.reshape(d, other.dim)
-        if side == "left":
-            terms.append((eye, xvec[None, :], V))
-        else:
-            terms.append((eye, V, xvec[None, :]))
+    terms = [(eye, *(x[None, :], scale * v.reshape(d, other.dim))[order]) for x, v in res.terms]
     vals = [(1.0, c * scale, 1.0) for c in res.values]
     return terms, vals, res.upper * scale, res.upper_method
 

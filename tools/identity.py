@@ -1,0 +1,122 @@
+"""Identity check: fingerprints of pllab's outputs on fixed inputs.
+
+    python3 tools/identity.py record ROOT OUT
+    python3 tools/identity.py compare A B
+
+``record`` imports pllab from ROOT/src and the benchmark inputs from
+ROOT/bench, runs the fixed record set below, and writes OUT, a JSON object
+mapping each record key to the sha256 of the record's ``repr`` (numpy prints
+at full precision, with no summarizing).  The records:
+
+* every operation output, witnesses and ``to_dict()`` included, of the
+  ``bracket-batch``, ``amp-sweep`` and ``lb-search`` rounds for seeds 1 and 2,
+  at the benchmark's own operation seeds;
+* the exit code and stdout of every ``cli-jobs`` job for seeds 1 and 2, each
+  in a fresh ``python3 -m pllab.cli`` process;
+* pl and l ``to_dict()``, their residuals and ``compare_pl_l`` over the
+  benchmark pairs x d = 1..3 x scales 1, 1e12, 1e-9 x both pairings;
+* ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
+  ``quantization_pool()`` descriptors;
+* the ``verify_paper_suite(n_max=3)`` rows.
+
+``compare`` lists the keys whose fingerprints differ, or that only one file
+has, and exits 1 when there are any.  Record a tree before a change and
+again after it; equal files mean every record is bit-identical.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (1, 2)
+IN_PROCESS = ("bracket-batch", "amp-sweep", "lb-search")
+SCALES = (1.0, 1e12, 1e-9)
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def record(root: Path) -> dict:
+    sys.path[:0] = [str(root / "bench"), str(root / "src")]
+    import numpy as np
+
+    np.set_printoptions(threshold=sys.maxsize, floatmode="unique")
+    import workloads as wl
+    from pllab import PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
+    from pllab.maps import builtin_certificates
+    from pllab.suites import quantization_pool, verify_paper_suite
+
+    out = {}
+    runner = wl.Runner()
+    for workload in IN_PROCESS:
+        for seed in SEEDS:
+            for k, op in enumerate(wl.make_round(workload, seed)):
+                res = runner.prepare(op)(wl.hash_tag(f"{seed}/{k}"))
+                rec = (res, res.to_dict()) if op.kind in ("pl", "l") else res
+                out[f"{workload}/{seed}/{k}"] = _digest(rec)
+
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    for seed in SEEDS:
+        for k, op in enumerate(wl.cli_round(seed)):
+            proc = subprocess.run([sys.executable, "-m", "pllab.cli"] + op.args["argv"], cwd=root,
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            out[f"cli-jobs/{seed}/{k}"] = _digest((proc.returncode, proc.stdout))
+
+    for i, (left, right) in enumerate(wl.PAIRS):
+        E, F = Quantization.from_dict(left), Quantization.from_dict(right)
+        for d in (1, 2, 3):
+            U0 = wl._complex(wl._rng(0, "identity", i, d), d, E.dim * F.dim)
+            for scale in SCALES:
+                for scheme in ("row-major", "column-major"):
+                    U, pairing = scale * U0, PairingMap(scheme)
+                    pl = pl_norm_bracket(E, F, U, pairing=pairing)
+                    l = l_norm_bracket(E, F, U, pairing=pairing)
+                    rec = (pl.to_dict(), pl.upper_witness.residual(), l.to_dict(),
+                           l.upper_witness.residual(), compare_pl_l(E, F, U, pairing=pairing))
+                    out[f"pairs/{i}/{d}/{scale!r}/{scheme}"] = _digest(rec)
+
+    pool = quantization_pool()
+    for a, E in enumerate(pool):
+        for b, F in enumerate(pool):
+            certs = builtin_certificates(E, F)
+            rec = [(c.to_dict(), None if c.bilinear is None else c.bilinear.tensor) for c in certs]
+            out[f"certificates/{a}/{b}"] = _digest(rec)
+
+    out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
+    return out
+
+
+def compare(a: dict, b: dict) -> list:
+    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 3 or argv[0] not in ("record", "compare"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    if argv[0] == "record":
+        records = record(Path(argv[1]).resolve())
+        Path(argv[2]).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        print(f"{len(records)} records written to {argv[2]}")
+        return 0
+    a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
+    differ = compare(a, b)
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} records differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
