@@ -240,6 +240,10 @@ def parse_pair_job(doc: dict, command: str):
     validate_document(doc, command)
     E = _quantization_from(doc["left"], "/left")
     F = _quantization_from(doc["right"], "/right")
+    for q, pointer in ((E, "/left"), (F, "/right")):
+        if q.real:
+            msg = "the pl and l brackets do not take real-restricted factors"
+            raise InputError(f"bad quantization at {pointer}: {msg}", [{"pointer": pointer, "message": msg}])
     U = _element_from(doc)
     if U.shape[1] != E.dim * F.dim:
         raise InputError(

@@ -287,7 +287,7 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
                 b = b_cands[0][0]
         add(np.multiply.outer(a, b).ravel())
     for _ in range(n_random):
-        add(random_complex(rng, q.dim, real=(q.base.real if q.base is not None else False)))
+        add(random_complex(rng, q.dim))
     if q.kind != "hilbert":
         add(np.conj(c))
     return out
@@ -317,10 +317,15 @@ def lb_norm_lower(
     Ratios are evaluated as target-lower over source-upper, so the estimate
     never exceeds the true lb-norm even on bracketed kinds.  Closed forms:
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
-    singular value of the coefficient matrix).
+    singular value of the coefficient matrix).  Raises ValueError on a
+    real-restricted source or target: the searches sample complex elements.
     """
+    bilinear = isinstance(phi, BilinearMap)
+    spaces = (phi.source_left, phi.source_right, phi.target) if bilinear else (phi.source, phi.target)
+    if any(q.real for q in spaces):
+        raise ValueError("lb_norm_lower does not take real-restricted sources or targets")
     rng = make_rng(seed, "lbnorm")
-    if isinstance(phi, BilinearMap):
+    if bilinear:
         return _lb_lower_bilinear(phi, budget, rng, use_closed_forms)
     if use_closed_forms and phi.is_functional:
         dn = underlying_dual_norm(phi.source, phi.matrix[:, 0])

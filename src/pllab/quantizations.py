@@ -109,6 +109,9 @@ class Quantization:
         elif self.kind == "tensor_p":
             if self.base is None or self.inner is None:
                 raise ValueError("tensor_p quantization needs a base descriptor and an inner quantization")
+        if self.real and self.kind not in ("min", "lp"):
+            # the projective searches of max and tensor_p run on complex data
+            raise ValueError(f"{self.kind} quantization does not take a real-restricted base or inner")
 
     # -- constructors -----------------------------------------------------
 
@@ -160,7 +163,7 @@ class Quantization:
         return self.kind == "min" and self.base.kind == "euclidean"
 
     @property
-    def real(self) -> bool:  # a real-restricted base here or in an inner
+    def real(self) -> bool:  # a real-restricted min base here or in an lp inner
         return (self.base is not None and self.base.real) or (self.inner is not None and self.inner.real)
 
     def check_element(self, u) -> np.ndarray:

@@ -22,10 +22,13 @@ __all__ = [
 def make_rng(seed: int, *stream) -> np.random.Generator:
     """Deterministic generator for (seed, stream...).
 
-    Stream labels are hashed with crc32, not the builtin hash, so the
-    generator sequence is identical across interpreter runs.
+    Stream labels are hashed with crc32 of their repr, not the builtin hash,
+    so the generator sequence is identical across interpreter runs; a numpy
+    scalar label hashes as the Python value it holds, so np.int64(1) and 1
+    name the same stream.
     """
-    entropy = [int(seed) & 0xFFFFFFFF] + [zlib.crc32(repr(s).encode()) for s in stream]
+    labels = (s.item() if isinstance(s, np.generic) else s for s in stream)
+    entropy = [int(seed) & 0xFFFFFFFF] + [zlib.crc32(repr(s).encode()) for s in labels]
     return np.random.default_rng(entropy)
 
 
@@ -36,20 +39,20 @@ def random_complex(rng, *shape, real: bool = False) -> np.ndarray:
     return np.asarray(z, dtype=complex)
 
 
-def random_unit(rng, d: int, real: bool = False) -> np.ndarray:
-    v = random_complex(rng, d, real=real)
+def random_unit(rng, d: int) -> np.ndarray:
+    v = random_complex(rng, d)
     n = np.linalg.norm(v)
     while n < 1e-12:
-        v = random_complex(rng, d, real=real)
+        v = random_complex(rng, d)
         n = np.linalg.norm(v)
     return v / n
 
 
-def random_orthonormal(rng, d: int, k: int, real: bool = False) -> np.ndarray:
+def random_orthonormal(rng, d: int, k: int) -> np.ndarray:
     """d x k matrix with orthonormal columns (Haar-ish via QR)."""
     if k > d:
         raise ValueError("cannot fit more orthonormal vectors than the dimension")
-    g = random_complex(rng, d, k, real=real)
+    g = random_complex(rng, d, k)
     q, r = np.linalg.qr(g)
     # fix the phase so the distribution does not depend on the QR convention
     ph = np.diagonal(r).copy()

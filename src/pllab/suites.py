@@ -225,7 +225,7 @@ def properties_suite(trials: int = 10000, seed: int = 0, tolerance: float = 1e-9
         q = pool[t % len(pool)]
         rng = make_rng(seed, "prop-cross", t)
         xi = random_unit(rng, int(rng.integers(1, 4)))
-        x = random_complex(rng, q.dim, real=q.base.real if q.base is not None else False)
+        x = random_complex(rng, q.dim)
         if not np.any(x):
             continue
         U = np.multiply.outer(xi, x)

@@ -502,6 +502,8 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     lower bound is sound only over its own sources.  The zero element gets
     the zero brackets.
     """
+    if E.real or F.real:
+        raise ValueError("the pl and l brackets do not take real-restricted factors")
     U = coeffs_of(U)
     if U.shape[1] != E.dim * F.dim:
         raise ValueError(f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}")
@@ -572,8 +574,9 @@ def pl_norm_bracket(
     families; the lower bound is the best evaluation of the certificates,
     builtin_certificates(E, F) unless a list is passed.  Both are certified,
     and lower <= upper + 1e-9 is asserted on the unit-Frobenius element.
-    Raises ValueError on non-finite input and on a passed certificate whose
-    sources (Certificate.sources) are not (E, F).
+    Raises ValueError on non-finite input, on a real-restricted factor (the
+    searches run on complex data) and on a passed certificate whose sources
+    (Certificate.sources) are not (E, F).
     """
     _, (pl,) = _brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
     return pl
@@ -598,8 +601,7 @@ def l_norm_bracket(
     passed list, in the l pool (details["pool"]): an l lower bound counts
     only when its target is proved semi-Ruan from its descriptor
     (_semi_ruan).  lower <= upper + 1e-9 is asserted on the unit-Frobenius
-    element.  Raises ValueError on non-finite input and on a passed
-    certificate whose sources (Certificate.sources) are not (E, F).
+    element.  Raises ValueError as pl_norm_bracket does.
     """
     _, (l,) = _brackets(("l",), E, F, U, budget, seed, pairing, certificates)
     return l

@@ -223,6 +223,44 @@ def test_complex_element_on_a_real_restricted_norm_job_is_input_error(capsys):
     assert "real-valued" in rep["error"]["message"]
 
 
+_REAL_L1 = {"kind": "lp", "dim": 2, "p": 1, "weights": [1, 1], "real": True}
+
+
+@pytest.mark.parametrize("quantization, element", [
+    ({"kind": "max", "params": {"base": {"kind": "euclidean", "dim": 2, "real": True}}},
+     [[[1, 0], [2, 0]], [[0.5, 0], [-1, 0]]]),
+    ({"kind": "tensor_p", "params": {"base": dict(_REAL_L1, p=3)}, "inner": {"kind": "hilbert", "dim": 2}},
+     [[[1, 0], [2, 0], [0.5, 0], [-1, 0]]]),
+])
+def test_real_restricted_base_under_max_or_tensor_p_is_input_error(capsys, quantization, element):
+    doc = norm_doc(quantization=quantization, element=element)
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", doc)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error"
+    assert rep["error"]["diagnostics"][0]["pointer"] == "/quantization"
+    assert "real-restricted" in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("command", ["pl", "l", "compare"])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_real_restricted_factor_of_a_pair_job_is_input_error(capsys, command, side):
+    doc = json.loads(pair_doc(element=[[[1, 0], [2, 0], [0.5, 0], [-1, 0]]]))
+    doc[side] = {"kind": "min", "params": {"base": _REAL_L1}}
+    code, out, _ = run_cli(capsys, "--command", command, "--input", json.dumps(doc))
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error"
+    assert rep["error"]["diagnostics"][0]["pointer"] == "/" + side
+
+
+def test_real_element_on_a_min_real_restricted_norm_job_passes(capsys):
+    doc = norm_doc(quantization={"kind": "min", "params": {"base": _REAL_L1}}, element=[[[1, 0], [-2, 0]]])
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", doc)
+    assert code == 0
+    assert json.loads(out)["cases"][0]["upper"] == pytest.approx(3.0, rel=1e-12)  # |1| + |-2|
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["norm", "pl"])
 def test_non_finite_element_is_input_error(capsys, command, bad):

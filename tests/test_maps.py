@@ -280,6 +280,23 @@ def test_linear_map_shape_validation():
         )
 
 
+def test_lb_norm_lower_rejects_real_restricted_sources_and_targets():
+    """The lb-norm searches sample complex elements, which a real-restricted
+    space would refuse; the map is rejected up front instead."""
+    real = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True))
+    H = Quantization.hilbert(2)
+    maps = [
+        LinearMap(np.array([[1.0], [-1.0]]), real, scalar()),
+        LinearMap(np.eye(2), H, real),
+        BilinearMap(np.ones((2, 2, 1)), real, H, scalar()),
+        BilinearMap(np.ones((2, 2, 2)), H, H, real),
+    ]
+    for phi in maps:
+        for closed in (True, False):
+            with pytest.raises(ValueError, match="real-restricted"):
+                lb_norm_lower(phi, budget=20, use_closed_forms=closed)
+
+
 def _lp_dual_formula(p, w, c, inner_dim):
     """Dual norm of c over lp(p, w, inner=hilbert(inner_dim)), or the scalar
     inner when inner_dim is 1: the point duals ||c_t||_2, combined by the

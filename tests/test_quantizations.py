@@ -307,6 +307,11 @@ def test_huge_elements_raise_no_runtime_warning():
     assert b.upper == pytest.approx(1e200 * ref_pl.upper, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("label", [np.int64(1), np.float64(0.5), np.int32(-3)])
+def test_make_rng_hashes_numpy_scalar_labels_by_their_value(label):
+    assert make_rng(0, "unfold", "left", label).random() == make_rng(0, "unfold", "left", label.item()).random()
+
+
 def test_real_mode_rejects_complex_elements():
     q = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True))
     with pytest.raises(ValueError):

@@ -75,6 +75,46 @@ def test_pl_representation_validates_and_reconstructs():
         PLRepresentation(((np.ones((1, 3)), u, v),), U, E, F, PairingMap())
 
 
+def _rep_parts(d):
+    """Hilbert(2) factors, u (d x 2), v (1 x 2) and their diamond U."""
+    rng = make_rng(63, "rep-errors", d)
+    u, v = random_complex(rng, d, 2), random_complex(rng, 1, 2)
+    return (*hilbert_pair(2), u, v, diamond_amp(u, v))
+
+
+@pytest.mark.parametrize("match, build", [
+    ("2-d matrix", lambda E, F, u, v, U: (((np.ones(1), u, v),), U)),
+    ("diamond lives in", lambda E, F, u, v, U: (((np.ones((1, 3)), u, v),), U)),
+    ("target has base dimension", lambda E, F, u, v, U: (((np.eye(1), u, v),), U[:, :3])),
+    ("target truncation", lambda E, F, u, v, U: (((np.ones((2, 1)), u, v),), U)),
+    ("factor spaces", lambda E, F, u, v, U: (((np.eye(1), np.ones((1, 3)), v),), U)),
+    ("does not reconstruct", lambda E, F, u, v, U: (((np.eye(1), u, v),), 2 * U)),
+])
+def test_pl_representation_rejects_each_malformed_input(match, build):
+    E, F, u, v, U = _rep_parts(1)
+    terms, target = build(E, F, u, v, U)
+    with pytest.raises(ValueError, match=match):
+        PLRepresentation(terms, target, E, F, PairingMap())
+
+
+@pytest.mark.parametrize("match, build", [
+    ("one support range per term", lambda u, v, U: (np.eye(2), ((u, v),), ((0, 2), (0, 0)), U)),
+    ("target base dimension", lambda u, v, U: (np.eye(2), ((u, v),), ((0, 2),), U[:, :3])),
+    ("common embedded truncations",
+     lambda u, v, U: (np.eye(2), ((u * [[1], [0]], v), (np.zeros((3, 2)), v)), ((0, 1), (1, 1)), U)),
+    ("outside the embedded truncation", lambda u, v, U: (np.eye(2), ((u, v),), ((1, 2),), U)),
+    ("overlap", lambda u, v, U: (np.eye(2), ((u * [[1], [0]], v), (u, v)), ((0, 1), (0, 2)), U)),
+    ("not supported on its block", lambda u, v, U: (np.eye(2), ((u, v),), ((0, 1),), U)),
+    ("block shape", lambda u, v, U: (np.eye(3), ((u, v),), ((0, 2),), U)),
+    ("does not reconstruct", lambda u, v, U: (np.eye(2), ((u, v),), ((0, 2),), 2 * U)),
+])
+def test_l_representation_rejects_each_malformed_input(match, build):
+    E, F, u, v, U = _rep_parts(2)
+    block, terms, supports, target = build(u, v, U)
+    with pytest.raises(ValueError, match=match):
+        LRepresentation(block, terms, supports, target, E, F, PairingMap())
+
+
 def test_l_representation_requires_disjoint_supports():
     E, F = hilbert_pair(2)
     rng = make_rng(62, "lrep")
@@ -353,17 +393,36 @@ def test_non_finite_entries_raise_value_error_anywhere(i, d, data):
 def test_non_finite_entries_of_real_restricted_elements_raise_the_non_finite_error(d, data):
     """Finiteness is checked before realness: a non-finite imaginary part of
     an otherwise real element is a non-finite entry, not a complex one."""
-    q = data.draw(st.sampled_from([
-        Quantization.min(BaseNorm.lp(1.0, dim=2, real=True)),
-        Quantization.max(BaseNorm.euclidean(3, real=True)),
-        Quantization.tensor_p(BaseNorm.lp(2.0, dim=2, real=True), Quantization.hilbert(2)),
-    ]))
+    q = Quantization.min(BaseNorm.lp(1.0, dim=2, real=True))
     U = make_rng(0, "non-finite-real", d).standard_normal((d, q.dim)).astype(complex)
     row, col = data.draw(st.integers(0, d - 1)), data.draw(st.integers(0, q.dim - 1))
     bad = data.draw(_NON_FINITE)
     U[row, col] = complex(U[row, col].real, bad) if data.draw(st.booleans()) else complex(bad, 0.0)
     with pytest.raises(ValueError, match="non-finite"):
         amp_norm(q, U, budget=20)
+
+
+def test_real_restricted_bases_construct_only_under_min_and_lp():
+    """The projective searches of max and tensor_p run on complex data, so a
+    real-restricted base or inner is rejected there and kept under min."""
+    real = BaseNorm.lp(1.0, dim=2, real=True)
+    for build in (
+        lambda: Quantization.max(BaseNorm.euclidean(3, real=True)),
+        lambda: Quantization.tensor_p(BaseNorm.lp(2.0, dim=2, real=True), Quantization.hilbert(2)),
+        lambda: Quantization.tensor_p(BaseNorm.euclidean(2), Quantization.min(real)),
+    ):
+        with pytest.raises(ValueError, match="real-restricted"):
+            build()
+    assert Quantization.lp(2.0, [1.0, 1.0], inner=Quantization.min(real)).real
+
+
+@pytest.mark.parametrize("fn", [pl_norm_bracket, l_norm_bracket, compare_pl_l])
+def test_brackets_reject_real_restricted_factors(fn):
+    E = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True))
+    U = np.array([[1.0, 2.0, 0.5, -1.0]])
+    for pair in ((E, Quantization.hilbert(2)), (Quantization.hilbert(2), E)):
+        with pytest.raises(ValueError, match="real-restricted"):
+            fn(*pair, U, budget=20)
 
 
 @pytest.mark.parametrize("i", range(13))
