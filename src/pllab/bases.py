@@ -32,6 +32,7 @@ __all__ = ["BaseNorm", "DualMax"]
 _REAL_TOL = 1e-12
 _SIGN_ENUM_LIMIT = 16
 _ASCENT_ITERS = 60  # iteration cap of the multi-start dual-ball ascents
+_TIE_RTOL = 1e-14  # ascent columns this close to the best value count as tied
 _PRIMAL_STARTS = 8  # starts of primal_ball_maximize
 
 
@@ -220,7 +221,8 @@ class BaseNorm:
         The multi-start ascents (weighted l1 polydisc, lq ball) run all starts
         as columns of one m x starts matrix; a column stops under the same rule
         as a lone start would (phases settled, or no gain above 1e-15), and the
-        first of the best columns is returned.
+        last column within 1e-14 relative of the best is returned
+        (_best_column).
         """
         A = np.asarray(A, dtype=complex)
         if A.shape[1] != self.dim:
@@ -293,7 +295,7 @@ class BaseNorm:
             if not live.size:
                 break
         vals = np.linalg.norm(B @ Z, axis=0)
-        k = int(np.argmax(vals))
+        k = _best_column(vals)
         best_val, best_z = float(vals[k]), Z[:, k]
         upper = min(
             float(np.sum(np.linalg.norm(B, axis=0))),
@@ -326,7 +328,7 @@ class BaseNorm:
             up = vn > vals[live] + 1e-15
             live = live[up]
             C[:, live], Y[:, live], vals[live] = Cn[:, up], Yn[:, up], vn[up]
-        k = int(np.argmax(vals))
+        k = _best_column(vals)
         best_val, best_c = float(vals[k]), C[:, k]
         if q <= 2.0:
             embed = float(np.max(wq ** (-1.0 / q)))
@@ -386,6 +388,19 @@ class BaseNorm:
         if kind == "polytope":
             return BaseNorm.polytope(matrix_from_json(d["vertices"]), real=real)
         raise ValueError(f"unknown base kind {kind!r}")
+
+
+def _best_column(vals: np.ndarray) -> int:
+    """Index of the last ascent column within _TIE_RTOL of the best value.
+
+    Columns that reach one optimum along different paths tie up to rounding
+    but stop at witnesses that differ well above it, so a plain argmax lets
+    rounding pick the witness, and with it every search that continues from
+    it: a rescaled element could move the l lower bound by 1e-11 relative.
+    The last tied column is the later start, in the l1 ascent the Gram
+    phases, which at two coordinates is already the optimum.
+    """
+    return int(np.flatnonzero(vals >= vals.max() * (1.0 - _TIE_RTOL))[-1])
 
 
 def _phases(z: np.ndarray) -> np.ndarray:

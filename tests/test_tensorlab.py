@@ -683,5 +683,17 @@ def test_bracket_properties_on_random_elements(i, d, data):
                 assert got[norm][key] == pytest.approx(s * ref[norm][key], rel=1e-12, abs=0)
 
 
+def test_l_lower_is_homogeneous_where_l1_ascent_columns_tie():
+    """At this element both columns of a weighted-l1 dual-ball ascent reach
+    one optimum, tied up to rounding; the tie must not let rounding pick
+    the witness that the functional-pair search continues from."""
+    E, F = _factor_pairs()[4]
+    U = np.array([[0, 0.5, 0, 0.5], [1, -1, 0.5, 0.5]]) + 0.5j
+    ref = l_norm_bracket(E, F, U, seed=0)
+    for s in (1e-3, 1e3):
+        got = l_norm_bracket(E, F, s * U, seed=0)
+        assert got.lower == pytest.approx(s * ref.lower, rel=1e-12, abs=0)
+
+
 if __name__ == "__main__":
     _record_bracket_pins([int(a) for a in sys.argv[1:]] or range(13))
