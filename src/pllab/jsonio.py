@@ -176,9 +176,10 @@ def load_document(source: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: {exc}") from exc
+        raise InputError(f"input is not valid JSON: {exc}", [{"pointer": "", "message": str(exc)}]) from exc
     if not isinstance(doc, dict):
-        raise InputError("input document must be a JSON object")
+        msg = "input document must be a JSON object"
+        raise InputError(msg, [{"pointer": "", "message": msg}])
     return doc
 
 
@@ -207,8 +208,15 @@ def _quantization_from(doc_part: dict, pointer: str) -> Quantization:
 
 
 def _element_from(doc: dict) -> np.ndarray:
-    """The element matrix of a validated document; entries and norm must be finite."""
-    U = matrix_from_json(doc["element"])
+    """The element matrix of a validated document; rows must have one length,
+    entries and norm must be finite."""
+    rows = doc["element"]
+    ragged = next((i for i, row in enumerate(rows) if len(row) != len(rows[0])), None)
+    if ragged is not None:
+        pointer = f"/element/{ragged}"
+        msg = f"row {ragged} has {len(rows[ragged])} entries, row 0 has {len(rows[0])}"
+        raise InputError(f"ragged element at {pointer}: {msg}", [{"pointer": pointer, "message": msg}])
+    U = matrix_from_json(rows)
     bad = np.argwhere(~np.isfinite(U))
     if bad.size:
         pointer = "/element/{}/{}".format(*bad[0])

@@ -184,60 +184,40 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
         val = float(np.linalg.norm(A @ f))
         return DualMax(val, np.inf, f, False)
     if q.kind == "concrete":
-        return _concrete_dual_maximize(q, A, rng, starts)
-    # tensor_p: elementary functionals phi (x) psi
-    return _tensor_p_dual_maximize(q, A, rng, starts)
-
-
-def _concrete_dual_maximize(q: Quantization, A, rng, starts) -> DualMax:
-    gens = np.stack(q.generators)  # (m, L, K)
-    L, K = gens.shape[1], gens.shape[2]
-    best_val, best_f = -1.0, None
-    for s in range(starts):
-        v = random_complex(rng, K)
-        v /= np.linalg.norm(v)
-        w = random_complex(rng, L)
-        w /= np.linalg.norm(w)
-        for _ in range(12):
-            # f_j = w^H T_j v; alternate SVD steps in v and conj(w)
-            P = np.einsum("l,mlk->mk", np.conj(w), gens)  # (m, K)
-            B = A @ P
-            _, _, vh = np.linalg.svd(B, full_matrices=False)
-            v = vh[0].conj()
-            Qm = np.einsum("mlk,k->ml", gens, v)  # (m, L): f = Qm^T-bar pairing with w
-            Bw = A @ np.conj(Qm)
-            _, _, wh = np.linalg.svd(Bw, full_matrices=False)
-            w = wh[0]  # conj handled below
-            w = np.conj(w)
-        f = np.einsum("l,mlk,k->m", np.conj(w), gens, v)
-        val = float(np.linalg.norm(A @ f))
-        if val > best_val:
-            best_val, best_f = val, f
-    return DualMax(best_val, np.inf, best_f, False)
-
-
-def _tensor_p_dual_maximize(q: Quantization, A, rng, starts) -> DualMax:
-    mE, mF = q.base.dim, q.inner.dim
-    T = A.reshape(A.shape[0], mE, mF)
-    best_val, best_f = -1.0, None
-    for s in range(starts):
-        psi_dm = underlying_dual_maximize(
-            q.inner, T.mean(axis=1) if s == 0 else random_complex(rng, A.shape[0], mF), rng, starts=2
-        )
-        psi = psi_dm.witness
-        phi = None
-        for _ in range(6):
-            Apsi = np.einsum("ijk,k->ij", T, psi)
-            dmE = q.base.dual_ball_maximize(Apsi, rng=rng, starts=2)
-            phi = dmE.witness
-            Aphi = np.einsum("ijk,j->ik", T, phi)
-            dmF = underlying_dual_maximize(q.inner, Aphi, rng, starts=2)
-            psi = dmF.witness
+        # the functionals w . T_m v over unit v and w span the dual ball
+        G = np.stack(q.generators)
+        _, w, v = _alternate(Quantization.hilbert(G.shape[1]), Quantization.hilbert(G.shape[2]),
+                             np.einsum("im,mlk->ilk", A, G), starts, rng)
+        f = np.einsum("l,mlk,k->m", w, G, v)
+    else:
+        # tensor_p: elementary functionals phi (x) psi
+        _, phi, psi = _alternate(Quantization.min(q.base), q.inner,
+                                 A.reshape(A.shape[0], q.base.dim, q.inner.dim), starts, rng)
         f = np.multiply.outer(phi, psi).ravel()
-        val = float(np.linalg.norm(A @ f))
-        if val > best_val:
-            best_val, best_f = val, f
-    return DualMax(best_val, np.inf, best_f, False)
+    return DualMax(float(np.linalg.norm(A @ f)), np.inf, f, False)
+
+
+def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng) -> tuple:
+    """(value, f, g): the best ||sum_jk T[:, j, k] f_j g_k||_2 found over f and
+    g in the dual unit balls of E's and F's underlying norms.
+
+    Start 0 takes g from T as a (d mE) x mF matrix, each later start from a
+    random max(2, d) x mF one; six rounds follow, each an f step then a g step.
+    """
+    d, mE, mF = T.shape
+    best, best_f, best_g = -1.0, None, None
+    for s in range(starts):
+        if s == 0:
+            g = underlying_dual_maximize(F, T.reshape(d * mE, mF), rng, starts=2).witness
+        else:
+            g = underlying_dual_maximize(F, random_complex(rng, max(2, d), mF), rng, starts=1).witness
+        for _ in range(6):
+            f = underlying_dual_maximize(E, np.einsum("ijk,k->ij", T, g), rng, starts=2).witness
+            g = underlying_dual_maximize(F, np.einsum("ijk,j->ik", T, f), rng, starts=2).witness
+        val = float(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)))
+        if val > best:
+            best, best_f, best_g = val, f, g
+    return best, best_f, best_g
 
 
 def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) -> list:
@@ -436,35 +416,22 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
         and r.source_right.kind == "hilbert"
         and r.target.kind == "hilbert"
     )
-    for s in range(starts):
-        d = 1 + s % 2
-        U = random_complex(rng, d, r.source_left.dim)
-        V = random_complex(rng, d, r.source_right.dim)
-        if all_hilbert:
-            U, V = _alternate_hilbert(r, U, V, rounds=8)
-            val = ratio(U, V)
-        else:
-            val, (U, V) = _ascend(ratio, [U, V], rng)
+    if all_hilbert:
+        _, f, g = _alternate(r.source_left, r.source_right, T.transpose(2, 0, 1), starts, rng)
+        pair = (f[None, :], g[None, :])
+        val = ratio(*pair)
         if val > best:
-            best, best_pair = val, (U, V)
+            best, best_pair = val, pair
+    else:
+        for s in range(starts):
+            d = 1 + s % 2
+            U = random_complex(rng, d, r.source_left.dim)
+            V = random_complex(rng, d, r.source_right.dim)
+            val, (U, V) = _ascend(ratio, [U, V], rng)
+            if val > best:
+                best, best_pair = val, (U, V)
     witness = {} if best_pair is None else {"u": best_pair[0], "v": best_pair[1]}
     return LbNormEstimate(best, False, "search/alternating", witness)
-
-
-def _alternate_hilbert(r: BilinearMap, U, V, rounds: int) -> tuple:
-    """Alternating SVD steps for Frobenius-normed sources and target."""
-    for _ in range(rounds):
-        # with V fixed, the Frobenius ratio is maximized by the top left
-        # singular vector of the matrix sending U-rows to image rows
-        M = np.einsum("kf,efg->ekg", V, r.tensor).reshape(r.source_left.dim, -1)
-        u_, s_, vh_ = np.linalg.svd(M, full_matrices=False)
-        x = u_[:, 0].conj()
-        U = x[None, :] * np.linalg.norm(U)
-        Mv = np.einsum("ie,efg->fig", U, r.tensor).reshape(r.source_right.dim, -1)
-        u2, s2, vh2 = np.linalg.svd(Mv, full_matrices=False)
-        y = u2[:, 0].conj()
-        V = y[None, :] * np.linalg.norm(V)
-    return U, V
 
 
 # -- certificates ---------------------------------------------------------------
@@ -513,7 +480,8 @@ class Certificate:
             W = U @ self.bilinear.linearized_matrix
             nv = amp_norm(self.target, W, budget=budget, rng=rng)
             return nv.lower / self.bound, {"certificate": self.name, "target_method": nv.method}
-        val, f, g = _functional_pair_lower(self.left, self.right, U, budget, rng)
+        T = U.reshape(U.shape[0], self.left.dim, self.right.dim)
+        val, f, g = _alternate(self.left, self.right, T, max(2, budget // 60), rng)
         return val / self.bound, {
             "certificate": self.name,
             "functional_left": f,
@@ -530,33 +498,6 @@ class Certificate:
         if self.bilinear is not None:
             out["bilinear"] = self.bilinear.to_dict()
         return out
-
-
-def _functional_pair_lower(E: Quantization, F: Quantization, U: np.ndarray, budget: int, rng):
-    """Best ||sum_jk f_j g_k U[:,(j,k)]||_2 over certified dual-ball pairs."""
-    mE, mF = E.dim, F.dim
-    T = U.reshape(U.shape[0], mE, mF)
-    rounds = 6
-    starts = max(2, budget // 60)
-    best, best_f, best_g = 0.0, None, None
-    for s in range(starts):
-        if s == 0:
-            # start from the euclidean proxy on the right slot
-            B = T.reshape(U.shape[0] * mE, mF)
-            g = underlying_dual_maximize(F, B, rng, starts=2).witness
-        else:
-            g = underlying_dual_maximize(
-                F, random_complex(rng, max(2, U.shape[0]), mF), rng, starts=1
-            ).witness
-        for _ in range(rounds):
-            Ag = np.einsum("ijk,k->ij", T, g)
-            f = underlying_dual_maximize(E, Ag, rng, starts=2).witness
-            Bf = np.einsum("ijk,j->ik", T, f)
-            g = underlying_dual_maximize(F, Bf, rng, starts=2).witness
-        val = float(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)))
-        if val > best:
-            best, best_f, best_g = val, f, g
-    return best, best_f, best_g
 
 
 def _identity_reindex_tensor(mE: int, mF: int) -> np.ndarray:

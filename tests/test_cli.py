@@ -86,6 +86,12 @@ def test_canonical_strips_numpy_types():
     assert out["d"] == [0.0, 1.0] and out["e"] == [0.1]
 
 
+def test_canonical_complex_scalars_and_non_finite_floats():
+    out = canonical([np.complex128(2.5), 1 - 2j, np.float64("nan"), float("inf"), np.float32("-inf")])
+    assert out == [2.5, [1.0, -2.0], "nan", "inf", "-inf"]
+    assert type(out[0]) is float
+
+
 def test_validate_document_reports_json_pointer():
     doc = {
         "schema_version": "1",
@@ -210,6 +216,39 @@ def test_dimension_mismatch_is_input_error(capsys):
     assert code == 3
     rep = json.loads(out)
     assert rep["error"]["diagnostics"][0]["pointer"] == "/element"
+
+
+def _input_error_pointer(capsys, command, doc):
+    code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error"
+    return rep["error"]["diagnostics"][0]["pointer"]
+
+
+def test_ragged_element_rows_point_at_the_first_row_of_another_length(capsys):
+    ragged = [[[1, 0], [0, 0]], [[0, 0], [1, 0]], [[1, 0]], [[1, 0]]]
+    assert _input_error_pointer(capsys, "norm", norm_doc(element=ragged)) == "/element/2"
+
+
+def test_a_document_that_is_not_an_object_points_at_the_whole_document(capsys, tmp_path):
+    path = tmp_path / "job.json"
+    path.write_text("[1]")
+    assert _input_error_pointer(capsys, "norm", str(path)) == ""
+
+
+def test_invalid_json_points_at_the_whole_document(capsys):
+    assert _input_error_pointer(capsys, "pl", '{"schema_version": ') == ""
+
+
+def test_declared_dim_that_disagrees_points_at_the_quantization(capsys):
+    doc = norm_doc(quantization={"kind": "min", "dim": 3, "params": {"base": {"kind": "euclidean", "dim": 2}}})
+    assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
+
+
+def test_pair_element_column_count_mismatch_points_at_the_element(capsys):
+    doc = pair_doc(element=[[[1, 0], [0, 0], [0, 0]]])  # 3 columns over 2 x 2 factors
+    assert _input_error_pointer(capsys, "compare", doc) == "/element"
 
 
 def test_complex_element_on_a_real_restricted_norm_job_is_input_error(capsys):

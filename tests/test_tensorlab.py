@@ -97,6 +97,23 @@ def test_pl_representation_rejects_each_malformed_input(match, build):
         PLRepresentation(terms, target, E, F, PairingMap())
 
 
+def test_empty_pl_representation_orthogonalizes_to_an_empty_l_representation():
+    E, F = hilbert_pair(2)
+    rep = PLRepresentation((), np.zeros((3, 4)), E, F, label="zero")
+    lrep = orthogonalize_representation(rep)
+    assert lrep.terms == () and lrep.block.shape == (3, 0)
+    assert lrep.label == "zero+orthogonalized"
+    assert rep.value() == 0.0 and lrep.value() == 0.0
+    assert lrep.residual() == 0.0
+
+
+@pytest.mark.parametrize("bracket", [pl_norm_bracket, l_norm_bracket, compare_pl_l])
+def test_brackets_reject_an_element_of_another_width(bracket):
+    E, F = hilbert_pair(2)
+    with pytest.raises(ValueError, match="base dimension 3, factors give 2\\*2"):
+        bracket(E, F, np.ones((1, 3)))
+
+
 @pytest.mark.parametrize("match, build", [
     ("one support range per term", lambda u, v, U: (np.eye(2), ((u, v),), ((0, 2), (0, 0)), U)),
     ("target base dimension", lambda u, v, U: (np.eye(2), ((u, v),), ((0, 2),), U[:, :3])),
@@ -579,8 +596,8 @@ _UNBALANCED_ROWS = [
     (4.176589671507163, 4.176589671507163, 4.155107603652271, 4.206132332207827),
     (5.848488096232464, 6.182560181993362, 5.848488096232464, 6.182560181993364),
     (9.4964934006931, 9.4964934006931, 3.413485859749294, 9.652253434613904),
-    (4.921853311072688, 10.240945755344335, 4.921853311072688, 11.166253993487546),
-    (9.648175661411658, 18.526838669188205, 9.648175661411658, 18.52683866918821),
+    (4.921853312034693, 10.240945755344335, 4.921853312034693, 11.166253993487546),
+    (11.288957427909528, 18.526838669188205, 11.288957427909528, 18.52683866918821),
 ]
 
 

@@ -20,8 +20,10 @@ at full precision, with no summarizing).  The records:
 * the ``verify_paper_suite(n_max=3)`` rows.
 
 ``compare`` lists the keys whose fingerprints differ, or that only one file
-has, and exits 1 when there are any.  Record a tree before a change and
-again after it; equal files mean every record is bit-identical.
+has, then counts them per group of the first two key segments (such as
+``pairs/11`` or ``bracket-batch/1``), and exits 1 when there are any.
+Record a tree before a change and again after it; equal files mean every
+record is bit-identical.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SEEDS = (1, 2)
@@ -115,6 +118,8 @@ def main(argv=None) -> int:
     for key in differ:
         print(key)
     print(f"{len(differ)} of {len(a.keys() | b.keys())} records differ")
+    for group, n in sorted(Counter("/".join(key.split("/")[:2]) for key in differ).items()):
+        print(f"{n:6d}  {group}")
     return 1 if differ else 0
 
 
