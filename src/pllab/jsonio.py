@@ -1,12 +1,12 @@
-"""JSON and CSV front end of the command line: schemas, parsing, rendering.
+"""JSON and CSV front end of the command line: input checks, parsing, rendering.
 
 Input documents and reports use the wire format of :mod:`pllab.wire`
 (complex numbers as ``[re, im]`` pairs, row-major matrices, ``p = inf`` as
-a string); this module re-exports its codecs.  Input is checked against a
-JSON schema, and element entries, weights, generators and vertices must be
-finite; a malformed document raises InputError with JSON-pointer
-diagnostics.  Rendering is canonical so that identical jobs produce
-byte-identical reports.
+a string); this module re-exports its codecs.  One walk over an input
+document checks its structure, then element entries, weights, generators
+and vertices must be finite; a malformed document raises InputError with
+JSON-pointer diagnostics.  Rendering is canonical so that identical jobs
+produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import csv
 import io
 import json
 
-import jsonschema
 import numpy as np
 
 from . import wire
@@ -43,11 +42,12 @@ SCHEMA_VERSION = "1"
 
 
 class InputError(ValueError):
-    """Malformed input document; carries JSON-pointer diagnostics."""
+    """Malformed input document; carries JSON-pointer diagnostics, by default
+    one for the whole document (pointer "")."""
 
     def __init__(self, message: str, diagnostics=None):
         super().__init__(message)
-        self.diagnostics = list(diagnostics or [])
+        self.diagnostics = list(diagnostics or [{"pointer": "", "message": message}])
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -58,110 +58,114 @@ def matrix_from_json(rows) -> np.ndarray:
 
 
 # -- input documents --------------------------------------------------------
+#
+# One walk checks a document's structure.  It reports the errors, messages
+# and order of a JSON Schema (draft 2020-12) validator of the format, sorted
+# by path with the document itself at pointer "".  As in JSON Schema,
+# booleans are no numbers, 2.0 is an integer, and NaN and inf are numbers
+# that pass every bound; the finiteness checks come after the walk.
 
-_PNUM = {"anyOf": [{"type": "number", "minimum": 1}, {"const": p_to_json(np.inf)}]}
 
-_DEFS = {
-    "complexnum": {
-        "type": "array",
-        "items": {"type": "number"},
-        "minItems": 2,
-        "maxItems": 2,
-    },
-    "matrix": {
-        "type": "array",
-        "minItems": 1,
-        "items": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"$ref": "#/$defs/complexnum"},
-        },
-    },
-    "base": {
-        "type": "object",
-        "required": ["kind", "dim"],
-        "properties": {
-            "kind": {"enum": ["euclidean", "lp", "polytope"]},
-            "dim": {"type": "integer", "minimum": 1},
-            "p": _PNUM,
-            "weights": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-            "vertices": {"$ref": "#/$defs/matrix"},
-            "real": {"type": "boolean"},
-        },
-        "additionalProperties": False,
-    },
-    "quantization": {
-        "type": "object",
-        "required": ["kind"],
-        "properties": {
-            "kind": {
-                "enum": ["min", "max", "hilbert", "lp", "concrete", "tensor_p"]
-            },
-            "dim": {"type": "integer", "minimum": 0},
-            "params": {
-                "type": "object",
-                "properties": {
-                    "base": {"$ref": "#/$defs/base"},
-                    "p": _PNUM,
-                    "weights": {
-                        "type": "array",
-                        "items": {"type": "number", "exclusiveMinimum": 0},
-                        "minItems": 1,
-                    },
-                    "generators": {
-                        "type": "array",
-                        "items": {"$ref": "#/$defs/matrix"},
-                        "minItems": 1,
-                    },
-                },
-                "additionalProperties": False,
-            },
-            "inner": {"$ref": "#/$defs/quantization"},
-        },
-        "additionalProperties": False,
-    },
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _typed(errs, x, path, name) -> bool:
+    """Whether x has the JSON type name; records the error when not."""
+    if name in _TYPES:
+        ok = isinstance(x, _TYPES[name])
+    else:
+        ok = _is_number(x) and (name == "number" or isinstance(x, int) or x.is_integer())
+    if not ok:
+        errs.append((path, f"{x!r} is not of type {name!r}"))
+    return ok
+
+
+# Each check below is a function (errs, x, path) that appends the
+# (path, message) of every error in x.
+
+
+def _of_type(name):
+    return lambda errs, x, path: _typed(errs, x, path, name)
+
+
+def _number(name="number", minimum=None, exclusive=False):
+    def check(errs, x, path):
+        _typed(errs, x, path, name)
+        if minimum is not None and _is_number(x) and (x <= minimum if exclusive else x < minimum):
+            errs.append((path, f"{x!r} is less than {'or equal to ' * exclusive}the minimum of {minimum!r}"))
+    return check
+
+
+def _p(errs, x, path):
+    """p is a number >= 1 (NaN passes the bound) or the string "inf"."""
+    if not (_is_number(x) and not x < 1) and x != p_to_json(np.inf):
+        errs.append((path, f"{x!r} is not valid under any of the given schemas"))
+
+
+def _one_of(*values):
+    def check(errs, x, path):
+        if x not in values:
+            one = len(values) == 1
+            errs.append((path, f"{values[0]!r} was expected" if one else f"{x!r} is not one of {list(values)!r}"))
+    return check
+
+
+def _array(item, min_items=1, max_items=None):
+    def check(errs, x, path):
+        if not _typed(errs, x, path, "array"):
+            return
+        if len(x) < min_items:
+            errs.append((path, f"{x!r} " + ("should be non-empty" if min_items == 1 else "is too short")))
+        if max_items is not None and len(x) > max_items:
+            errs.append((path, f"{x!r} is too long"))
+        for i, v in enumerate(x):
+            item(errs, v, (*path, i))
+    return check
+
+
+def _object(required, properties):
+    def check(errs, x, path):
+        if not _typed(errs, x, path, "object"):
+            return
+        errs.extend((path, f"{key!r} is a required property") for key in required if key not in x)
+        for key, item in properties.items():
+            if key in x:
+                item(errs, x[key], (*path, key))
+        extras = sorted((key for key in x if key not in properties), key=str)
+        if extras:
+            listed = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
+            errs.append((path, f"Additional properties are not allowed ({listed} unexpected)"))
+    return check
+
+
+_MATRIX = _array(_array(_array(_number(), 2, 2)))
+_WEIGHTS = _array(_number(minimum=0, exclusive=True))
+_BASE = _object(["kind", "dim"], {
+    "kind": _one_of("euclidean", "lp", "polytope"),
+    "dim": _number("integer", minimum=1),
+    "p": _p,
+    "weights": _WEIGHTS,
+    "vertices": _MATRIX,
+    "real": _of_type("boolean"),
+})
+_QUANTIZATION_KEYS = {
+    "kind": _one_of("min", "max", "hilbert", "lp", "concrete", "tensor_p"),
+    "dim": _number("integer", minimum=0),
+    "params": _object([], {"base": _BASE, "p": _p, "weights": _WEIGHTS, "generators": _array(_MATRIX)}),
 }
-
-_NORM_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$defs": _DEFS,
-    "type": "object",
-    "required": ["schema_version", "quantization", "element"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "quantization": {"$ref": "#/$defs/quantization"},
-        "element": {"$ref": "#/$defs/matrix"},
-        "label": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-_PAIR_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "$defs": _DEFS,
-    "type": "object",
-    "required": ["schema_version", "left", "right", "element"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "left": {"$ref": "#/$defs/quantization"},
-        "right": {"$ref": "#/$defs/quantization"},
-        "element": {"$ref": "#/$defs/matrix"},
-        "pairing": {"enum": ["row-major", "column-major"]},
-        "label": {"type": "string"},
-    },
-    "additionalProperties": False,
-}
-
-_SCHEMAS = {
-    "norm": _NORM_SCHEMA,
-    "pl": _PAIR_SCHEMA,
-    "l": _PAIR_SCHEMA,
-    "compare": _PAIR_SCHEMA,
-}
+_QUANTIZATION = _object(["kind"], _QUANTIZATION_KEYS)
+_QUANTIZATION_KEYS["inner"] = _QUANTIZATION
+_DOCUMENT_KEYS = {"schema_version": _one_of(SCHEMA_VERSION), "element": _MATRIX, "label": _of_type("string")}
+_NORM = _object(["schema_version", "quantization", "element"], {**_DOCUMENT_KEYS, "quantization": _QUANTIZATION})
+_PAIR = _object(["schema_version", "left", "right", "element"], {
+    **_DOCUMENT_KEYS, "left": _QUANTIZATION, "right": _QUANTIZATION,
+    "pairing": _one_of("row-major", "column-major"),
+})
+_DOCUMENTS = {"norm": _NORM, "pl": _PAIR, "l": _PAIR, "compare": _PAIR}
 
 
 def load_document(source: str) -> dict:
@@ -178,25 +182,19 @@ def load_document(source: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}", [{"pointer": "", "message": str(exc)}]) from exc
     if not isinstance(doc, dict):
-        msg = "input document must be a JSON object"
-        raise InputError(msg, [{"pointer": "", "message": msg}])
+        raise InputError("input document must be a JSON object")
     return doc
 
 
 def validate_document(doc: dict, command: str) -> None:
-    """Validate against the command's schema; raise with JSON pointers on failure."""
-    validator = jsonschema.Draft202012Validator(_SCHEMAS[command])
-    diags = []
-    for err in sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path)):
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        diags.append({"pointer": pointer, "message": err.message})
+    """Check the command's document structure; raise with JSON pointers on failure."""
+    errs = []
+    _DOCUMENTS[command](errs, doc, ())
+    errs.sort(key=lambda e: e[0])
+    diags = [{"pointer": "".join(f"/{key}" for key in path), "message": msg} for path, msg in errs]
     if diags:
-        first = diags[0]
-        raise InputError(
-            f"input does not match the {command} schema at {first['pointer']}: "
-            f"{first['message']}",
-            diags,
-        )
+        where, msg = diags[0]["pointer"] or "the document root", diags[0]["message"]
+        raise InputError(f"input does not match the {command} schema at {where}: {msg}", diags)
 
 
 def _quantization_from(doc_part: dict, pointer: str) -> Quantization:

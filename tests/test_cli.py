@@ -114,8 +114,10 @@ def test_load_document_inline_and_file(tmp_path):
     p = tmp_path / "job.json"
     p.write_text('{"schema_version": "1"}')
     assert load_document(str(p)) == inline
-    with pytest.raises(InputError):
+    with pytest.raises(InputError) as info:
         load_document(str(tmp_path / "absent.json"))
+    assert [d["pointer"] for d in info.value.diagnostics] == [""]  # the whole document
+    assert "cannot read input file" in info.value.diagnostics[0]["message"]
     with pytest.raises(InputError):
         load_document("{broken")
     with pytest.raises(InputError):
@@ -239,6 +241,28 @@ def test_a_document_that_is_not_an_object_points_at_the_whole_document(capsys, t
 
 def test_invalid_json_points_at_the_whole_document(capsys):
     assert _input_error_pointer(capsys, "pl", '{"schema_version": ') == ""
+
+
+@pytest.mark.parametrize("command", ["norm", "pl"])
+def test_missing_required_key_points_at_the_whole_document(capsys, command):
+    doc = json.loads(norm_doc() if command == "norm" else pair_doc())
+    del doc["element"]
+    code, out, _ = run_cli(capsys, "--command", command, "--input", json.dumps(doc))
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["diagnostics"] == [{"pointer": "", "message": "'element' is a required property"}]
+    assert error["message"] == (
+        f"input does not match the {command} schema at the document root: 'element' is a required property"
+    )
+
+
+@pytest.mark.parametrize("command", ["norm", "compare"])
+def test_unknown_top_level_key_points_at_the_whole_document(capsys, command):
+    doc = norm_doc(extra=1) if command == "norm" else pair_doc(extra=1)
+    code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
+    assert code == 3
+    diagnostics = json.loads(out)["error"]["diagnostics"]
+    assert diagnostics == [{"pointer": "", "message": "Additional properties are not allowed ('extra' was unexpected)"}]
 
 
 def test_declared_dim_that_disagrees_points_at_the_quantization(capsys):
@@ -401,8 +425,13 @@ def test_element_of_huge_magnitude_leaves_stderr_quiet():
 
 
 def test_missing_input_is_input_error(capsys):
-    code, out, _ = run_cli(capsys, "--command", "pl")
-    assert code == 3
+    """A document command without --input exits 3, pointing at the whole
+    document."""
+    for command in ("norm", "pl", "l", "compare"):
+        code, out, _ = run_cli(capsys, "--command", command)
+        assert code == 3
+        diagnostics = json.loads(out)["error"]["diagnostics"]
+        assert diagnostics == [{"pointer": "", "message": f"--command {command} requires --input"}]
 
 
 def test_violation_exit_code_and_repro(capsys, monkeypatch):

@@ -1,13 +1,21 @@
-"""Every import in src/pllab is used, and so is every module-level private
-name: stdlib-ast checks, no linter needed."""
+"""Every import in src/pllab is used and comes from the standard library,
+the package or a declared dependency, and every module-level private name
+is used: stdlib-ast checks, no linter needed."""
 
 import ast
+import os
 import pathlib
+import re
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "pllab"
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pllab"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -118,3 +126,54 @@ def test_the_check_sees_a_dead_private_name():
     )
     b = ast.parse("from a import _helper\n")
     assert _dead_private_names({"a.py": a, "b.py": b}) == [("a.py", "_SPARE"), ("a.py", "_recursive")]
+
+
+def _dependencies() -> set:
+    """Import names of the runtime dependencies in pyproject.toml."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().replace("-", "_") for dep in project["dependencies"]}
+
+
+def _foreign_imports(tree, allowed: set) -> list:
+    """Top-level package of each absolute import that is neither standard
+    library nor in allowed."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    tops = (name.split(".")[0] for name in names)
+    return [top for top in tops if top not in sys.stdlib_module_names and top not in allowed]
+
+
+def test_runtime_dependencies_are_numpy_only():
+    assert _dependencies() == {"numpy"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_are_stdlib_relative_or_declared(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _foreign_imports(tree, _dependencies()) == []
+
+
+def test_the_check_sees_an_undeclared_import():
+    tree = ast.parse("import json\nimport numpy as np\nfrom . import wire\nimport jsonschema.validators\n")
+    assert _foreign_imports(tree, {"numpy"}) == ["jsonschema"]
+
+
+def test_the_cli_loads_no_third_party_module_beyond_numpy():
+    """Importing pllab.cli in a fresh interpreter loads numpy and standard
+    library modules only; in particular jsonschema stays out."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import pllab.cli\n"
+        "tops = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+        "print(sorted(t for t in tops if t not in sys.stdlib_module_names))\n"
+        "print('jsonschema' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["['numpy', 'pllab']", "False"]
