@@ -2,13 +2,14 @@
 
 Exit codes: 0 all checks pass, 1 at least one certified violation or failed
 case, 2 brackets left open beyond tolerance but nothing failed, 3 malformed
-input.  Reports are byte-identical for identical jobs; wall-clock timing
-goes to stderr so it never perturbs the report.
+input or a bad command line.  Reports are byte-identical for identical jobs;
+wall-clock timing goes to stderr so it never perturbs the report.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import shlex
 import sys
 import time
@@ -37,8 +38,17 @@ EXIT_GAP = 2
 EXIT_INPUT = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InputError (exit 3); argparse would exit 2, the gap
+    code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pllab",
         description="Certified bracket evaluation of quantized and tensor norms.",
     )
@@ -55,6 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--trials", type=int, default=1000, help="properties: trials per sweep")
     ap.add_argument("--version", action="version", version=f"pllab {__version__}")
     return ap
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    bad = []
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        bad.append(f"--tolerance must be a finite number >= 0, got {args.tolerance}")
+    for flag, value, least in (
+        ("--budget", args.budget, 0),
+        ("--seed", args.seed, 0),
+        ("--n-max", args.n_max, 1),
+        ("--trials", args.trials, 1),
+    ):
+        if value < least:
+            bad.append(f"{flag} must be an integer >= {least}, got {value}")
+    if bad:
+        raise InputError("; ".join(bad), [{"pointer": "", "message": m} for m in bad])
 
 
 def _repro(args: argparse.Namespace) -> str:
@@ -151,6 +177,7 @@ def _compare_cases(args) -> list:
 
 def run_job(args: argparse.Namespace) -> tuple:
     """Execute one job; returns (report dict, exit code)."""
+    _check_flags(args)
     if args.command in ("norm", "pl", "l", "compare") and not args.input:
         raise InputError(f"--command {args.command} requires --input")
     if args.command == "norm":
@@ -206,7 +233,7 @@ def run_job(args: argparse.Namespace) -> tuple:
     return report, code
 
 
-def _error_report(command: str, exc: InputError) -> dict:
+def _error_report(command: str | None, exc: InputError) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
@@ -216,13 +243,14 @@ def _error_report(command: str, exc: InputError) -> dict:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     t0 = time.monotonic()
+    args = None
     try:
+        args = build_parser().parse_args(argv)
         report, code = run_job(args)
     except InputError as exc:
-        sys.stdout.write(render_json(_error_report(args.command, exc)))
+        # the command is null when the command line itself did not parse
+        sys.stdout.write(render_json(_error_report(getattr(args, "command", None), exc)))
         return EXIT_INPUT
     if args.format == "csv":
         sys.stdout.write(render_csv(report["cases"]))

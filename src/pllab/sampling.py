@@ -25,11 +25,39 @@ def make_rng(seed: int, *stream) -> np.random.Generator:
     Stream labels are hashed with crc32 of their repr, not the builtin hash,
     so the generator sequence is identical across interpreter runs; a numpy
     scalar label hashes as the Python value it holds, so np.int64(1) and 1
-    name the same stream.
+    name the same stream.  The seed must be a non-negative integer and enters
+    the entropy whole.  The generator is built on its first attribute access
+    (see _Deferred), and then draws exactly what
+    np.random.default_rng(entropy) draws.
     """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     labels = (s.item() if isinstance(s, np.generic) else s for s in stream)
-    entropy = [int(seed) & 0xFFFFFFFF] + [zlib.crc32(repr(s).encode()) for s in labels]
-    return np.random.default_rng(entropy)
+    return _Deferred([seed] + [zlib.crc32(repr(s).encode()) for s in labels])
+
+
+class _Deferred:
+    """np.random.default_rng(entropy), built on its first attribute access.
+
+    Many callers take a generator and never draw from it (the exact kinds of
+    amp_norm, the closed forms), and building one costs more than an exact
+    evaluation.  Every attribute read through the stand-in is kept on it, so
+    later reads are plain instance lookups.  Dunder names are not delegated,
+    so copying and pickling see an ordinary object.
+    """
+
+    def __init__(self, entropy: list):
+        self._entropy = entropy
+
+    def __getattr__(self, name):
+        if name.startswith("__"):
+            raise AttributeError(name)
+        d = self.__dict__
+        if "_gen" not in d:
+            d["_gen"] = np.random.default_rng(d["_entropy"])
+        value = d[name] = getattr(d["_gen"], name)
+        return value
 
 
 def random_complex(rng, *shape, real: bool = False) -> np.ndarray:

@@ -434,6 +434,83 @@ def test_missing_input_is_input_error(capsys):
         assert diagnostics == [{"pointer": "", "message": f"--command {command} requires --input"}]
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--command", "norm", "--tolerance", "nan"], "--tolerance"),
+        (["--command", "norm", "--tolerance", "inf"], "--tolerance"),
+        (["--command", "norm", "--tolerance", "-0.001"], "--tolerance"),
+        (["--command", "pl", "--budget", "-1"], "--budget"),
+        (["--command", "l", "--seed", "-1"], "--seed"),
+        (["--command", "verify-paper", "--n-max", "0"], "--n-max"),
+        (["--command", "properties", "--trials", "0"], "--trials"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_a_flag_out_of_range_is_input_error(capsys, argv, flag):
+    """Flags are checked before any work: exit 3 and a diagnostic naming the flag."""
+    if argv[1] in ("norm", "pl", "l"):
+        argv = argv + ["--input", norm_doc() if argv[1] == "norm" else pair_doc()]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error" and rep["command"] == argv[1]
+    [diagnostic] = rep["error"]["diagnostics"]
+    assert diagnostic["pointer"] == "" and diagnostic["message"].startswith(flag + " must be")
+
+
+def test_every_bad_flag_gets_a_diagnostic(capsys):
+    code, out, _ = run_cli(capsys, "--command", "verify-paper", "--seed", "-2", "--budget", "-3")
+    assert code == 3
+    messages = [d["message"] for d in json.loads(out)["error"]["diagnostics"]]
+    assert [m.split()[0] for m in messages] == ["--budget", "--seed"]
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--command", "nope"], "--command"),
+        (["--command", "norm", "--budget", "x"], "--budget"),
+        (["--command", "norm", "--format", "xml"], "--format"),
+        (["--budget", "10"], "--command"),
+        (["--command", "norm", "--frobnicate"], "--frobnicate"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else v,
+)
+def test_a_usage_error_is_input_error_not_the_gap_code(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    rep = json.loads(out)
+    assert rep["outcome"] == "input-error" and rep["command"] is None
+    assert flag in rep["error"]["diagnostics"][0]["message"]
+    assert err.startswith("usage: pllab")
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as info:
+        cli.main([flag])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pllab" if flag == "--help" else "pllab ")
+
+
+def test_a_nan_tolerance_cannot_pass_an_open_bracket(capsys):
+    """The gap test compares against the tolerance, and every comparison with
+    NaN is false; the flag check keeps NaN out."""
+    U = random_complex(make_rng(1, "gapcase"), 2, 4)
+    doc = pair_doc(element=[[complex_to_json(z) for z in row] for row in U])
+    args = ("--command", "pl", "--input", doc, "--budget", "60")
+    assert run_cli(capsys, *args)[0] == 2
+    code, out, _ = run_cli(capsys, *args, "--tolerance", "nan")
+    assert code == 3 and json.loads(out)["outcome"] == "input-error"
+
+
+def test_a_seed_beyond_32_bits_is_its_own_stream(capsys):
+    args = ("--command", "verify-paper", "--n-max", "2", "--budget", "60")
+    low, high = (json.loads(run_cli(capsys, *args, "--seed", str(s))[1])["cases"] for s in (0, 2**32))
+    assert low != high
+
+
 def test_violation_exit_code_and_repro(capsys, monkeypatch):
     """A failed case exits 1 and carries a reproduction command line."""
 
