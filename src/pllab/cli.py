@@ -99,20 +99,7 @@ def _has_gap(lower: float, upper: float, tolerance: float) -> bool:
     return (upper - lower) > tolerance * max(1.0, abs(upper))
 
 
-def _bracket_row(case: str, b, tolerance: float) -> dict:
-    return {
-        "case": case,
-        "passed": True,
-        "lower": b.lower,
-        "upper": b.upper,
-        "gap": _has_gap(b.lower, b.upper, tolerance),
-        "certificate": b.lower_witness.get("certificate"),
-        "family": b.upper_witness.label,
-    }
-
-
-def _norm_cases(args) -> list:
-    doc = load_document(args.input)
+def _norm_cases(args, doc: dict) -> list:
     q, U, label = parse_norm_job(doc)
     nv = amp_norm(q, U, budget=args.budget, seed=args.seed)
     return [
@@ -128,16 +115,16 @@ def _norm_cases(args) -> list:
     ]
 
 
-def _pair_cases(args) -> list:
-    doc = load_document(args.input)
+def _pair_cases(args, doc: dict) -> list:
     E, F, U, pairing, label = parse_pair_job(doc, args.command)
     fn = pl_norm_bracket if args.command == "pl" else l_norm_bracket
     b = fn(E, F, U, budget=args.budget, seed=args.seed, pairing=pairing)
-    return [_bracket_row(label or args.command, b, args.tolerance)]
+    return [{"case": label or args.command, "passed": True, "lower": b.lower, "upper": b.upper,
+             "gap": _has_gap(b.lower, b.upper, args.tolerance),
+             "certificate": b.lower_witness.get("certificate"), "family": b.upper_witness.label}]
 
 
-def _compare_cases(args) -> list:
-    doc = load_document(args.input)
+def _compare_cases(args, doc: dict) -> list:
     E, F, U, pairing, label = parse_pair_job(doc, "compare")
     prefix = f"{label}/" if label else ""
     try:
@@ -175,17 +162,18 @@ def _compare_cases(args) -> list:
     return rows
 
 
+# command -> the cases of its input document
+_DOCUMENT_JOBS = {"norm": _norm_cases, "pl": _pair_cases, "l": _pair_cases, "compare": _compare_cases}
+
+
 def run_job(args: argparse.Namespace) -> tuple:
     """Execute one job; returns (report dict, exit code)."""
     _check_flags(args)
-    if args.command in ("norm", "pl", "l", "compare") and not args.input:
-        raise InputError(f"--command {args.command} requires --input")
-    if args.command == "norm":
-        cases = _norm_cases(args)
-    elif args.command in ("pl", "l"):
-        cases = _pair_cases(args)
-    elif args.command == "compare":
-        cases = _compare_cases(args)
+    job = _DOCUMENT_JOBS.get(args.command)
+    if job is not None:
+        if not args.input:
+            raise InputError(f"--command {args.command} requires --input")
+        cases = job(args, load_document(args.input))
     elif args.command == "verify-paper":
         cases = verify_paper_suite(
             n_max=args.n_max, budget=args.budget, seed=args.seed, tolerance=args.tolerance

@@ -17,10 +17,9 @@ import json
 
 import numpy as np
 
-from . import wire
 from .hilbert import PairingMap, frobenius_norm
 from .quantizations import Quantization
-from .wire import canonical, complex_from_json, complex_to_json, matrix_to_json, p_to_json
+from .wire import canonical, complex_from_json, complex_to_json, matrix_from_json, matrix_to_json, p_to_json
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -50,11 +49,9 @@ class InputError(ValueError):
         self.diagnostics = list(diagnostics or [{"pointer": "", "message": message}])
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    try:
-        return wire.matrix_from_json(rows)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"element is not a [re, im] matrix: {exc}") from exc
+def _error(pointer: str, message: str, summary: str = None) -> InputError:
+    """InputError with one diagnostic; its message is summary, else message."""
+    return InputError(summary or message, [{"pointer": pointer, "message": message}])
 
 
 # -- input documents --------------------------------------------------------
@@ -180,7 +177,7 @@ def load_document(source: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"input is not valid JSON: {exc}", [{"pointer": "", "message": str(exc)}]) from exc
+        raise _error("", str(exc), f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     return doc
@@ -201,8 +198,7 @@ def _quantization_from(doc_part: dict, pointer: str) -> Quantization:
     try:
         return Quantization.from_dict(doc_part)
     except (KeyError, ValueError, TypeError) as exc:
-        diag = [{"pointer": pointer, "message": str(exc)}]
-        raise InputError(f"bad quantization at {pointer}: {exc}", diag) from exc
+        raise _error(pointer, str(exc), f"bad quantization at {pointer}: {exc}") from exc
 
 
 def _element_from(doc: dict) -> np.ndarray:
@@ -213,19 +209,16 @@ def _element_from(doc: dict) -> np.ndarray:
     if ragged is not None:
         pointer = f"/element/{ragged}"
         msg = f"row {ragged} has {len(rows[ragged])} entries, row 0 has {len(rows[0])}"
-        raise InputError(f"ragged element at {pointer}: {msg}", [{"pointer": pointer, "message": msg}])
+        raise _error(pointer, msg, f"ragged element at {pointer}: {msg}")
     U = matrix_from_json(rows)
     bad = np.argwhere(~np.isfinite(U))
     if bad.size:
         pointer = "/element/{}/{}".format(*bad[0])
-        raise InputError(
-            f"non-finite entry at {pointer}",
-            [{"pointer": pointer, "message": "entries must be finite numbers"}],
-        )
+        raise _error(pointer, "entries must be finite numbers", f"non-finite entry at {pointer}")
     try:
         frobenius_norm(U)
     except ValueError as exc:
-        raise InputError(str(exc), [{"pointer": "/element", "message": str(exc)}]) from exc
+        raise _error("/element", str(exc)) from exc
     return U
 
 
@@ -237,7 +230,7 @@ def parse_norm_job(doc: dict):
     try:
         q.check_element(U)
     except ValueError as exc:
-        raise InputError(str(exc), [{"pointer": "/element", "message": str(exc)}]) from exc
+        raise _error("/element", str(exc)) from exc
     return q, U, doc.get("label", "")
 
 
@@ -249,14 +242,11 @@ def parse_pair_job(doc: dict, command: str):
     for q, pointer in ((E, "/left"), (F, "/right")):
         if q.real:
             msg = "the pl and l brackets do not take real-restricted factors"
-            raise InputError(f"bad quantization at {pointer}: {msg}", [{"pointer": pointer, "message": msg}])
+            raise _error(pointer, msg, f"bad quantization at {pointer}: {msg}")
     U = _element_from(doc)
     if U.shape[1] != E.dim * F.dim:
-        raise InputError(
-            f"element has {U.shape[1]} columns, expected dim(left)*dim(right)"
-            f" = {E.dim * F.dim}",
-            [{"pointer": "/element", "message": "column count must equal the product of the dims"}],
-        )
+        raise _error("/element", "column count must equal the product of the dims",
+                     f"element has {U.shape[1]} columns, expected dim(left)*dim(right) = {E.dim * F.dim}")
     pairing = PairingMap(doc.get("pairing", "row-major"))
     return E, F, U, pairing, doc.get("label", "")
 

@@ -540,7 +540,7 @@ def builtin_certificates(E: Quantization, F: Quantization) -> list:
         add("coordinate-multiplication-l2",
             "coordinatewise multiplication of Frobenius-quantized l2 factors into l2",
             diag, Quantization.hilbert(n), "coordinatewise multiplication into l2")
-    hilbert_like = lambda q: q.kind == "hilbert" or q.is_min_euclidean()
+    hilbert_like = lambda q: q.kind == "hilbert" or (q.kind == "min" and q.base.kind == "euclidean")
     if hilbert_like(E) and hilbert_like(F):
         add("hilbert-tensor-embedding",
             "canonical bilinear map into the injectively quantized Hilbert tensor product",

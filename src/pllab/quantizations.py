@@ -159,9 +159,6 @@ class Quantization:
             return len(self.generators)
         return self.base.dim * self.inner.dim
 
-    def is_min_euclidean(self) -> bool:
-        return self.kind == "min" and self.base.kind == "euclidean"
-
     @property
     def real(self) -> bool:  # a real-restricted min base here or in an lp inner
         return (self.base is not None and self.base.real) or (self.inner is not None and self.inner.real)

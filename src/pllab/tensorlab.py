@@ -32,10 +32,10 @@ from typing import Optional
 import numpy as np
 
 from .bases import BaseNorm
-from .hilbert import PairingMap, coeffs_of, diamond_amp, frobenius_norm, op_norm
-from .maps import builtin_certificates
+from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm
+from .maps import _underlying_base, builtin_certificates
 from .projective import RECON_TOL
-from .quantizations import Quantization, amp_norm, point_base, tensor_p_bracket
+from .quantizations import Quantization, amp_norm, tensor_p_bracket
 from .sampling import make_rng
 from .wire import canonical, matrix_to_json
 
@@ -51,11 +51,7 @@ __all__ = [
 
 def _as_term(term) -> tuple:
     block, left, right = term
-    block = np.asarray(block, dtype=complex)
-    left = coeffs_of(left)
-    right = coeffs_of(right)
-    if block.ndim != 2:
-        raise ValueError("term block must be a 2-d matrix")
+    block, left, right = block_of(block), coeffs_of(left), coeffs_of(right)
     if block.shape[1] != left.shape[0] * right.shape[0]:
         raise ValueError(
             f"block acts on a {block.shape[1]}-truncation but the diamond lives in "
@@ -64,8 +60,40 @@ def _as_term(term) -> tuple:
     return block, left, right
 
 
+def _pair_norms(E: Quantization, F: Quantization, u, v, budget: int, rng) -> tuple:
+    """(||u||_E, ||v||_F) of a factor pair: u valued first, then v, both from rng."""
+    return amp_norm(E, u, budget=budget, rng=rng).value, amp_norm(F, v, budget=budget, rng=rng).value
+
+
+class _Representation:
+    """What the pl and l representations share: the reconstruction check,
+    residual, the valuation of their factor pairs and the to_dict header.
+    A subclass's _kind ("pl" or "l") heads to_dict and names its term streams."""
+
+    def _validated(self, **fields) -> None:
+        """Store the normalized fields, then check that they rebuild the target."""
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        res = self.residual()
+        if res > RECON_TOL:
+            raise ValueError(f"representation does not reconstruct its target (residual {res:.2e})")
+
+    def residual(self) -> float:
+        scale = frobenius_norm(self.target) or 1.0
+        return frobenius_norm(self.reconstruct() - self.target) / scale
+
+    def _pair_values(self, pairs, budget: int, seed: int) -> list:
+        """(||u_k||, ||v_k||) of each factor pair, pair k on stream (seed, "<kind>rep", k)."""
+        E, F, stream = self.left_space, self.right_space, self._kind + "rep"
+        return [_pair_norms(E, F, u, v, budget, make_rng(seed, stream, k)) for k, (u, v) in enumerate(pairs)]
+
+    def _header(self, **extra) -> dict:
+        return {"kind": self._kind, "label": self.label, "n_terms": len(self.terms), **extra,
+                "pairing": self.pairing.scheme}
+
+
 @dataclass(frozen=True)
-class PLRepresentation:
+class PLRepresentation(_Representation):
     """Sum-of-terms representation U = sum_k a_k (u_k <> v_k).
 
     Each term is a triple (block, left, right): the block maps the diamond's
@@ -79,6 +107,7 @@ class PLRepresentation:
     right_space: Quantization
     pairing: PairingMap = PairingMap()
     label: str = ""
+    _kind = "pl"
 
     def __post_init__(self):
         target = coeffs_of(self.target)
@@ -94,11 +123,7 @@ class PLRepresentation:
                 raise ValueError("term block does not land in the target truncation")
             if left.shape[1] != mE or right.shape[1] != mF:
                 raise ValueError("term factors do not match the factor spaces")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "target", target)
-        res = self.residual()
-        if res > RECON_TOL:
-            raise ValueError(f"representation does not reconstruct its target (residual {res:.2e})")
+        self._validated(terms=terms, target=target)
 
     def reconstruct(self) -> np.ndarray:
         out = np.zeros_like(self.target)
@@ -106,30 +131,16 @@ class PLRepresentation:
             out += block @ diamond_amp(left, right, self.pairing)
         return out
 
-    def residual(self) -> float:
-        scale = frobenius_norm(self.target) or 1.0
-        return frobenius_norm(self.reconstruct() - self.target) / scale
-
     def term_values(self, budget: int = 60, seed: int = 0) -> list:
-        out = []
-        for k, (block, left, right) in enumerate(self.terms):
-            rng = make_rng(seed, "plrep", k)
-            nu = amp_norm(self.left_space, left, budget=budget, rng=rng)
-            nv = amp_norm(self.right_space, right, budget=budget, rng=rng)
-            out.append((op_norm(block), nu.value, nv.value))
-        return out
+        norms = self._pair_values([(u, v) for _, u, v in self.terms], budget, seed)
+        return [(op_norm(block), nu, nv) for (block, _, _), (nu, nv) in zip(self.terms, norms)]
 
     def value(self, budget: int = 60, seed: int = 0) -> float:
         """Certified upper bound for the pl norm of the target."""
         return float(sum(a * b * c for a, b, c in self.term_values(budget, seed)))
 
     def to_dict(self, include_data: bool = True) -> dict:
-        out = {
-            "kind": "pl",
-            "label": self.label,
-            "n_terms": len(self.terms),
-            "pairing": self.pairing.scheme,
-        }
+        out = self._header()
         if include_data:
             out["terms"] = [
                 {
@@ -143,7 +154,7 @@ class PLRepresentation:
 
 
 @dataclass(frozen=True)
-class LRepresentation:
+class LRepresentation(_Representation):
     """Single-block representation U = a (sum_k u_k <> v_k).
 
     All left factors live in a common H-truncation and are supported on
@@ -159,6 +170,7 @@ class LRepresentation:
     right_space: Quantization
     pairing: PairingMap = PairingMap()
     label: str = ""
+    _kind = "l"
 
     def __post_init__(self):
         block = np.asarray(self.block, dtype=complex)
@@ -189,13 +201,7 @@ class LRepresentation:
             raise ValueError(
                 f"block shape {block.shape} does not map the {P}x{q} diamond to the target"
             )
-        object.__setattr__(self, "block", block)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "target", target)
-        res = self.residual()
-        if res > RECON_TOL:
-            raise ValueError(f"representation does not reconstruct its target (residual {res:.2e})")
+        self._validated(block=block, terms=terms, supports=supports, target=target)
 
     def reconstruct(self) -> np.ndarray:
         if not self.terms:
@@ -203,34 +209,16 @@ class LRepresentation:
         total = sum(diamond_amp(u, v, self.pairing) for u, v in self.terms)
         return self.block @ total
 
-    def residual(self) -> float:
-        scale = frobenius_norm(self.target) or 1.0
-        return frobenius_norm(self.reconstruct() - self.target) / scale
-
     def term_norms(self, budget: int = 60, seed: int = 0) -> list:
-        out = []
-        for k, (u, v) in enumerate(self.terms):
-            rng = make_rng(seed, "lrep", k)
-            nu = amp_norm(self.left_space, u, budget=budget, rng=rng)
-            nv = amp_norm(self.right_space, v, budget=budget, rng=rng)
-            out.append((nu.value, nv.value))
-        return out
+        return self._pair_values(self.terms, budget, seed)
 
     def value(self, budget: int = 60, seed: int = 0) -> float:
         """Certified upper bound for the l norm of the target."""
-        if not self.terms:
-            return 0.0
         sq = sum((a * b) ** 2 for a, b in self.term_norms(budget, seed))
         return float(op_norm(self.block) * math.sqrt(sq))
 
     def to_dict(self, include_data: bool = True) -> dict:
-        out = {
-            "kind": "l",
-            "label": self.label,
-            "n_terms": len(self.terms),
-            "supports": [list(s) for s in self.supports],
-            "pairing": self.pairing.scheme,
-        }
+        out = self._header(supports=[list(s) for s in self.supports])
         if include_data:
             out["block"] = matrix_to_json(self.block)
             out["terms"] = [
@@ -326,9 +314,7 @@ def _family_svd_split(U, E, F, budget, seed):
             right = qh[r][None, :]
             terms.append((block, left, right))
             rng = make_rng(seed, "svdsplit", t, r)
-            nu = amp_norm(E, left, budget=budget, rng=rng).value
-            nv = amp_norm(F, right, budget=budget, rng=rng).value
-            vals.append((s[t] * tau[r], nu, nv))
+            vals.append((s[t] * tau[r], *_pair_norms(E, F, left, right, budget, rng)))
     return terms, vals
 
 
@@ -352,12 +338,9 @@ def _family_unfold(U, E, F, budget, seed, side: str):
     for t in range(s.size):
         if s[t] <= 1e-14 * s[0]:
             break
-        rng = make_rng(seed, "unfold", side, t)
         left, right = ((s[t] * x[:, t]).reshape(d, mP), yh[t][None, :])[order]
         terms.append((eye, left, right))
-        nu = amp_norm(E, left, budget=budget, rng=rng).value
-        nv = amp_norm(F, right, budget=budget, rng=rng).value
-        vals.append((1.0, nu, nv))
+        vals.append((1.0, *_pair_norms(E, F, left, right, budget, make_rng(seed, "unfold", side, t))))
     return terms, vals
 
 
@@ -369,20 +352,14 @@ def _family_identity_block(U, E, F, pairing, budget, seed):
         return None
     D = diamond_amp(np.eye(mE, dtype=complex), np.eye(mF, dtype=complex), pairing)
     block = U @ D.conj().T
-    rng = make_rng(seed, "identity-block")
-    nu = amp_norm(E, np.eye(mE, dtype=complex), budget=budget, rng=rng).value
-    nv = amp_norm(F, np.eye(mF, dtype=complex), budget=budget, rng=rng).value
     eye = (np.eye(mE, dtype=complex), np.eye(mF, dtype=complex))
+    nu, nv = _pair_norms(E, F, *eye, budget, make_rng(seed, "identity-block"))
     return [(block, *eye)], [(op_norm(block), nu, nv)]
 
 
 def _projective_base(q: Quantization) -> Optional[BaseNorm]:
     """Base descriptor when q's underlying norm is of projective type."""
-    if q.kind == "max":
-        return q.base
-    if q.kind == "lp" and q.p == 1.0 and q.inner.dim == 1:
-        return point_base(q)
-    return None
+    return _underlying_base(q) if q.kind == "max" or (q.kind == "lp" and q.p == 1.0) else None
 
 
 def _family_projective(U, E, F, budget, seed, side: str):
@@ -621,13 +598,8 @@ def orthogonalize_representation(rep: PLRepresentation) -> LRepresentation:
     terms = rep.terms
     d = rep.target.shape[0]
     mE, mF = rep.left_space.dim, rep.right_space.dim
-    if not terms:
-        return LRepresentation(
-            np.zeros((d, 0)), (), (), rep.target, rep.left_space, rep.right_space,
-            rep.pairing, label=rep.label + "+orthogonalized",
-        )
     P = sum(t[1].shape[0] for t in terms)
-    q = max(t[2].shape[0] for t in terms)
+    q = max((t[2].shape[0] for t in terms), default=0)
     flat = rep.pairing.flat(P, q)
     block = np.zeros((d, P * q), dtype=complex)
     new_terms, supports = [], []
