@@ -145,20 +145,9 @@ def _compare_cases(args, doc: dict) -> list:
         )
     for chk in report["checks"]:
         rows.append({"case": f"{prefix}check/{chk['name']}", "passed": chk["passed"]})
-    rows.append(
-        {
-            "case": f"{prefix}separation-ratio",
-            "passed": True,
-            "value": report["separation_ratio"],
-        }
-    )
+    rows.append({"case": f"{prefix}separation-ratio", "passed": True, "value": report["separation_ratio"]})
     if "underlying_overlap" in report:
-        rows.append(
-            {
-                "case": f"{prefix}underlying-overlap",
-                "passed": bool(report["underlying_overlap"]),
-            }
-        )
+        rows.append({"case": f"{prefix}underlying-overlap", "passed": bool(report["underlying_overlap"])})
     return rows
 
 

@@ -124,11 +124,22 @@ def _array(item, min_items=1, max_items=None):
     return check
 
 
-def _object(required, properties):
+def _require(errs, x, path, keys):
+    errs.extend((path, f"{key!r} is a required property") for key in keys if key not in x)
+
+
+def _object(required, properties, by_kind=None):
+    """Check of an object; by_kind maps a "kind" value to the further keys it
+    requires, each with the keys its value requires in turn when an object."""
     def check(errs, x, path):
         if not _typed(errs, x, path, "object"):
             return
-        errs.extend((path, f"{key!r} is a required property") for key in required if key not in x)
+        kind = x.get("kind")
+        needs = by_kind.get(kind, {}) if by_kind and isinstance(kind, str) else {}
+        _require(errs, x, path, (*required, *needs))
+        for key, keys in needs.items():
+            if isinstance(x.get(key), dict):
+                _require(errs, x[key], (*path, key), keys)
         for key, item in properties.items():
             if key in x:
                 item(errs, x[key], (*path, key))
@@ -148,13 +159,20 @@ _BASE = _object(["kind", "dim"], {
     "weights": _WEIGHTS,
     "vertices": _MATRIX,
     "real": _of_type("boolean"),
-})
+}, by_kind={"lp": {"p": ()}, "polytope": {"vertices": ()}})
 _QUANTIZATION_KEYS = {
     "kind": _one_of("min", "max", "hilbert", "lp", "concrete", "tensor_p"),
     "dim": _number("integer", minimum=0),
     "params": _object([], {"base": _BASE, "p": _p, "weights": _WEIGHTS, "generators": _array(_MATRIX)}),
 }
-_QUANTIZATION = _object(["kind"], _QUANTIZATION_KEYS)
+_QUANTIZATION = _object(["kind"], _QUANTIZATION_KEYS, by_kind={
+    "min": {"params": ("base",)},
+    "max": {"params": ("base",)},
+    "hilbert": {"dim": ()},
+    "lp": {"params": ("p", "weights")},
+    "concrete": {"params": ("generators",)},
+    "tensor_p": {"params": ("base",), "inner": ()},
+})
 _QUANTIZATION_KEYS["inner"] = _QUANTIZATION
 _DOCUMENT_KEYS = {"schema_version": _one_of(SCHEMA_VERSION), "element": _MATRIX, "label": _of_type("string")}
 _NORM = _object(["schema_version", "quantization", "element"], {**_DOCUMENT_KEYS, "quantization": _QUANTIZATION})
@@ -197,7 +215,7 @@ def validate_document(doc: dict, command: str) -> None:
 def _quantization_from(doc_part: dict, pointer: str) -> Quantization:
     try:
         return Quantization.from_dict(doc_part)
-    except (KeyError, ValueError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise _error(pointer, str(exc), f"bad quantization at {pointer}: {exc}") from exc
 
 

@@ -255,12 +255,13 @@ def properties_suite(trials: int = 10000, seed: int = 0, tolerance: float = 1e-9
             _row(f"semi-ruan-pass/{name}", w is None, trials=per_kind,
                  witness_found=w is not None, tolerance=tolerance)
         )
-    w = semi_ruan_witness_search(
-        Quantization.lp(1.0, [1.0, 1.0]), trials=trials, seed=seed, tolerance=tolerance
-    )
+    # at least the q.dim ** 2 structured trials, the known counterexample among them
+    q = Quantization.lp(1.0, [1.0, 1.0])
+    lp1_trials = max(trials, q.dim**2)
+    w = semi_ruan_witness_search(q, trials=lp1_trials, seed=seed, tolerance=tolerance)
     rows.append(
         _row(
-            "semi-ruan-violation/lp1", w is not None, trials=trials,
+            "semi-ruan-violation/lp1", w is not None, trials=lp1_trials,
             witness_found=w is not None,
             excess=(w["excess"] if w is not None else None), tolerance=tolerance,
         )

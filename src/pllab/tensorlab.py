@@ -197,17 +197,15 @@ class LRepresentation(_Representation):
             outside[off : off + size] = 0.0
             if np.linalg.norm(outside) > 1e-12 * max(np.linalg.norm(u), 1e-30):
                 raise ValueError("left factor is not supported on its block")
-        if block.shape != (target.shape[0], P * q) and terms:
+        if block.shape != (target.shape[0], P * q):
             raise ValueError(
                 f"block shape {block.shape} does not map the {P}x{q} diamond to the target"
             )
         self._validated(block=block, terms=terms, supports=supports, target=target)
 
     def reconstruct(self) -> np.ndarray:
-        if not self.terms:
-            return np.zeros_like(self.target)
-        total = sum(diamond_amp(u, v, self.pairing) for u, v in self.terms)
-        return self.block @ total
+        zero = np.zeros((self.block.shape[1], self.target.shape[1]), dtype=complex)
+        return self.block @ sum((diamond_amp(u, v, self.pairing) for u, v in self.terms), zero)
 
     def term_norms(self, budget: int = 60, seed: int = 0) -> list:
         return self._pair_values(self.terms, budget, seed)

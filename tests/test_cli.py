@@ -511,6 +511,16 @@ def test_a_seed_beyond_32_bits_is_its_own_stream(capsys):
     assert low != high
 
 
+def test_properties_with_one_trial_passes(capsys):
+    """--trials 1 reports no violation: the lp1 falsifier still runs its
+    structured trials and finds the known counterexample."""
+    code, out, _ = run_cli(capsys, "--command", "properties", "--trials", "1")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["outcome"] == "pass"
+    assert {r["case"]: r["trials"] for r in rep["cases"]}["semi-ruan-violation/lp1"] == 4
+
+
 def test_violation_exit_code_and_repro(capsys, monkeypatch):
     """A failed case exits 1 and carries a reproduction command line."""
 

@@ -235,5 +235,37 @@ def test_number_typing_follows_json_schema(value):
         assert [d["pointer"] for d in info.value.diagnostics] == ["/quantization"]
 
 
+_EUCLIDEAN_2 = {"kind": "euclidean", "dim": 2}
+
+
+@pytest.mark.parametrize("quantization, pointer, key", [
+    ({"kind": "min"}, "", "params"),
+    ({"kind": "min", "params": {}}, "/params", "base"),
+    ({"kind": "max"}, "", "params"),
+    ({"kind": "max", "params": {}}, "/params", "base"),
+    ({"kind": "hilbert"}, "", "dim"),
+    ({"kind": "lp"}, "", "params"),
+    ({"kind": "lp", "params": {"weights": [1.0]}}, "/params", "p"),
+    ({"kind": "lp", "params": {"p": 2}}, "/params", "weights"),
+    ({"kind": "concrete"}, "", "params"),
+    ({"kind": "concrete", "params": {}}, "/params", "generators"),
+    ({"kind": "tensor_p", "inner": {"kind": "hilbert", "dim": 1}}, "", "params"),
+    ({"kind": "tensor_p", "params": {}, "inner": {"kind": "hilbert", "dim": 1}}, "/params", "base"),
+    ({"kind": "tensor_p", "params": {"base": _EUCLIDEAN_2}}, "", "inner"),
+    ({"kind": "min", "params": {"base": {"kind": "lp", "dim": 2}}}, "/params/base", "p"),
+    ({"kind": "min", "params": {"base": {"kind": "polytope", "dim": 2}}}, "/params/base", "vertices"),
+    ({"kind": "lp", "params": {"p": 2, "weights": [1.0]}, "inner": {"kind": "min", "params": {}}},
+     "/inner/params", "base"),
+])
+@pytest.mark.parametrize("command, side", [("norm", "quantization"), ("l", "right")])
+def test_a_key_the_kind_needs_is_required_where_it_is_missing(quantization, pointer, key, command, side):
+    """Each key a descriptor's kind needs is a required property of the
+    object that lacks it, reported by the walk, not as a bare KeyError."""
+    doc = {"schema_version": "1", "element": [[[1, 0]]], side: quantization}
+    if command == "l":
+        doc["left"] = {"kind": "hilbert", "dim": 1}
+    assert _outcome(command, doc) == [3, [f"/{side}{pointer}"], [f"{key!r} is a required property"]]
+
+
 if __name__ == "__main__":
     _record_input_pointers()

@@ -44,6 +44,15 @@ def test_properties_suite_small():
         assert by_case[f"semi-ruan-pass/{name}"]["passed"]
 
 
+def test_properties_suite_one_trial_finds_the_lp1_counterexample():
+    """The lp1 falsifier runs at least its dim ** 2 structured trials, so one
+    trial per sweep still finds the known semi-Ruan violation."""
+    rows = properties_suite(trials=1, seed=0)
+    assert [r["case"] for r in rows if not r["passed"]] == []
+    lp1 = next(r for r in rows if r["case"] == "semi-ruan-violation/lp1")
+    assert lp1["witness_found"] and lp1["trials"] == 4
+
+
 def test_certificate_sweep_small():
     summary, violations = certificate_sweep(pairs=40, budget=40, seed=0)
     assert violations == []

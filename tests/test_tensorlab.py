@@ -97,6 +97,30 @@ def test_pl_representation_rejects_each_malformed_input(match, build):
         PLRepresentation(terms, target, E, F, PairingMap())
 
 
+# value(budget, seed) of the pl and l witnesses of _drawing_witnesses(),
+# recorded before the representations shared their valuation
+_REP_VALUES = {(0, 60): (11.061991373259294, 11.079138430794805),
+               (2, 20): (11.084596523828548, 11.054868306442158)}
+
+
+def _drawing_witnesses():
+    """pl and l witnesses over tensor_p(lp(1.5), hilbert(2)) x max(lp(1.5)),
+    whose factor norms draw from their generators."""
+    E = Quantization.tensor_p(BaseNorm.lp(1.5, dim=2), Quantization.hilbert(2))
+    F = Quantization.max(BaseNorm.lp(1.5, dim=2))
+    U = random_complex(make_rng(71, "rep-streams"), 2, E.dim * F.dim)
+    return pl_norm_bracket(E, F, U, budget=20).upper_witness, l_norm_bracket(E, F, U, budget=20).upper_witness
+
+
+@pytest.mark.parametrize("seed, budget", sorted(_REP_VALUES))
+def test_representation_values_keep_their_streams(seed, budget):
+    """The re-check value of each witness draws on the per-term streams
+    (seed, "plrep" or "lrep", k), u valued before v; pinned."""
+    pl, l = _drawing_witnesses()
+    got = (pl.value(budget, seed), l.value(budget, seed))
+    assert got == pytest.approx(_REP_VALUES[seed, budget], rel=1e-12)
+
+
 def test_empty_pl_representation_orthogonalizes_to_an_empty_l_representation():
     E, F = hilbert_pair(2)
     rep = PLRepresentation((), np.zeros((3, 4)), E, F, label="zero")

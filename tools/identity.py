@@ -17,7 +17,10 @@ at full precision, with no summarizing).  The records:
   benchmark pairs x d = 1..3 x scales 1, 1e12, 1e-9 x both pairings;
 * ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
   ``quantization_pool()`` descriptors;
-* the ``verify_paper_suite(n_max=3)`` rows.
+* the ``verify_paper_suite(n_max=3)`` rows;
+* the ``properties_suite(trials=50)`` rows (the property sweeps and the
+  semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
+  violations.
 
 ``compare`` lists the keys whose fingerprints differ, or that only one file
 has, then counts them per group of the first two key segments (such as
@@ -57,7 +60,7 @@ def record(root: Path) -> dict:
     import workloads as wl
     from pllab import PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
     from pllab.maps import builtin_certificates
-    from pllab.suites import quantization_pool, verify_paper_suite
+    from pllab.suites import certificate_sweep, properties_suite, quantization_pool, verify_paper_suite
 
     out = {}
     runner = wl.Runner()
@@ -96,6 +99,8 @@ def record(root: Path) -> dict:
             out[f"certificates/{a}/{b}"] = _digest(rec)
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
+    out["properties/50"] = _digest(properties_suite(trials=50))
+    out["certificate-sweep/40"] = _digest(certificate_sweep(pairs=40))
     return out
 
 
