@@ -131,7 +131,10 @@ class BaseNorm:
     # -- norms ------------------------------------------------------------
 
     def norm(self, x) -> float:
-        x = self.check_element(x)
+        return self._norm(self.check_element(x))
+
+    def _norm(self, x) -> float:
+        """The norm of an element that check_element has passed."""
         if self.kind == "euclidean":
             return float(np.linalg.norm(x))
         if self.kind == "lp":

@@ -16,13 +16,18 @@ sums [sum_j w_j lower_j, sum_j w_j upper_j] of one factor evaluation per
 nonzero slice, exact iff every evaluation was.  On other bases upper bounds
 come from explicit decompositions (basis slices, the SVD of the coefficient
 matrix, and a unitary/scaling refinement of the best of those), each checked
-to reconstruct Z before its value counts.  Lower bounds come from functionals
+to reconstruct Z before its value counts.  The refinement draws its whole
+budget of 2x2 moves at once, so its draws do not depend on which moves it
+accepts, inverts each move in closed form (the adjoint of a unitary mix, the
+reciprocal diagonal of a scaling) and keeps the values it compared when it
+accepts a move.  Lower bounds come from functionals
 in the dual ball of E against the factor and, for the euclidean factor, from
 trace duality; on a euclidean base both bounds are the nuclear norm.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +49,13 @@ class ProjResult:
     upper_method: str
 
 
+def _l2(v) -> float:
+    """np.linalg.norm of a vector by numpy's own formula, without its dispatch."""
+    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
+
+
 def _euclidean(v: np.ndarray) -> tuple:
-    n = float(np.linalg.norm(v))
+    n = _l2(v)
     return n, n, True
 
 
@@ -112,34 +122,28 @@ def _svd_decomposition(base, upper, Zf):
 
 
 def _refine(base, upper, terms, Zf, budget, rng):
-    X = np.stack([t[0] for t in terms], axis=1)
-    V = np.stack([t[1] for t in terms], axis=0)
-    vals = np.array([base.norm(X[:, r]) * upper(V[r]) for r in range(len(terms))])
-    n_terms = len(terms)
-    for _ in range(budget):
-        k, l = rng.choice(n_terms, size=2, replace=False)
-        if rng.random() < 0.5:
-            # unitary 2x2 mix: exact inverse, reconstruction preserved
-            th = rng.uniform(0, np.pi)
-            ph = np.exp(1j * rng.uniform(0, 2 * np.pi))
-            c, s = np.cos(th), np.sin(th)
-            g = np.array([[c, s * ph], [-s * np.conj(ph), c]])
-        else:
-            t = np.exp(rng.uniform(-1.0, 1.0))
-            g = np.array([[t, 0.0], [0.0, 1.0 / t]], dtype=complex)
-        gi = np.linalg.inv(g)
-        xk = X[:, k] * gi[0, 0] + X[:, l] * gi[1, 0]
-        xl = X[:, k] * gi[0, 1] + X[:, l] * gi[1, 1]
-        vk = g[0, 0] * V[k] + g[0, 1] * V[l]
-        vl = g[1, 0] * V[k] + g[1, 1] * V[l]
-        new_pair = base.norm(xk) * upper(vk) + base.norm(xl) * upper(vl)
-        if new_pair < vals[k] + vals[l] - 1e-15:
-            X[:, k], X[:, l] = xk, xl
-            V[k], V[l] = vk, vl
-            vals[k] = base.norm(X[:, k]) * upper(V[k])
-            vals[l] = base.norm(X[:, l]) * upper(V[l])
+    X = np.stack([t[0] for t in terms])
+    V = np.stack([t[1] for t in terms])
+    vals = np.array([base.norm(x) * upper(v) for x, v in zip(X, V)])
+    n_terms, norm = len(terms), _l2 if base.kind == "euclidean" else base._norm
+    # every move drawn at once: a pair k != l and a 2x2 g = [[a, b], [c, d]] of
+    # determinant 1, a unitary mix or a scaling by t; V takes g and X its
+    # inverse [[d, -b], [-c, a]], so the terms still reconstruct Z
+    ks = rng.integers(0, n_terms, budget)
+    ls = (ks + rng.integers(1, n_terms, budget)) % n_terms
+    mix = rng.random(budget) < 0.5
+    th, ph = rng.uniform(0, np.pi, budget), np.exp(1j * rng.uniform(0, 2 * np.pi, budget))
+    t = np.exp(rng.uniform(-1.0, 1.0, budget))
+    b = np.where(mix, np.sin(th) * ph, 0.0)
+    g = (np.where(mix, np.cos(th), t), b, -np.conj(b), np.where(mix, np.cos(th), 1.0 / t))
+    for k, l, a, b, c, d in zip(ks.tolist(), ls.tolist(), *(x.tolist() for x in g)):
+        xk, xl = d * X[k] - c * X[l], a * X[l] - b * X[k]
+        vk, vl = a * V[k] + b * V[l], c * V[k] + d * V[l]
+        new_k, new_l = norm(xk) * upper(vk), norm(xl) * upper(vl)
+        if new_k + new_l < vals[k] + vals[l] - 1e-15:
+            X[k], X[l], V[k], V[l], vals[k], vals[l] = xk, xl, vk, vl, new_k, new_l
     keep = vals > 1e-15 * max(1.0, float(vals.sum()))
-    terms = [(X[:, r].copy(), V[r].copy()) for r in range(n_terms) if keep[r]]
+    terms = [(X[r].copy(), V[r].copy()) for r in range(n_terms) if keep[r]]
     if not _reconstructs(terms, Zf):
         return None, None, np.inf
     return terms, list(vals[keep]), float(vals[keep].sum())

@@ -452,6 +452,71 @@ def test_proj_bracket_values_are_the_term_values_of_its_upper(base):
         assert "svd+refine" in methods
 
 
+_SEARCH_BASES = {
+    "l3": BaseNorm.lp(3.0, dim=3),
+    "linf": BaseNorm.lp(np.inf, dim=3),
+    "polytope": BaseNorm.polytope(np.vstack([np.eye(3), np.ones((1, 3)), -np.eye(3), -np.ones((1, 3))])),
+}
+
+
+@pytest.mark.parametrize("base", list(_SEARCH_BASES.values()), ids=list(_SEARCH_BASES))
+def test_refinement_draws_do_not_depend_on_accepted_moves(base):
+    """The search draws its whole budget at once, so the shared generator
+    stands at the same place after a search that wins as after one that
+    accepts no move: on e_0 (x) f_0 + 1e-8 e_1 (x) f_1 every mix and
+    scaling leaves the value as it is or raises it."""
+    from pllab.projective import proj_bracket
+
+    wins = random_complex(make_rng(53, "refine-draws"), base.dim, 2)
+    wins[2] = 0.0
+    stuck = np.zeros((base.dim, 2), dtype=complex)
+    stuck[0, 0], stuck[1, 1] = 1.0, 1e-8
+    methods, next_draws = [], []
+    for Z in (wins, stuck):
+        rng = make_rng(0, "proj")
+        methods.append(proj_bracket(base, None, Z, budget=200, rng=rng).upper_method)
+        next_draws.append(rng.random())
+    assert methods[0].endswith("+refine") and not methods[1].endswith("+refine")
+    assert next_draws[0] == next_draws[1]
+
+
+@pytest.mark.parametrize(
+    "base", [*_SEARCH_BASES.values(), BaseNorm.lp(1.5, weights=[1.0, 0.5, 2.0])],
+    ids=[*_SEARCH_BASES, "weighted-l1.5"],
+)
+def test_long_refinement_keeps_reconstruction_and_term_values(base):
+    """After 2000 moves the terms still rebuild Z, and every kept value is
+    the base norm times the factor norm of its term."""
+    from pllab.projective import RECON_TOL, proj_bracket
+
+    Z = random_complex(make_rng(59, "refine-long", base.kind), base.dim, 4)
+    res = proj_bracket(base, None, Z, budget=2000, rng=make_rng(0, "proj"))
+    assert res.upper_method.endswith("+refine")
+    recon = sum(np.multiply.outer(x, v) for x, v in res.terms)
+    assert np.linalg.norm(recon - Z) <= RECON_TOL * max(1.0, np.linalg.norm(Z))
+    for (x, v), val in zip(res.terms, res.values):
+        assert val == pytest.approx(base.norm(x) * np.linalg.norm(v), rel=1e-12, abs=0)
+
+
+def test_long_refinement_over_a_non_metric_inner_keeps_its_values():
+    """tensor_p over min(euclidean 2), an inner without a Frobenius metric:
+    the values of accepted moves are kept, not valued again, and each still
+    equals the base norm times the inner amp_norm of its term."""
+    from pllab.projective import RECON_TOL
+    from pllab.quantizations import _beta_slices, tensor_p_bracket
+
+    base, inner = BaseNorm.lp(3.0, dim=3), Quantization.min(BaseNorm.euclidean(2))
+    U = random_complex(make_rng(61, "refine-inner"), 2, base.dim * inner.dim)
+    res = tensor_p_bracket(base, inner, U, 2000, make_rng(0, "tp"))
+    assert res.upper_method.endswith("+refine")
+    Z = _beta_slices(U, base.dim, inner.dim)
+    recon = sum(np.multiply.outer(x, v) for x, v in res.terms)
+    assert np.linalg.norm(recon - Z) <= RECON_TOL * max(1.0, np.linalg.norm(Z))
+    for (x, v), val in zip(res.terms, res.values):
+        want = base.norm(x) * amp_norm(inner, v.reshape(-1, inner.dim)).value
+        assert val == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def test_proj_bracket_on_a_weighted_l1_base_evaluates_each_nonzero_slice_once():
     """l1 (x)_pi W = l1(W): the bracket is the weighted column sum of one
     factor evaluation per nonzero slice, before any SVD or refinement."""

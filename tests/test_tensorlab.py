@@ -99,8 +99,8 @@ def test_pl_representation_rejects_each_malformed_input(match, build):
 
 # value(budget, seed) of the pl and l witnesses of _drawing_witnesses(),
 # recorded before the representations shared their valuation
-_REP_VALUES = {(0, 60): (11.061991373259294, 11.079138430794805),
-               (2, 20): (11.084596523828548, 11.054868306442158)}
+_REP_VALUES = {(0, 60): (11.067900033009558, 11.06210061032394),
+               (2, 20): (11.084596523828546, 11.059284104104062)}
 
 
 def _drawing_witnesses():

@@ -17,6 +17,9 @@ at full precision, with no summarizing).  The records:
   benchmark pairs x d = 1..3 x scales 1, 1e12, 1e-9 x both pairings;
 * ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
   ``quantization_pool()`` descriptors;
+* ``proj_bracket`` upper, lower, method and terms against the euclidean
+  factor on the bases of ``PROJ_BASES``, 20 elements for each n = 2..4
+  factor coordinates: bases where the refinement search wins;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -46,6 +49,13 @@ from pathlib import Path
 SEEDS = (1, 2)
 IN_PROCESS = ("bracket-batch", "amp-sweep", "lb-search")
 SCALES = (1.0, 1e12, 1e-9)
+PROJ_BASES = {  # name -> BaseNorm.from_dict descriptor
+    "lp3": {"kind": "lp", "dim": 3, "p": 3.0},
+    "lp1.5w": {"kind": "lp", "dim": 3, "p": 1.5, "weights": [1.0, 0.5, 2.0]},
+    "linf": {"kind": "lp", "dim": 3, "p": "inf"},
+    "polytope": {"kind": "polytope", "dim": 3, "vertices": [
+        [[s * v, 0.0] for v in row] for s in (1, -1) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]},
+}
 
 
 def _digest(obj) -> str:
@@ -58,8 +68,9 @@ def record(root: Path) -> dict:
 
     np.set_printoptions(threshold=sys.maxsize, floatmode="unique")
     import workloads as wl
-    from pllab import PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
+    from pllab import BaseNorm, PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
     from pllab.maps import builtin_certificates
+    from pllab.projective import proj_bracket
     from pllab.suites import certificate_sweep, properties_suite, quantization_pool, verify_paper_suite
 
     out = {}
@@ -97,6 +108,14 @@ def record(root: Path) -> dict:
             certs = builtin_certificates(E, F)
             rec = [(c.to_dict(), None if c.bilinear is None else c.bilinear.tensor) for c in certs]
             out[f"certificates/{a}/{b}"] = _digest(rec)
+
+    for name, desc in PROJ_BASES.items():
+        base = BaseNorm.from_dict(desc)
+        for n in (2, 3, 4):
+            for i in range(20):
+                Z = wl._complex(wl._rng(0, "proj", name, n, i), base.dim, n)
+                res = proj_bracket(base, None, Z, rng=wl._rng(0, "proj-search", name, n, i))
+                out[f"proj/{name}/{n}/{i}"] = _digest((res.upper, res.lower, res.upper_method, res.terms))
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
     out["properties/50"] = _digest(properties_suite(trials=50))
