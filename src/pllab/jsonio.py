@@ -128,22 +128,28 @@ def _require(errs, x, path, keys):
     errs.extend((path, f"{key!r} is a required property") for key in keys if key not in x)
 
 
-def _object(required, properties, by_kind=None):
-    """Check of an object; by_kind maps a "kind" value to the further keys it
-    requires, each with the keys its value requires in turn when an object."""
+def _object(required, properties, kinds=None, shared=()):
+    """Check of an object.  kinds maps each "kind" value to the further keys
+    that kind takes, each required unless it ends in "?", to the check of its
+    value for that kind, or to None for the check in properties.  An object of
+    a listed kind may carry only `required`, `shared` and its kind's keys; one
+    whose kind is missing or unlisted may carry every key of properties."""
     def check(errs, x, path):
         if not _typed(errs, x, path, "object"):
             return
         kind = x.get("kind")
-        needs = by_kind.get(kind, {}) if by_kind and isinstance(kind, str) else {}
-        _require(errs, x, path, (*required, *needs))
-        for key, keys in needs.items():
-            if isinstance(x.get(key), dict):
-                _require(errs, x[key], (*path, key), keys)
-        for key, item in properties.items():
-            if key in x:
-                item(errs, x[key], (*path, key))
-        extras = sorted((key for key in x if key not in properties), key=str)
+        own = kinds.get(kind) if kinds and isinstance(kind, str) else None
+        _require(errs, x, path, (*required, *(key for key in own or () if key[-1] != "?")))
+        checks = properties
+        if own is not None:
+            checks = {key: properties[key] for key in (*required, *shared)}
+            for key, item in own.items():
+                key = key.rstrip("?")
+                checks[key] = item or properties[key]
+        for key in properties:
+            if key in x and key in checks:
+                checks[key](errs, x[key], (*path, key))
+        extras = sorted((key for key in x if key not in checks), key=str)
         if extras:
             listed = ", ".join(map(repr, extras)) + (" was" if len(extras) == 1 else " were")
             errs.append((path, f"Additional properties are not allowed ({listed} unexpected)"))
@@ -159,20 +165,29 @@ _BASE = _object(["kind", "dim"], {
     "weights": _WEIGHTS,
     "vertices": _MATRIX,
     "real": _of_type("boolean"),
-}, by_kind={"lp": {"p": ()}, "polytope": {"vertices": ()}})
+}, kinds={"euclidean": {}, "lp": {"p": None, "weights?": None}, "polytope": {"vertices": None}},
+    shared=["real"])
+_PARAMS = {"base": _BASE, "p": _p, "weights": _WEIGHTS, "generators": _array(_MATRIX)}
+
+
+def _params(*keys):
+    """The params of a kind that reads these keys, each required."""
+    return _object(keys, {key: _PARAMS[key] for key in keys})
+
+
 _QUANTIZATION_KEYS = {
     "kind": _one_of("min", "max", "hilbert", "lp", "concrete", "tensor_p"),
     "dim": _number("integer", minimum=0),
-    "params": _object([], {"base": _BASE, "p": _p, "weights": _WEIGHTS, "generators": _array(_MATRIX)}),
+    "params": _object([], _PARAMS),
 }
-_QUANTIZATION = _object(["kind"], _QUANTIZATION_KEYS, by_kind={
-    "min": {"params": ("base",)},
-    "max": {"params": ("base",)},
-    "hilbert": {"dim": ()},
-    "lp": {"params": ("p", "weights")},
-    "concrete": {"params": ("generators",)},
-    "tensor_p": {"params": ("base",), "inner": ()},
-})
+_QUANTIZATION = _object(["kind"], _QUANTIZATION_KEYS, kinds={
+    "min": {"params": _params("base")},
+    "max": {"params": _params("base")},
+    "hilbert": {"dim": None, "params?": _params()},
+    "lp": {"params": _params("p", "weights"), "inner?": None},
+    "concrete": {"params": _params("generators")},
+    "tensor_p": {"params": _params("base"), "inner": None},
+}, shared=["dim"])
 _QUANTIZATION_KEYS["inner"] = _QUANTIZATION
 _DOCUMENT_KEYS = {"schema_version": _one_of(SCHEMA_VERSION), "element": _MATRIX, "label": _of_type("string")}
 _NORM = _object(["schema_version", "quantization", "element"], {**_DOCUMENT_KEYS, "quantization": _QUANTIZATION})

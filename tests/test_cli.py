@@ -265,6 +265,52 @@ def test_unknown_top_level_key_points_at_the_whole_document(capsys, command):
     assert diagnostics == [{"pointer": "", "message": "Additional properties are not allowed ('extra' was unexpected)"}]
 
 
+def test_keys_the_descriptor_kind_does_not_read_are_rejected_where_they_sit(capsys):
+    """A min descriptor carrying lp params and an inner exits 3 instead of
+    reporting the plain min norm."""
+    quantization = {"kind": "min", "params": {"base": {"kind": "euclidean", "dim": 2}, "p": 7, "weights": [5, 5]},
+                    "inner": {"kind": "hilbert", "dim": 3}}
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", norm_doc(quantization=quantization))
+    assert code == 3
+    assert json.loads(out)["error"]["diagnostics"] == [
+        {"pointer": "/quantization", "message": "Additional properties are not allowed ('inner' was unexpected)"},
+        {"pointer": "/quantization/params",
+         "message": "Additional properties are not allowed ('p', 'weights' were unexpected)"},
+    ]
+
+
+@pytest.mark.parametrize("quantization, pointer, unexpected", [
+    ({"kind": "max", "params": {"base": {"kind": "euclidean", "dim": 2, "p": 2, "weights": [1, 1]}}},
+     "/quantization/params/base", "'p', 'weights' were"),
+    ({"kind": "min", "params": {"base": {"kind": "lp", "dim": 1, "p": 1, "vertices": [[[1, 0]]]}}},
+     "/quantization/params/base", "'vertices' was"),
+    ({"kind": "hilbert", "dim": 2, "params": {"base": {"kind": "euclidean", "dim": 2}}},
+     "/quantization/params", "'base' was"),
+    ({"kind": "max", "params": {"base": {"kind": "euclidean", "dim": 2}}, "inner": {"kind": "hilbert", "dim": 1}},
+     "/quantization", "'inner' was"),
+    ({"kind": "concrete", "params": {"generators": [[[[1, 0]]]], "base": {"kind": "euclidean", "dim": 1}}},
+     "/quantization/params", "'base' was"),
+], ids=["p-weights-on-euclidean", "vertices-on-lp", "params-on-hilbert", "inner-on-max", "base-on-concrete"])
+def test_each_kind_takes_only_its_own_keys(capsys, quantization, pointer, unexpected):
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", norm_doc(quantization=quantization))
+    assert code == 3
+    message = f"Additional properties are not allowed ({unexpected} unexpected)"
+    assert json.loads(out)["error"]["diagnostics"] == [{"pointer": pointer, "message": message}]
+
+
+def test_a_descriptor_without_a_valid_kind_may_carry_every_key():
+    """With kind missing or unknown, the walk cannot tell which keys are
+    foreign, so it reports the kind alone."""
+    params = {"base": {"kind": "euclidean", "dim": 2}, "p": 2, "weights": [1], "generators": [[[[1, 0]]]]}
+    for quantization, message in (({"params": params}, "'kind' is a required property"),
+                                  ({"kind": "bogus", "params": params},
+                                   "'bogus' is not one of ['min', 'max', 'hilbert', 'lp', 'concrete', 'tensor_p']")):
+        with pytest.raises(InputError) as info:
+            validate_document(json.loads(norm_doc(quantization=quantization)), "norm")
+        pointer = "/quantization" if "kind" not in quantization else "/quantization/kind"
+        assert info.value.diagnostics == [{"pointer": pointer, "message": message}]
+
+
 def test_declared_dim_that_disagrees_points_at_the_quantization(capsys):
     doc = norm_doc(quantization={"kind": "min", "dim": 3, "params": {"base": {"kind": "euclidean", "dim": 2}}})
     assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
