@@ -20,9 +20,9 @@ to reconstruct Z before its value counts.  The refinement draws its whole
 budget of 2x2 moves at once, so its draws do not depend on which moves it
 accepts, inverts each move in closed form (the adjoint of a unitary mix, the
 reciprocal diagonal of a scaling) and keeps the values it compared when it
-accepts a move.  Lower bounds come from functionals
-in the dual ball of E against the factor and, for the euclidean factor, from
-trace duality; on a euclidean base both bounds are the nuclear norm.
+accepts a move.  Lower bounds come from functionals in the dual ball of E
+against the factor and, for the euclidean factor, from trace duality; on a
+euclidean base both bounds are the nuclear norm.
 """
 
 from __future__ import annotations
