@@ -134,8 +134,8 @@ def _refine(base, upper, terms, Zf, budget, rng):
     mix = rng.random(budget) < 0.5
     th, ph = rng.uniform(0, np.pi, budget), np.exp(1j * rng.uniform(0, 2 * np.pi, budget))
     t = np.exp(rng.uniform(-1.0, 1.0, budget))
-    b = np.where(mix, np.sin(th) * ph, 0.0)
-    g = (np.where(mix, np.cos(th), t), b, -np.conj(b), np.where(mix, np.cos(th), 1.0 / t))
+    cos, off = np.cos(th), np.where(mix, np.sin(th) * ph, 0.0)
+    g = (np.where(mix, cos, t), off, -np.conj(off), np.where(mix, cos, 1.0 / t))
     for k, l, a, b, c, d in zip(ks.tolist(), ls.tolist(), *(x.tolist() for x in g)):
         xk, xl = d * X[k] - c * X[l], a * X[l] - b * X[k]
         vk, vl = a * V[k] + b * V[l], c * V[k] + d * V[l]
