@@ -16,27 +16,28 @@ sums [sum_j w_j lower_j, sum_j w_j upper_j] of one factor evaluation per
 nonzero slice, exact iff every evaluation was.  On other bases upper bounds
 come from explicit decompositions (basis slices, the SVD of the coefficient
 matrix, and a unitary/scaling refinement of the best of those), each checked
-to reconstruct Z before its value counts.  The refinement draws its whole
-budget of 2x2 moves at once, so its draws do not depend on which moves it
-accepts, inverts each move in closed form (the adjoint of a unitary mix, the
-reciprocal diagonal of a scaling) and keeps the values it compared when it
-accepts a move.  Lower bounds come from functionals in the dual ball of E
-against the factor and, for the euclidean factor, from trace duality; on a
-euclidean base both bounds are the nuclear norm.
+to reconstruct Z before its value counts.  The refinement draws its 2x2
+moves in batches (the whole budget at once up to 4096 moves), so its draws
+do not depend on which moves it accepts, inverts each move in closed form
+(the adjoint of a unitary mix, the reciprocal diagonal of a scaling) and
+keeps the values it compared when it accepts a move.  Lower bounds come
+from functionals in the dual ball of E against the factor and, for the
+euclidean factor, from trace duality; on a euclidean base both bounds are the
+nuclear norm.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BaseNorm
+from .bases import BaseNorm, l2_norm
 
 __all__ = ["ProjResult", "proj_bracket"]
 
 RECON_TOL = 1e-10  # residual bound of every decomposition, pl and l representations too
+_MOVE_CHUNK = 4096  # refinement moves drawn per batch, so memory stays bounded in the budget
 
 
 @dataclass
@@ -49,13 +50,8 @@ class ProjResult:
     upper_method: str
 
 
-def _l2(v) -> float:
-    """np.linalg.norm of a vector by numpy's own formula, without its dispatch."""
-    return math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-
-
 def _euclidean(v: np.ndarray) -> tuple:
-    n = _l2(v)
+    n = l2_norm(v)
     return n, n, True
 
 
@@ -121,29 +117,35 @@ def _svd_decomposition(base, upper, Zf):
     return terms, vals, sum(vals, 0.0)
 
 
+def _moves(rng, n_terms, budget):
+    """The refinement's moves (k, l, a, b, c, d), drawn _MOVE_CHUNK at a time:
+    a pair k != l and a 2x2 g = [[a, b], [c, d]] of determinant 1, a unitary
+    mix or a scaling by t.  The draws do not depend on which moves are accepted."""
+    for m in (min(_MOVE_CHUNK, budget - s) for s in range(0, budget, _MOVE_CHUNK)):
+        ks = rng.integers(0, n_terms, m)
+        ls = (ks + rng.integers(1, n_terms, m)) % n_terms
+        mix = rng.random(m) < 0.5
+        th, ph = rng.uniform(0, np.pi, m), np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+        t = np.exp(rng.uniform(-1.0, 1.0, m))
+        cos, off = np.cos(th), np.where(mix, np.sin(th) * ph, 0.0)
+        g = (np.where(mix, cos, t), off, -np.conj(off), np.where(mix, cos, 1.0 / t))
+        yield from zip(ks.tolist(), ls.tolist(), *(x.tolist() for x in g))
+
+
 def _refine(base, upper, terms, Zf, budget, rng):
     X = np.stack([t[0] for t in terms])
     V = np.stack([t[1] for t in terms])
     vals = np.array([base.norm(x) * upper(v) for x, v in zip(X, V)])
-    n_terms, norm = len(terms), _l2 if base.kind == "euclidean" else base._norm
-    # every move drawn at once: a pair k != l and a 2x2 g = [[a, b], [c, d]] of
-    # determinant 1, a unitary mix or a scaling by t; V takes g and X its
-    # inverse [[d, -b], [-c, a]], so the terms still reconstruct Z
-    ks = rng.integers(0, n_terms, budget)
-    ls = (ks + rng.integers(1, n_terms, budget)) % n_terms
-    mix = rng.random(budget) < 0.5
-    th, ph = rng.uniform(0, np.pi, budget), np.exp(1j * rng.uniform(0, 2 * np.pi, budget))
-    t = np.exp(rng.uniform(-1.0, 1.0, budget))
-    cos, off = np.cos(th), np.where(mix, np.sin(th) * ph, 0.0)
-    g = (np.where(mix, cos, t), off, -np.conj(off), np.where(mix, cos, 1.0 / t))
-    for k, l, a, b, c, d in zip(ks.tolist(), ls.tolist(), *(x.tolist() for x in g)):
+    norm = base._norm
+    # V takes g and X its inverse [[d, -b], [-c, a]], so the terms still reconstruct Z
+    for k, l, a, b, c, d in _moves(rng, len(terms), budget):
         xk, xl = d * X[k] - c * X[l], a * X[l] - b * X[k]
         vk, vl = a * V[k] + b * V[l], c * V[k] + d * V[l]
         new_k, new_l = norm(xk) * upper(vk), norm(xl) * upper(vl)
         if new_k + new_l < vals[k] + vals[l] - 1e-15:
             X[k], X[l], V[k], V[l], vals[k], vals[l] = xk, xl, vk, vl, new_k, new_l
     keep = vals > 1e-15 * max(1.0, float(vals.sum()))
-    terms = [(X[r].copy(), V[r].copy()) for r in range(n_terms) if keep[r]]
+    terms = [(X[r].copy(), V[r].copy()) for r in range(len(terms)) if keep[r]]
     if not _reconstructs(terms, Zf):
         return None, None, np.inf
     return terms, list(vals[keep]), float(vals[keep].sum())

@@ -480,6 +480,38 @@ def test_refinement_draws_do_not_depend_on_accepted_moves(base):
     assert next_draws[0] == next_draws[1]
 
 
+def test_refinement_draws_over_a_drawing_inner_do_not_depend_on_accepted_moves():
+    """tensor_p over min(lp 3), whose every factor evaluation is a dual-ball
+    ascent that draws from the shared generator: the values of an accepted
+    move are kept, not valued again, so the generator stands at the same place
+    after a search that wins as after one that accepts no move."""
+    from pllab.quantizations import tensor_p_bracket
+
+    base, inner = BaseNorm.lp(3.0, dim=3), Quantization.min(BaseNorm.lp(3.0, dim=2))
+    wins = random_complex(make_rng(61, "refine-inner"), 2, base.dim * inner.dim)
+    wins[:, 2 * inner.dim:] = 0.0  # two nonzero slices, as in the stuck element
+    stuck = np.zeros((2, base.dim * inner.dim), dtype=complex)
+    stuck[0, 0], stuck[1, inner.dim + 1] = 1.0, 1e-8  # slices e_0 (x) f_0 and 1e-8 e_1 (x) f_3
+    methods, next_draws = [], []
+    for U in (wins, stuck):
+        rng = make_rng(0, "tp")
+        methods.append(tensor_p_bracket(base, inner, U, 200, rng).upper_method)
+        next_draws.append(rng.random())
+    assert methods[0].endswith("+refine") and not methods[1].endswith("+refine")
+    assert next_draws[0] == next_draws[1]
+
+
+def test_refinement_moves_are_drawn_in_bounded_batches():
+    """A budget past one batch draws its moves batch by batch: the first batch
+    is the stream of a budget of exactly one batch, and no batch is longer."""
+    from pllab.projective import _MOVE_CHUNK, _moves
+
+    one = list(_moves(make_rng(0, "moves"), 3, _MOVE_CHUNK))
+    more = list(_moves(make_rng(0, "moves"), 3, _MOVE_CHUNK + 5))
+    assert len(more) == _MOVE_CHUNK + 5 and more[:_MOVE_CHUNK] == one
+    assert all(k != l for k, l, *_ in more)
+
+
 @pytest.mark.parametrize(
     "base", [*_SEARCH_BASES.values(), BaseNorm.lp(1.5, weights=[1.0, 0.5, 2.0])],
     ids=[*_SEARCH_BASES, "weighted-l1.5"],

@@ -97,8 +97,8 @@ def test_pl_representation_rejects_each_malformed_input(match, build):
         PLRepresentation(terms, target, E, F, PairingMap())
 
 
-# value(budget, seed) of the pl and l witnesses of _drawing_witnesses(),
-# recorded before the representations shared their valuation
+# value(budget, seed) of the pl and l witnesses of _drawing_witnesses(), whose
+# factor norms run the projective refinement on the generators' streams
 _REP_VALUES = {(0, 60): (11.067900033009558, 11.06210061032394),
                (2, 20): (11.084596523828546, 11.059284104104062)}
 
