@@ -20,6 +20,10 @@ at full precision, with no summarizing).  The records:
 * ``proj_bracket`` upper, lower, method and terms against the euclidean
   factor on the bases of ``PROJ_BASES``, 20 elements for each n = 2..4
   factor coordinates: bases where the refinement search wins;
+* ``tensor_p_bracket`` upper, lower, method and terms over the ``TP_INNER``
+  inner on the lp3 and polytope bases, 5 elements for each n = 2, 3 rows at
+  budget 200: an inner without a Frobenius metric, whose every factor
+  evaluation is an ``amp_norm`` call drawing from the shared generator;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -56,6 +60,7 @@ PROJ_BASES = {  # name -> BaseNorm.from_dict descriptor
     "polytope": {"kind": "polytope", "dim": 3, "vertices": [
         [[s * v, 0.0] for v in row] for s in (1, -1) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]},
 }
+TP_INNER = {"kind": "min", "params": {"base": {"kind": "lp", "dim": 2, "p": 3.0}}}
 
 
 def _digest(obj) -> str:
@@ -71,6 +76,7 @@ def record(root: Path) -> dict:
     from pllab import BaseNorm, PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
     from pllab.maps import builtin_certificates
     from pllab.projective import proj_bracket
+    from pllab.quantizations import tensor_p_bracket
     from pllab.suites import certificate_sweep, properties_suite, quantization_pool, verify_paper_suite
 
     out = {}
@@ -116,6 +122,15 @@ def record(root: Path) -> dict:
                 Z = wl._complex(wl._rng(0, "proj", name, n, i), base.dim, n)
                 res = proj_bracket(base, None, Z, rng=wl._rng(0, "proj-search", name, n, i))
                 out[f"proj/{name}/{n}/{i}"] = _digest((res.upper, res.lower, res.upper_method, res.terms))
+
+    inner = Quantization.from_dict(TP_INNER)
+    for name in ("lp3", "polytope"):
+        base = BaseNorm.from_dict(PROJ_BASES[name])
+        for n in (2, 3):
+            for i in range(5):
+                U = wl._complex(wl._rng(0, "tp", name, n, i), n, base.dim * inner.dim)
+                res = tensor_p_bracket(base, inner, U, 200, wl._rng(0, "tp-search", name, n, i))
+                out[f"tp/{name}/{n}/{i}"] = _digest((res.upper, res.lower, res.upper_method, res.terms))
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
     out["properties/50"] = _digest(properties_suite(trials=50))
