@@ -15,15 +15,14 @@ On a weighted-l1 base the bracket is the closed form l1 (x)_pi W = l1(W)
 sums [sum_j w_j lower_j, sum_j w_j upper_j] of one factor evaluation per
 nonzero slice, exact iff every evaluation was.  On other bases upper bounds
 come from explicit decompositions (basis slices, the SVD of the coefficient
-matrix, and a unitary/scaling refinement of the best of those), each checked
-to reconstruct Z before its value counts.  The refinement draws its 2x2
-moves in batches (the whole budget at once up to 4096 moves), so its draws
-do not depend on which moves it accepts, inverts each move in closed form
-(the adjoint of a unitary mix, the reciprocal diagonal of a scaling) and
-keeps the values it compared when it accepts a move.  Lower bounds come
-from functionals in the dual ball of E against the factor and, for the
-euclidean factor, from trace duality; on a euclidean base both bounds are the
-nuclear norm.
+matrix, and a refinement of the better of those by unitary 2x2 mixes of
+term pairs), each checked to reconstruct Z before its value counts.  The
+refinement starts from that decomposition's values and draws its mixes in
+batches (the whole budget at once up to 4096), so its draws do not depend on
+which mixes it accepts; it keeps the values it compared when it accepts one.
+Lower bounds come from functionals in the dual ball of E against the factor
+and, for the euclidean factor, from trace duality; on a euclidean base both
+bounds are the nuclear norm.
 """
 
 from __future__ import annotations
@@ -83,16 +82,14 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None) -> Proj
     def upper(v):
         return evaluate(v)[0]
 
-    candidates = [(sum(values, 0.0), terms, values, "basis-slices")]
+    up_val, up_terms, up_vals, up_method = sum(values, 0.0), terms, values, "basis-slices"
     svd_terms, svd_vals, svd_val = _svd_decomposition(base, upper, Zf)
-    if svd_terms is not None:
-        candidates.append((svd_val, svd_terms, svd_vals, "svd"))
-    candidates.sort(key=lambda c: c[0])
-    up_val, up_terms, up_vals, up_method = candidates[0]
+    if svd_val < up_val:
+        up_val, up_terms, up_vals, up_method = svd_val, svd_terms, svd_vals, "svd"
 
     if budget > 0 and len(up_terms) > 1:
-        ref_terms, ref_vals, ref_val = _refine(base, upper, up_terms, Zf, budget, rng)
-        if ref_terms is not None and ref_val < up_val - 1e-15:
+        ref_terms, ref_vals, ref_val = _refine(base, upper, up_terms, up_vals, Zf, budget, rng)
+        if ref_val < up_val - 1e-15:
             up_val, up_terms, up_vals = ref_val, ref_terms, ref_vals
             up_method += "+refine"
 
@@ -118,29 +115,27 @@ def _svd_decomposition(base, upper, Zf):
 
 
 def _moves(rng, n_terms, budget):
-    """The refinement's moves (k, l, a, b, c, d), drawn _MOVE_CHUNK at a time:
-    a pair k != l and a 2x2 g = [[a, b], [c, d]] of determinant 1, a unitary
-    mix or a scaling by t.  The draws do not depend on which moves are accepted."""
+    """The refinement's moves (k, l, c, s), drawn _MOVE_CHUNK at a time: a
+    pair k != l and the unitary mix [[c, s], [-conj(s), c]] with c = cos(theta)
+    and s = sin(theta) e^(i phi).  The draws do not depend on which moves are
+    accepted."""
     for m in (min(_MOVE_CHUNK, budget - s) for s in range(0, budget, _MOVE_CHUNK)):
         ks = rng.integers(0, n_terms, m)
         ls = (ks + rng.integers(1, n_terms, m)) % n_terms
-        mix = rng.random(m) < 0.5
-        th, ph = rng.uniform(0, np.pi, m), np.exp(1j * rng.uniform(0, 2 * np.pi, m))
-        t = np.exp(rng.uniform(-1.0, 1.0, m))
-        cos, off = np.cos(th), np.where(mix, np.sin(th) * ph, 0.0)
-        g = (np.where(mix, cos, t), off, -np.conj(off), np.where(mix, cos, 1.0 / t))
-        yield from zip(ks.tolist(), ls.tolist(), *(x.tolist() for x in g))
+        th, ph = rng.uniform(0, np.pi, m), rng.uniform(0, 2 * np.pi, m)
+        cs, ss = np.cos(th), np.sin(th) * np.exp(1j * ph)
+        yield from zip(ks.tolist(), ls.tolist(), cs.tolist(), ss.tolist())
 
 
-def _refine(base, upper, terms, Zf, budget, rng):
+def _refine(base, upper, terms, vals, Zf, budget, rng):
     X = np.stack([t[0] for t in terms])
     V = np.stack([t[1] for t in terms])
-    vals = np.array([base.norm(x) * upper(v) for x, v in zip(X, V)])
+    vals = np.array(vals, dtype=float)
     norm = base._norm
-    # V takes g and X its inverse [[d, -b], [-c, a]], so the terms still reconstruct Z
-    for k, l, a, b, c, d in _moves(rng, len(terms), budget):
-        xk, xl = d * X[k] - c * X[l], a * X[l] - b * X[k]
-        vk, vl = a * V[k] + b * V[l], c * V[k] + d * V[l]
+    # V takes the mix and X its inverse transpose, the conjugate mix, so the terms still reconstruct Z
+    for k, l, c, s in _moves(rng, len(terms), budget):
+        xk, xl = c * X[k] + s.conjugate() * X[l], c * X[l] - s * X[k]
+        vk, vl = c * V[k] + s * V[l], c * V[l] - s.conjugate() * V[k]
         new_k, new_l = norm(xk) * upper(vk), norm(xl) * upper(vl)
         if new_k + new_l < vals[k] + vals[l] - 1e-15:
             X[k], X[l], V[k], V[l], vals[k], vals[l] = xk, xl, vk, vl, new_k, new_l

@@ -463,8 +463,8 @@ _SEARCH_BASES = {
 def test_refinement_draws_do_not_depend_on_accepted_moves(base):
     """The search draws its whole budget at once, so the shared generator
     stands at the same place after a search that wins as after one that
-    accepts no move: on e_0 (x) f_0 + 1e-8 e_1 (x) f_1 every mix and
-    scaling leaves the value as it is or raises it."""
+    accepts no move: on e_0 (x) f_0 + 1e-8 e_1 (x) f_1 every mix leaves the
+    value as it is or raises it."""
     from pllab.projective import proj_bracket
 
     wins = random_complex(make_rng(53, "refine-draws"), base.dim, 2)
@@ -510,6 +510,38 @@ def test_refinement_moves_are_drawn_in_bounded_batches():
     more = list(_moves(make_rng(0, "moves"), 3, _MOVE_CHUNK + 5))
     assert len(more) == _MOVE_CHUNK + 5 and more[:_MOVE_CHUNK] == one
     assert all(k != l for k, l, *_ in more)
+
+
+@pytest.mark.parametrize("name, base", [(n, _SEARCH_BASES[n]) for n in ("l3", "polytope")], ids=["l3", "polytope"])
+def test_refinement_starts_from_the_values_of_the_decomposition_it_refines(name, base):
+    """One factor call per nonzero slice, per SVD term, two per move and one
+    per lower-bound functional: the refinement values no term before its first
+    move, since the winning decomposition has just valued them."""
+    from pllab.projective import proj_bracket
+
+    calls = []
+
+    def factor(v):
+        calls.append(v)
+        n = np.linalg.norm(v)
+        return n, n, True
+
+    Z = random_complex(make_rng(67, "refine-start", name), base.dim, 4)
+    res = proj_bracket(base, factor, Z, budget=200, rng=make_rng(0, "proj"))
+    functionals = len(base.vertices) if base.kind == "polytope" else 1 + base.dim
+    assert res.upper_method.endswith("+refine")
+    assert len(calls) == base.dim + min(Z.shape) + 2 * 200 + functionals  # a random Z: full rank, no zero slice
+
+
+def test_refinement_moves_are_unitary_mixes():
+    """Every move is a mix [[c, s], [-conj(s), c]] with c real and
+    |c|^2 + |s|^2 = 1, so no budget goes to moves that leave term values as
+    they are."""
+    from pllab.projective import _moves
+
+    for k, l, c, s in _moves(make_rng(0, "moves"), 4, 2000):
+        assert isinstance(c, float) and k != l
+        assert abs(c * c + abs(s) ** 2 - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize(

@@ -99,8 +99,8 @@ def test_pl_representation_rejects_each_malformed_input(match, build):
 
 # value(budget, seed) of the pl and l witnesses of _drawing_witnesses(), whose
 # factor norms run the projective refinement on the generators' streams
-_REP_VALUES = {(0, 60): (11.067900033009558, 11.06210061032394),
-               (2, 20): (11.084596523828546, 11.059284104104062)}
+_REP_VALUES = {(0, 60): (11.055877572126352, 11.05875303331666),
+               (2, 20): (11.068026546317075, 11.077427299220753)}
 
 
 def _drawing_witnesses():
