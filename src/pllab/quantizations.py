@@ -378,20 +378,13 @@ def semi_ruan_witness_search(
         return None
 
     # structured trials: coordinate base vectors on disjoint H rows
-    structured = 0
-    for j in range(m):
-        for k in range(m):
-            if structured >= min(trials, m * m):
-                break
-            eu = np.zeros((1, m), dtype=complex)
-            ev = np.zeros((1, m), dtype=complex)
-            eu[0, j] = 1.0
-            ev[0, k] = 1.0
-            w = check(eu, ev)
-            structured += 1
-            if w is not None:
-                return w
-    for _ in range(max(trials - structured, 0)):
+    eye = np.eye(m, dtype=complex)
+    structured = [(j, k) for j in range(m) for k in range(m)][:max(trials, 0)]
+    for j, k in structured:
+        w = check(eye[j:j + 1], eye[k:k + 1])
+        if w is not None:
+            return w
+    for _ in range(trials - len(structured)):
         d1 = int(rng.integers(1, 3))
         d2 = int(rng.integers(1, 3))
         w = check(
