@@ -503,23 +503,26 @@ def test_refinement_draws_over_a_drawing_inner_do_not_depend_on_accepted_moves()
 
 def test_refinement_moves_are_drawn_in_bounded_batches():
     """A budget past one batch draws its moves batch by batch: the first batch
-    is the stream of a budget of exactly one batch, and no batch is longer."""
+    is the stream of a budget of exactly one batch, and no batch is longer.
+    Every move is a unitary mix [[c, s], [-conj(s), c]], c real, so no budget
+    goes to moves that leave every term value as it is."""
     from pllab.projective import _MOVE_CHUNK, _moves
 
     one = list(_moves(make_rng(0, "moves"), 3, _MOVE_CHUNK))
     more = list(_moves(make_rng(0, "moves"), 3, _MOVE_CHUNK + 5))
     assert len(more) == _MOVE_CHUNK + 5 and more[:_MOVE_CHUNK] == one
     assert all(k != l for k, l, *_ in more)
+    assert all(isinstance(c, float) and abs(c * c + abs(s) ** 2 - 1.0) <= 1e-15 for *_, c, s in more)
 
 
-@pytest.mark.parametrize("name, base", [(n, _SEARCH_BASES[n]) for n in ("l3", "polytope")], ids=["l3", "polytope"])
-def test_refinement_starts_from_the_values_of_the_decomposition_it_refines(name, base):
+@pytest.mark.parametrize("name", ["l3", "polytope"])
+def test_refinement_starts_from_the_values_of_the_decomposition_it_refines(name):
     """One factor call per nonzero slice, per SVD term, two per move and one
     per lower-bound functional: the refinement values no term before its first
     move, since the winning decomposition has just valued them."""
     from pllab.projective import proj_bracket
 
-    calls = []
+    base, calls = _SEARCH_BASES[name], []
 
     def factor(v):
         calls.append(v)
@@ -531,17 +534,6 @@ def test_refinement_starts_from_the_values_of_the_decomposition_it_refines(name,
     functionals = len(base.vertices) if base.kind == "polytope" else 1 + base.dim
     assert res.upper_method.endswith("+refine")
     assert len(calls) == base.dim + min(Z.shape) + 2 * 200 + functionals  # a random Z: full rank, no zero slice
-
-
-def test_refinement_moves_are_unitary_mixes():
-    """Every move is a mix [[c, s], [-conj(s), c]] with c real and
-    |c|^2 + |s|^2 = 1, so no budget goes to moves that leave term values as
-    they are."""
-    from pllab.projective import _moves
-
-    for k, l, c, s in _moves(make_rng(0, "moves"), 4, 2000):
-        assert isinstance(c, float) and k != l
-        assert abs(c * c + abs(s) ** 2 - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize(
