@@ -11,8 +11,9 @@ injective-type quantized norm and the certificate machinery run on:
 
 * ``dual_ball_maximize(A)``: sup of ||A c||_2 over the dual unit ball, with a
   certified [lower, upper] enclosure and a witness.  Exact for euclidean,
-  polytope, weighted l-infinity, p = 2, and real-mode l1 bases (sign
-  enumeration up to 16 coordinates); multi-start ascent otherwise, with all
+  polytope, weighted l-infinity, p = 2, real-mode l1 bases (sign
+  enumeration up to 16 coordinates) and complex l1 bases at one row of A or
+  two coordinates (closed forms); multi-start ascent otherwise, with all
   starts iterated at once as the columns of one m x starts matrix.
 * ``primal_align(c)``: a norming vector for a coefficient vector in the
   primal unit ball (Hoelder alignment).
@@ -229,11 +230,12 @@ class BaseNorm:
     def dual_ball_maximize(self, A, rng=None, starts: int = 8) -> DualMax:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
-        The multi-start ascents (weighted l1 polydisc, lq ball) run all starts
-        as columns of one m x starts matrix; a column stops under the same rule
-        as a lone start would (phases settled, or no gain above 1e-15), and the
-        last column within 1e-14 relative of the best is returned
-        (_best_column).
+        A complex weighted-l1 base at one row of A or two coordinates takes a
+        closed form, exact and drawing nothing from rng.  The multi-start
+        ascents (weighted l1 polydisc, lq ball) run all starts as columns of
+        one m x starts matrix; a column stops under the same rule as a lone
+        start would (phases settled, or no gain above 1e-15), and the last
+        column within 1e-14 relative of the best is returned (_best_column).
         """
         A = np.asarray(A, dtype=complex)
         if A.shape[1] != self.dim:
@@ -287,6 +289,12 @@ class BaseNorm:
         if m == 1:
             v = float(np.linalg.norm(B[:, 0]))
             return DualMax(v, v, w.astype(complex).copy(), True)
+        if A.shape[0] == 1 or m == 2:
+            # closed forms: one row aligns every phase (value sum_j |B_0j|), two
+            # coordinates the Gram phase (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
+            z = _phases(B[0].conj()) if A.shape[0] == 1 else np.array([1.0, _phases(B[:, 1].conj() @ B[:, 0])])
+            v = l2_norm(B @ z)
+            return DualMax(v, v, z * w, True)
         rng = np.random.default_rng(0) if rng is None else rng
         Q = B.conj().T @ B
         # starts as columns: ones, the phases of the Gram column of the
@@ -409,7 +417,8 @@ def _best_column(vals: np.ndarray) -> int:
     rounding pick the witness, and with it every search that continues from
     it: a rescaled element could move the l lower bound by 1e-11 relative.
     The last tied column is the later start, in the l1 ascent the Gram
-    phases, which at two coordinates is already the optimum.
+    phases (at two coordinates the optimum, which the closed form of
+    _dual_ball_max_l1 returns before any ascent).
     """
     return int(np.flatnonzero(vals >= vals.max() * (1.0 - _TIE_RTOL))[-1])
 

@@ -1,9 +1,10 @@
 """Base norm descriptors: values, duals, and ball maximizers.
 
-The pinned ascent data in tests/data/ascent_pins.json was recorded before the
-multi-start ascents were batched; regenerate it with
-``PYTHONPATH=src python tests/test_bases.py`` only when the ascents are meant
-to change.
+The pinned ascent data in tests/data/ascent_pins.json holds, per seeded case,
+the dual-ball bounds and the generator's next draw.  A change meant to move
+the ascents re-records only the rows it moves, lowers within 1e-12 and uppers
+never higher; ``PYTHONPATH=src python tests/test_bases.py`` rewrites every row
+from the current code.
 """
 
 import json
@@ -180,6 +181,38 @@ def test_holder_align_matches_primal_align_by_column(p, real):
     assert not np.any(X[:, 2])
 
 
+# -- closed-form weighted-l1 polydisc suprema ----------------------------------
+
+
+@pytest.mark.parametrize("m,rows", [(2, rows) for rows in range(1, 5)] + [(m, 1) for m in range(3, 7)])
+def test_l1_closed_forms_are_exact_feasible_and_beat_a_phase_grid(m, rows):
+    """At two coordinates or one row of A the complex polydisc supremum is
+    returned in closed form: exact, attained by a feasible witness, at least
+    the maximum over 720 grid phases, and with no draw from rng."""
+    data = make_rng(8, "l1-closed-form", m, rows)
+    phases = np.exp(2j * np.pi * np.arange(720) / 720)
+    for _ in range(10):
+        base = BaseNorm.lp(1.0, weights=0.25 + 2.0 * data.random(m))
+        A = random_complex(data, rows, m)
+        rng = make_rng(9, "untouched")
+        dm = base.dual_ball_maximize(A, rng=rng)
+        assert dm.exact
+        assert rng.random() == make_rng(9, "untouched").random()
+        c = dm.witness
+        assert np.all(np.abs(c) <= base.weights * (1 + 1e-12))
+        assert np.linalg.norm(A @ c) == pytest.approx(dm.lower, rel=1e-12, abs=0)
+        assert dm.upper == pytest.approx(dm.lower, rel=1e-12, abs=0)
+        B = A * base.weights
+        if m == 2:
+            # the global phase is free: z = (1, e^(i t)) over the grid
+            grid = np.linalg.norm(B[:, :1] + B[:, 1:] * phases[None, :], axis=0).max()
+        else:
+            # 720 grid points of the torus, the first coordinate's phase fixed
+            Z = phases[data.integers(0, 720, size=(m - 1, 720))]
+            grid = np.abs(B[0, 0] + B[0, 1:] @ Z).max()
+        assert dm.lower >= grid * (1 - 1e-12)
+
+
 # -- pinned multi-start ascents ------------------------------------------------
 
 ASCENT_PINS = pathlib.Path(__file__).parent / "data" / "ascent_pins.json"
@@ -220,8 +253,8 @@ def _record_ascent_pins():
     "case", _ascent_grid(), ids=lambda c: f"p{c[0]}-m{c[1]}-starts{c[2]}" + ("-real" if c[3] else "")
 )
 def test_multi_start_ascents_are_pinned(case):
-    """Bounds recorded before the starts were batched; witnesses are not pinned
-    because starts that tie to rounding may swap."""
+    """Bounds and next draw as pinned; witnesses are not pinned because starts
+    that tie to rounding may swap."""
     row = {tuple(r["case"]): r for r in json.loads(ASCENT_PINS.read_text())}[case]
     base, A, dm, after = _ascent_case(*case)
     assert dm.lower == pytest.approx(row["lower"], rel=1e-12, abs=0)

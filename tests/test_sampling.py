@@ -64,6 +64,7 @@ EXACT = [
     Quantization.concrete([np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]),
     Quantization.min(BaseNorm.euclidean(3)),
     Quantization.min(BaseNorm.lp(np.inf, weights=[1.0, 2.0])),
+    Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 2.0])),
     Quantization.min(BaseNorm.polytope(np.array([[1, 0.5], [-1, -0.5], [0, 1], [0, -1]]))),
     Quantization.lp(2.0, [1.0, 0.5], inner=Quantization.min(BaseNorm.euclidean(2))),
     Quantization.lp(1.0, [1.0, 0.5, 2.0]),
