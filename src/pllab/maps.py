@@ -317,12 +317,16 @@ def lb_norm_lower(
     return _lb_lower_linear_search(phi, budget, rng)
 
 
-def _ratio_linear(phi: LinearMap, U: np.ndarray, budget: int, rng) -> float:
-    den = amp_norm(phi.source, U, budget=budget, rng=rng).value
-    if den <= 0:
-        return 0.0
-    num = amp_norm(phi.target, U @ phi.matrix, budget=budget, rng=rng).lower
-    return num / den
+def _source_values(qs, xs: list, known: list, budget: int, rng) -> list:
+    """amp_norm value of each of xs over its source in qs, or its known value when not None."""
+    return [amp_norm(q, x, budget=budget, rng=rng).value if k is None else k for q, x, k in zip(qs, xs, known)]
+
+
+def _ratio_linear(phi: LinearMap, xs: list, known: list, budget: int, rng) -> tuple:
+    dens = _source_values((phi.source,), xs, known, budget, rng)
+    if dens[0] <= 0:
+        return 0.0, dens
+    return amp_norm(phi.target, xs[0] @ phi.matrix, budget=budget, rng=rng).lower / dens[0], dens
 
 
 def _lb_lower_linear_search(phi: LinearMap, budget: int, rng) -> LbNormEstimate:
@@ -338,34 +342,35 @@ def _lb_lower_linear_search(phi: LinearMap, budget: int, rng) -> LbNormEstimate:
                 best, best_U = val, x[None, :]
     for s in range(starts):
         U = random_complex(rng, 1 + s % 3, phi.source.dim)
-        val, (U,) = _ascend(lambda U: _ratio_linear(phi, U, 40, rng), [U], rng)
+        val, (U,) = _ascend(lambda xs, known: _ratio_linear(phi, xs, known, 40, rng), [U], rng)
         if val > best:
             best, best_U = val, U
     return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_U})
 
 
 def _ascend(ratio, xs: list, rng) -> tuple:
-    """(ratio, xs) after 50 hill-climbing steps on ratio(*xs): each adds 0.3
-    times a complex Gaussian to one of xs, the first when there is one or when
-    rng.random() < 0.5, and keeps the move when the ratio grows."""
-    val = ratio(*xs)
+    """(ratio, xs) after 50 hill-climbing steps on ratio(xs, known): each adds
+    0.3 times a complex Gaussian to one of xs, the first when there is one or
+    when rng.random() < 0.5, and keeps the move when the ratio grows.  ratio
+    returns the ratio and the source values of xs; a step passes on the kept
+    values with None for the element it moves, which alone is valued again."""
+    val, dens = ratio(xs, [None] * len(xs))
     for _ in range(50):
         k = 0 if len(xs) == 1 or rng.random() < 0.5 else 1
-        cand = list(xs)
-        cand[k] = xs[k] + 0.3 * random_complex(rng, *xs[k].shape)
-        v2 = ratio(*cand)
+        cand, known = list(xs), list(dens)
+        cand[k], known[k] = xs[k] + 0.3 * random_complex(rng, *xs[k].shape), None
+        v2, d2 = ratio(cand, known)
         if v2 > val:
-            xs, val = cand, v2
+            xs, dens, val = cand, d2, v2
     return val, xs
 
 
-def _ratio_bilinear(r: BilinearMap, U, V, budget, rng, pairing=PairingMap()) -> float:
-    du = amp_norm(r.source_left, U, budget=budget, rng=rng).value
-    dv = amp_norm(r.source_right, V, budget=budget, rng=rng).value
-    if du <= 0 or dv <= 0:
-        return 0.0
-    W = amplify_bilinear(r, U, V, pairing)
-    return amp_norm(r.target, W, budget=budget, rng=rng).lower / (du * dv)
+def _ratio_bilinear(r: BilinearMap, xs: list, known: list, budget, rng) -> tuple:
+    dens = _source_values((r.source_left, r.source_right), xs, known, budget, rng)
+    if dens[0] <= 0 or dens[1] <= 0:
+        return 0.0, dens
+    W = amplify_bilinear(r, xs[0], xs[1])
+    return amp_norm(r.target, W, budget=budget, rng=rng).lower / (dens[0] * dens[1]), dens
 
 
 def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
@@ -373,8 +378,8 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
     best, best_pair = 0.0, None
     T = r.tensor
 
-    def ratio(U, V):
-        return _ratio_bilinear(r, U, V, 40, rng)
+    def ratio(xs, known=(None, None)):
+        return _ratio_bilinear(r, xs, known, 40, rng)
 
     if r.target.dim == 1:
         # scalar-valued: d=1 ratios are exact quotients |x C y| / (||x|| ||y||)
@@ -407,7 +412,7 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
         for y, uy in _norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2):
             if ux <= 0 or uy <= 0:
                 continue
-            val = ratio(x[None, :], y[None, :])
+            val, _ = ratio([x[None, :], y[None, :]])
             if val > best:
                 best, best_pair = val, (x[None, :], y[None, :])
 
@@ -419,7 +424,7 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
     if all_hilbert:
         _, f, g = _alternate(r.source_left, r.source_right, T.transpose(2, 0, 1), starts, rng)
         pair = (f[None, :], g[None, :])
-        val = ratio(*pair)
+        val, _ = ratio(pair)
         if val > best:
             best, best_pair = val, pair
     else:
