@@ -24,6 +24,10 @@ at full precision, with no summarizing).  The records:
   inner on the lp3 and polytope bases, 5 elements for each n = 2, 3 rows at
   budget 200: an inner without a Frobenius metric, whose every factor
   evaluation is an ``amp_norm`` call drawing from the shared generator;
+* ``dual_ball_maximize`` lower, upper, exact and witness on complex
+  weighted-l1 and weighted-l3 bases, 10 elements for each m = 2..4 base
+  coordinates and 1..3 rows: the l1 closed forms at one row or two
+  coordinates, the l1 phase ascent elsewhere, and the lq ascent;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -131,6 +135,15 @@ def record(root: Path) -> dict:
                 U = wl._complex(wl._rng(0, "tp", name, n, i), n, base.dim * inner.dim)
                 res = tensor_p_bracket(base, inner, U, 200, wl._rng(0, "tp-search", name, n, i))
                 out[f"tp/{name}/{n}/{i}"] = _digest((res.upper, res.lower, res.upper_method, res.terms))
+
+    for p in (1.0, 3.0):
+        for m in (2, 3, 4):
+            base = BaseNorm.lp(p, weights=wl._rng(0, "dual-weights", p, m).uniform(0.5, 2.0, m))
+            for rows in (1, 2, 3):
+                for i in range(10):
+                    A = wl._complex(wl._rng(0, "dual", p, m, rows, i), rows, m)
+                    dm = base.dual_ball_maximize(A, rng=wl._rng(0, "dual-search", p, m, rows, i))
+                    out[f"dual/lp{p:g}/{m}/{rows}/{i}"] = _digest((dm.lower, dm.upper, dm.exact, dm.witness))
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
     out["properties/50"] = _digest(properties_suite(trials=50))
