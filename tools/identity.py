@@ -27,7 +27,16 @@ at full precision, with no summarizing).  The records:
 * ``dual_ball_maximize`` lower, upper, exact and witness on complex
   weighted-l1 and weighted-l3 bases, 10 elements for each m = 2..4 base
   coordinates and 1..3 rows: the l1 closed forms at one row or two
-  coordinates, the l1 phase ascent elsewhere, and the lq ascent;
+  coordinates, the l1 phase ascent elsewhere, and the lq ascent; and on
+  real weighted-l1 bases at one row, 10 elements for each m = 1..4 and one
+  at m = 17 (a raised error is recorded as its message);
+* the lb-norm paths no benchmark round reaches, over the ``LB_SOURCES``
+  spaces: ``underlying_dual_norm`` and ``underlying_dual_maximize`` (lp over
+  hilbert, min and concrete inners, tensor_p, concrete), and
+  ``lb_norm_lower`` lower, exact, method and witness, with closed forms on
+  and off, for functionals and linear maps on each space, rank-1 and rank-2
+  scalar bilinear maps on every ordered pair of spaces, embeddings, and the
+  bilinear maps of the hilbert x hilbert certificates;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -48,6 +57,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -65,6 +75,7 @@ PROJ_BASES = {  # name -> BaseNorm.from_dict descriptor
         [[s * v, 0.0] for v in row] for s in (1, -1) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]},
 }
 TP_INNER = {"kind": "min", "params": {"base": {"kind": "lp", "dim": 2, "p": 3.0}}}
+LB_SOURCES = ("lp2-hilbert", "lp1-min", "lp3-concrete", "tp-l1", "concrete", "hilbert", "min-lp3")
 
 
 def _digest(obj) -> str:
@@ -78,7 +89,8 @@ def record(root: Path) -> dict:
     np.set_printoptions(threshold=sys.maxsize, floatmode="unique")
     import workloads as wl
     from pllab import BaseNorm, PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
-    from pllab.maps import builtin_certificates
+    from pllab.maps import (BilinearMap, LinearMap, builtin_certificates, embedding_map, lb_norm_lower,
+                            underlying_dual_maximize, underlying_dual_norm)
     from pllab.projective import proj_bracket
     from pllab.quantizations import tensor_p_bracket
     from pllab.suites import certificate_sweep, properties_suite, quantization_pool, verify_paper_suite
@@ -144,6 +156,53 @@ def record(root: Path) -> dict:
                     A = wl._complex(wl._rng(0, "dual", p, m, rows, i), rows, m)
                     dm = base.dual_ball_maximize(A, rng=wl._rng(0, "dual-search", p, m, rows, i))
                     out[f"dual/lp{p:g}/{m}/{rows}/{i}"] = _digest((dm.lower, dm.upper, dm.exact, dm.witness))
+    for m, count in ((1, 10), (2, 10), (3, 10), (4, 10), (17, 1)):
+        base = BaseNorm.lp(1.0, weights=wl._rng(0, "dual-weights-real", m).uniform(0.5, 2.0, m), real=True)
+        for i in range(count):
+            A = wl._rng(0, "dual-real", m, i).standard_normal((1, m))
+            try:
+                dm = base.dual_ball_maximize(A, rng=wl._rng(0, "dual-search-real", m, i))
+                rec = (dm.lower, dm.upper, dm.exact, dm.witness)
+            except ValueError as exc:
+                rec = str(exc)
+            out[f"dual/lp1-real/{m}/1/{i}"] = _digest(rec)
+
+    H2 = Quantization.hilbert(2)
+    lb = dict(zip(LB_SOURCES, map(Quantization.from_dict, (
+        wl._lp(2.0, [1.0, 0.5], inner=wl._hilbert(2)),
+        wl._lp(1.0, [1.0, 2.0], inner=wl._min(wl._euc(2))),
+        wl._lp(3.0, [1.0, 0.5], inner=wl._CONCRETE),
+        wl._tensor_p(wl._lp_base(1.0, [1.0, 1.0]), wl._hilbert(2)),
+        wl._CONCRETE,
+        wl._hilbert(2),
+        wl._min(wl._lp_base(3.0, [1.0, 2.0])),
+    ))))
+
+    def lb_rec(phi, seed):
+        ests = [lb_norm_lower(phi, budget=wl.LB_BUDGET, seed=seed, use_closed_forms=c) for c in (True, False)]
+        return [(e.lower, e.exact, e.method, e.witness) for e in ests]
+
+    for name, q in lb.items():
+        for i in range(3):
+            rng = wl._rng(0, "lb", name, i)
+            c, A, M = wl._complex(rng, q.dim), wl._complex(rng, 1 + i, q.dim), wl._complex(rng, q.dim, 2)
+            dm = underlying_dual_maximize(q, A, wl._rng(0, "lb-search", name, i))
+            out[f"lb/dual/{name}/{i}"] = _digest((underlying_dual_norm(q, c), dm.lower, dm.upper, dm.exact,
+                                                  dm.witness))
+            out[f"lb/functional/{name}/{i}"] = _digest(lb_rec(LinearMap(c[:, None], q, Quantization.scalar()), i))
+            out[f"lb/linear/{name}/{i}"] = _digest(lb_rec(LinearMap(M, q, H2), i))
+    for a, b in itertools.product(LB_SOURCES, repeat=2):
+        E, F = lb[a], lb[b]
+        for rank in (1, 2):
+            rng = wl._rng(0, "lb-bilinear", a, b, rank)
+            C = wl._complex(rng, E.dim, rank) @ wl._complex(rng, rank, F.dim)
+            r = BilinearMap(C[:, :, None], E, F, Quantization.scalar())
+            out[f"lb/bilinear/{a}/{b}/{rank}"] = _digest(lb_rec(r, rank))
+    for name in ("hilbert", "lp2-hilbert", "min-lp3"):
+        for p in (1.0, 3.0, np.inf):
+            out[f"lb/embedding/{name}/{p:g}"] = _digest(lb_rec(embedding_map(p, [0.7, 1.6], lb[name]), 0))
+    for cert in builtin_certificates(H2, H2)[1:]:
+        out[f"lb/certificate/{cert.name}"] = _digest(lb_rec(cert.bilinear, 0))
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
     out["properties/50"] = _digest(properties_suite(trials=50))
