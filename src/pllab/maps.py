@@ -148,14 +148,8 @@ def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
     if base is not None:
         return base.dual_norm(c)
     if q.kind == "lp":
-        mi = q.inner.dim
-        pointwise = []
-        for t in range(q.points):
-            dn = underlying_dual_norm(q.inner, c[t * mi : (t + 1) * mi])
-            if dn is None:
-                return None
-            pointwise.append(dn)
-        return point_base(q).dual_norm(np.asarray(pointwise))
+        pointwise = [underlying_dual_norm(q.inner, ct) for ct in c.reshape(q.points, q.inner.dim)]
+        return None if None in pointwise else point_base(q).dual_norm(np.asarray(pointwise))
     return None
 
 
@@ -170,20 +164,13 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
     if base is not None:
         return base.dual_ball_maximize(A, rng=rng, starts=starts)
     if q.kind == "lp":
-        mi = q.inner.dim
         # per-point inner witnesses, outer weights through the scalar dual ball
-        ys = []
-        phis = []
-        for t in range(q.points):
-            inner_dm = underlying_dual_maximize(q.inner, A[:, t * mi : (t + 1) * mi], rng, starts=2)
-            phis.append(inner_dm.witness)
-            ys.append(A[:, t * mi : (t + 1) * mi] @ inner_dm.witness)
-        M = np.stack(ys, axis=1)
+        blocks = np.split(A, q.points, axis=1)
+        phis = [underlying_dual_maximize(q.inner, B, rng, starts=2).witness for B in blocks]
+        M = np.stack([B @ phi for B, phi in zip(blocks, phis)], axis=1)
         outer = point_base(q).dual_ball_maximize(M, rng=rng, starts=starts)
-        f = np.concatenate([outer.witness[t] * phis[t] for t in range(q.points)])
-        val = float(np.linalg.norm(A @ f))
-        return DualMax(val, np.inf, f, False)
-    if q.kind == "concrete":
+        f = np.concatenate([w * phi for w, phi in zip(outer.witness, phis)])
+    elif q.kind == "concrete":
         # the functionals w . T_m v over unit v and w span the dual ball
         G = np.stack(q.generators)
         _, w, v = _alternate(Quantization.hilbert(G.shape[1]), Quantization.hilbert(G.shape[2]),
@@ -237,22 +224,16 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
     elif base is not None:
         add(base.primal_align(c))
     elif q.kind == "lp":
-        mi = q.inner.dim
         blocks, scores, uppers = [], [], []
-        for t in range(q.points):
-            cands = _norming_candidates(q.inner, c[t * mi : (t + 1) * mi], rng, n_random=2)
-            if not cands:
-                blocks.append(np.zeros(mi, dtype=complex))
-                scores.append(0.0)
-                uppers.append(1.0)
-                continue
-            y, up = max(cands, key=lambda xy: abs(np.dot(c[t * mi : (t + 1) * mi], xy[0])) / max(xy[1], 1e-30))
+        for ct in c.reshape(q.points, q.inner.dim):
+            key = lambda xy: abs(np.dot(ct, xy[0])) / max(xy[1], 1e-30)
+            cands = _norming_candidates(q.inner, ct, rng, n_random=2) or [(np.zeros(q.inner.dim, dtype=complex), 1.0)]
+            y, up = max(cands, key=key)
             blocks.append(y)
-            scores.append(abs(np.dot(c[t * mi : (t + 1) * mi], y)) / max(up, 1e-30))
+            scores.append(key((y, up)))
             uppers.append(max(up, 1e-30))
         s = point_base(q).primal_align(np.asarray(scores, dtype=complex))
-        x = np.concatenate([s[t] / uppers[t] * blocks[t] for t in range(q.points)])
-        add(x)
+        add(np.concatenate([st / ut * y for st, ut, y in zip(s, uppers, blocks)]))
     elif q.kind == "tensor_p":
         C = c.reshape(q.base.dim, q.inner.dim)
         b_cands = _norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2) or [
@@ -305,47 +286,42 @@ def lb_norm_lower(
     if any(q.real for q in spaces):
         raise ValueError("lb_norm_lower does not take real-restricted sources or targets")
     rng = make_rng(seed, "lbnorm")
+    starts = max(2, budget // 50)
     if bilinear:
-        return _lb_lower_bilinear(phi, budget, rng, use_closed_forms)
+        return _lb_lower_bilinear(phi, starts, rng, use_closed_forms)
     if use_closed_forms and phi.is_functional:
         dn = underlying_dual_norm(phi.source, phi.matrix[:, 0])
         if dn is not None:
             return LbNormEstimate(dn, True, "functional/dual-norm")
     if use_closed_forms and phi.source.kind == "hilbert" and phi.target.kind == "hilbert":
-        v = float(np.linalg.norm(phi.matrix, 2))
-        return LbNormEstimate(v, True, "hilbert/operator-norm")
-    return _lb_lower_linear_search(phi, budget, rng)
+        return LbNormEstimate(float(np.linalg.norm(phi.matrix, 2)), True, "hilbert/operator-norm")
+    return _lb_lower_linear_search(phi, starts, rng)
 
 
-def _source_values(qs, xs: list, known: list, budget: int, rng) -> list:
-    """amp_norm value of each of xs over its source in qs, or its known value when not None."""
-    return [amp_norm(q, x, budget=budget, rng=rng).value if k is None else k for q, x, k in zip(qs, xs, known)]
+def _ratio(sources, target, image, rng):
+    """ratio(xs, known) for _ascend: the target's certified lower bound of
+    image(xs) over the product of the sources' amp_norm values of xs, each
+    at budget 40 unless known holds it; 0 when a source value is not positive."""
+
+    def ratio(xs, known):
+        dens = [amp_norm(q, x, budget=40, rng=rng).value if k is None else k
+                for q, x, k in zip(sources, xs, known)]
+        if any(d <= 0 for d in dens):
+            return 0.0, dens
+        return amp_norm(target, image(xs), budget=40, rng=rng).lower / math.prod(dens), dens
+
+    return ratio
 
 
-def _ratio_linear(phi: LinearMap, xs: list, known: list, budget: int, rng) -> tuple:
-    dens = _source_values((phi.source,), xs, known, budget, rng)
-    if dens[0] <= 0:
-        return 0.0, dens
-    return amp_norm(phi.target, xs[0] @ phi.matrix, budget=budget, rng=rng).lower / dens[0], dens
-
-
-def _lb_lower_linear_search(phi: LinearMap, budget: int, rng) -> LbNormEstimate:
-    starts = max(2, budget // 50)
-    best, best_U = 0.0, None
-    if phi.is_functional:
-        c = phi.matrix[:, 0]
-        for x, up in _norming_candidates(phi.source, c, rng):
-            if up <= 0:
-                continue
-            val = abs(np.dot(c, x)) / up
-            if val > best:
-                best, best_U = val, x[None, :]
+def _climb(ratio, sources, rows: int, starts: int, rng, best: float, best_xs) -> tuple:
+    """(best, best_xs) after an _ascend from each of starts random starts,
+    start s drawing a (1 + s % rows) x dim element per source in order; a
+    climb replaces the best only when it beats it."""
     for s in range(starts):
-        U = random_complex(rng, 1 + s % 3, phi.source.dim)
-        val, (U,) = _ascend(lambda xs, known: _ratio_linear(phi, xs, known, 40, rng), [U], rng)
+        val, xs = _ascend(ratio, [random_complex(rng, 1 + s % rows, q.dim) for q in sources], rng)
         if val > best:
-            best, best_U = val, U
-    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_U})
+            best, best_xs = val, xs
+    return best, best_xs
 
 
 def _ascend(ratio, xs: list, rng) -> tuple:
@@ -365,32 +341,34 @@ def _ascend(ratio, xs: list, rng) -> tuple:
     return val, xs
 
 
-def _ratio_bilinear(r: BilinearMap, xs: list, known: list, budget, rng) -> tuple:
-    dens = _source_values((r.source_left, r.source_right), xs, known, budget, rng)
-    if dens[0] <= 0 or dens[1] <= 0:
-        return 0.0, dens
-    W = amplify_bilinear(r, xs[0], xs[1])
-    return amp_norm(r.target, W, budget=budget, rng=rng).lower / (dens[0] * dens[1]), dens
+def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
+    best, best_xs = 0.0, None
+    if phi.is_functional:
+        c = phi.matrix[:, 0]
+        for x, up in _norming_candidates(phi.source, c, rng):
+            if up <= 0:
+                continue
+            val = abs(np.dot(c, x)) / up
+            if val > best:
+                best, best_xs = val, [x[None, :]]
+    ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
+    best, best_xs = _climb(ratio, [phi.source], 3, starts, rng, best, best_xs)
+    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": None if best_xs is None else best_xs[0]})
 
 
-def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
-    starts = max(2, budget // 50)
-    best, best_pair = 0.0, None
+def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
+    sources = [r.source_left, r.source_right]
+    ratio = _ratio(sources, r.target, lambda xs: amplify_bilinear(r, *xs), rng)
+    best, best_xs = 0.0, None
     T = r.tensor
-
-    def ratio(xs, known=(None, None)):
-        return _ratio_bilinear(r, xs, known, 40, rng)
-
     if r.target.dim == 1:
         # scalar-valued: d=1 ratios are exact quotients |x C y| / (||x|| ||y||)
         C = T[:, :, 0]
         uu, ss, vv = np.linalg.svd(C)
         if use_closed_forms and ss.size and (ss.size == 1 or ss[1] <= 1e-12 * ss[0]):
             # rank-one C = f g^T; recover the factors from the SVD
-            f = uu[:, 0] * ss[0]
-            g = vv[0]
-            dn_f = underlying_dual_norm(r.source_left, f)
-            dn_g = underlying_dual_norm(r.source_right, g)
+            f, g = uu[:, 0] * ss[0], vv[0]
+            dn_f, dn_g = underlying_dual_norm(r.source_left, f), underlying_dual_norm(r.source_right, g)
             if dn_f is not None and dn_g is not None:
                 return LbNormEstimate(dn_f * dn_g, True, "functional-product/dual-norms", {"f": f, "g": g})
         cand_L = _norming_candidates(r.source_left, C @ np.ones(C.shape[1]), rng, n_random=3)
@@ -405,37 +383,27 @@ def _lb_lower_bilinear(r: BilinearMap, budget: int, rng, use_closed_forms: bool 
                     continue
                 val = abs(x @ C @ y) / (ux * uy)
                 if val > best:
-                    best, best_pair = val, (x[None, :], y[None, :])
+                    best, best_xs = val, [x[None, :], y[None, :]]
 
     # elementary candidates from per-factor norming data
     for x, ux in _norming_candidates(r.source_left, T.sum(axis=(1, 2)).conj(), rng, n_random=2):
         for y, uy in _norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2):
             if ux <= 0 or uy <= 0:
                 continue
-            val, _ = ratio([x[None, :], y[None, :]])
+            pair = [x[None, :], y[None, :]]
+            val, _ = ratio(pair, [None, None])
             if val > best:
-                best, best_pair = val, (x[None, :], y[None, :])
+                best, best_xs = val, pair
 
-    all_hilbert = (
-        r.source_left.kind == "hilbert"
-        and r.source_right.kind == "hilbert"
-        and r.target.kind == "hilbert"
-    )
-    if all_hilbert:
+    if all(q.kind == "hilbert" for q in (*sources, r.target)):
         _, f, g = _alternate(r.source_left, r.source_right, T.transpose(2, 0, 1), starts, rng)
-        pair = (f[None, :], g[None, :])
-        val, _ = ratio(pair)
+        pair = [f[None, :], g[None, :]]
+        val, _ = ratio(pair, [None, None])
         if val > best:
-            best, best_pair = val, pair
+            best, best_xs = val, pair
     else:
-        for s in range(starts):
-            d = 1 + s % 2
-            U = random_complex(rng, d, r.source_left.dim)
-            V = random_complex(rng, d, r.source_right.dim)
-            val, (U, V) = _ascend(ratio, [U, V], rng)
-            if val > best:
-                best, best_pair = val, (U, V)
-    witness = {} if best_pair is None else {"u": best_pair[0], "v": best_pair[1]}
+        best, best_xs = _climb(ratio, sources, 2, starts, rng, best, best_xs)
+    witness = {} if best_xs is None else {"u": best_xs[0], "v": best_xs[1]}
     return LbNormEstimate(best, False, "search/alternating", witness)
 
 

@@ -437,16 +437,21 @@ def test_embedding_map_ascent_over_a_non_hilbert_source_is_seeded_and_sound(monk
     from pllab import maps
 
     calls = []
-    ratio = maps._ratio_bilinear
+    make_ratio = maps._ratio
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return ratio(*args, **kwargs)
+        ratio = make_ratio(*args, **kwargs)
+
+        def counted_ratio(*xs_known):
+            calls.append(1)
+            return ratio(*xs_known)
+
+        return counted_ratio
 
     def no_alternation(*args, **kwargs):
         raise AssertionError("alternating SVD steps on a non-hilbert source")
 
-    monkeypatch.setattr(maps, "_ratio_bilinear", counted)
+    monkeypatch.setattr(maps, "_ratio", counted)
     monkeypatch.setattr(maps, "_alternate", no_alternation)
     r = embedding_map(1.0, [0.7, 1.6], Quantization.min(BaseNorm.euclidean(2)))
     est = lb_norm_lower(r, budget=100, seed=4, use_closed_forms=False)
