@@ -11,10 +11,11 @@ injective-type quantized norm and the certificate machinery run on:
 
 * ``dual_ball_maximize(A)``: sup of ||A c||_2 over the dual unit ball, with a
   certified [lower, upper] enclosure and a witness.  Exact for euclidean,
-  polytope, weighted l-infinity, p = 2, real-mode l1 bases (sign
-  enumeration up to 16 coordinates) and complex l1 bases at one row of A or
-  two coordinates (closed forms); multi-start ascent otherwise, with all
-  starts iterated at once as the columns of one m x starts matrix.
+  polytope, weighted l-infinity, p = 2, l1 bases at one row of A (closed
+  form), complex l1 bases at two coordinates (closed form) and real-mode l1
+  bases otherwise (sign enumeration up to 16 coordinates); multi-start
+  ascent otherwise, with all starts iterated at once as the columns of one
+  m x starts matrix.
 * ``primal_align(c)``: a norming vector for a coefficient vector in the
   primal unit ball (Hoelder alignment).
 """
@@ -137,6 +138,13 @@ class BaseNorm:
             _require_real(x, "element")
         return x
 
+    def check_rows(self, rows: int):
+        """Raise ValueError when dual_ball_maximize cannot take a matrix with
+        this many rows: a real l1 base enumerates signs from two rows and two
+        coordinates up, over at most _SIGN_ENUM_LIMIT coordinates."""
+        if self.real and self.kind == "lp" and self.p == 1.0 and rows > 1 and self.dim > _SIGN_ENUM_LIMIT:
+            raise ValueError(f"real-mode l1 sign enumeration supports at most {_SIGN_ENUM_LIMIT} coordinates")
+
     # -- norms ------------------------------------------------------------
 
     def norm(self, x) -> float:
@@ -230,8 +238,8 @@ class BaseNorm:
     def dual_ball_maximize(self, A, rng=None, starts: int = 8) -> DualMax:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
-        A complex weighted-l1 base at one row of A or two coordinates takes a
-        closed form, exact and drawing nothing from rng.  The multi-start
+        A weighted-l1 base at one row of A, or a complex one at two
+        coordinates, takes a closed form, exact and drawing nothing from rng.  The multi-start
         ascents (weighted l1 polydisc, lq ball) run all starts as columns of
         one m x starts matrix; a column stops under the same rule as a lone
         start would (phases settled, or no gain above 1e-15), and the last
@@ -266,35 +274,29 @@ class BaseNorm:
 
     def _dual_ball_max_l1(self, A, rng, starts) -> DualMax:
         # dual ball is the weighted polydisc {|c_j| <= w_j}
+        if self.real:
+            _require_real(A, "matrix")
+            A = A.real  # real phases are exact signs
         w = self.weights
         B = A * w[None, :]
         m = self.dim
-        if self.real:
-            if m > _SIGN_ENUM_LIMIT:
-                raise ValueError(
-                    f"real-mode l1 sign enumeration supports at most {_SIGN_ENUM_LIMIT} coordinates"
-                )
-            _require_real(A, "matrix")
-            if m > 1:
-                grid = np.array(
-                    np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")
-                ).reshape(m - 1, -1)
-                signs = np.vstack([np.ones((1, grid.shape[1])), grid])
-            else:
-                signs = np.ones((1, 1))
-            vals = np.linalg.norm(B.real @ signs, axis=0)
-            k = int(np.argmax(vals))
-            c = signs[:, k] * w
-            return DualMax(float(vals[k]), float(vals[k]), c.astype(complex), True)
         if m == 1:
             v = float(np.linalg.norm(B[:, 0]))
             return DualMax(v, v, w.astype(complex).copy(), True)
-        if A.shape[0] == 1 or m == 2:
+        if A.shape[0] == 1 or (m == 2 and not self.real):
             # closed forms: one row aligns every phase (value sum_j |B_0j|), two
             # coordinates the Gram phase (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
             z = _phases(B[0].conj()) if A.shape[0] == 1 else np.array([1.0, _phases(B[:, 1].conj() @ B[:, 0])])
             v = l2_norm(B @ z)
-            return DualMax(v, v, z * w, True)
+            return DualMax(v, v, np.asarray(z * w, dtype=complex), True)
+        if self.real:
+            self.check_rows(A.shape[0])
+            grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)
+            signs = np.vstack([np.ones((1, grid.shape[1])), grid])
+            vals = np.linalg.norm(B @ signs, axis=0)
+            k = int(np.argmax(vals))
+            c = signs[:, k] * w
+            return DualMax(float(vals[k]), float(vals[k]), c.astype(complex), True)
         rng = np.random.default_rng(0) if rng is None else rng
         Q = B.conj().T @ B
         # starts as columns: ones, the phases of the Gram column of the

@@ -169,11 +169,16 @@ class Quantization:
             raise ValueError(
                 f"element has {U.shape[1]} base coordinates, quantization has {self.dim}"
             )
-        if self.real and np.abs(U.imag).max(initial=0.0) > 1e-12:
-            # finiteness first: amp_norm reports other non-finite entries itself
-            if not np.isfinite(U).all():
-                raise ValueError("element has non-finite entries")
-            raise ValueError("element must be real-valued in real-restricted mode")
+        if self.real:
+            if np.abs(U.imag).max(initial=0.0) > 1e-12:
+                # finiteness first: amp_norm reports other non-finite entries itself
+                if not np.isfinite(U).all():
+                    raise ValueError("element has non-finite entries")
+                raise ValueError("element must be real-valued in real-restricted mode")
+            q = self
+            while q.kind == "lp":  # a real lp ends in a min over a real base
+                q = q.inner
+            q.base.check_rows(U.shape[0])
         return U
 
     # -- serialization ------------------------------------------------------

@@ -137,6 +137,20 @@ def test_real_mode_rejects_complex_data():
         base.norm(np.array([1.0j, 0.0]))
 
 
+def test_real_l1_one_row_takes_the_closed_form_past_the_sign_enumeration_limit():
+    """A one-row A over a real l1 base of 17 coordinates, one past the sign
+    enumeration, gets the exact value sum_j |a_j w_j| and a real witness."""
+    rng = make_rng(5, "real-l1-row")
+    w = 0.5 + 1.5 * rng.random(17)
+    a = rng.standard_normal(17)
+    dm = BaseNorm.lp(1.0, weights=w, real=True).dual_ball_maximize(a[None, :])
+    want = float(np.sum(np.abs(a * w)))
+    assert dm.exact
+    assert dm.lower == pytest.approx(want, rel=1e-12) and dm.upper == dm.lower
+    assert not np.any(dm.witness.imag) and np.array_equal(np.abs(dm.witness), w)  # the signs of a w
+    assert abs(a @ dm.witness) == pytest.approx(want, rel=1e-12)
+
+
 def test_element_dimension_check():
     with pytest.raises(ValueError):
         BaseNorm.euclidean(3).norm(np.array([1.0, 2.0]))

@@ -370,6 +370,21 @@ def test_real_element_on_a_min_real_restricted_norm_job_passes(capsys):
     assert json.loads(out)["cases"][0]["upper"] == pytest.approx(3.0, rel=1e-12)  # |1| + |-2|
 
 
+@pytest.mark.parametrize("nested", [False, True])
+def test_real_l1_beyond_the_sign_enumeration_is_input_error_from_two_rows(capsys, nested):
+    """A real l1 min over 17 coordinates, also as an lp inner, takes a
+    one-row element in closed form; a two-row one is reported at /element."""
+    q = {"kind": "min", "params": {"base": {"kind": "lp", "dim": 17, "p": 1, "real": True}}}
+    if nested:
+        q = {"kind": "lp", "params": {"p": 1, "weights": [1, 1]}, "inner": q}
+    row = [[(j % 5) - 2.0, 0] for j in range(17 * (1 + nested))]
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", norm_doc(quantization=q, element=[row]))
+    assert code == 0
+    assert json.loads(out)["cases"][0]["exact"]
+    doc = norm_doc(quantization=q, element=[row, row[::-1]])
+    assert _input_error_pointer(capsys, "norm", doc) == "/element"
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 @pytest.mark.parametrize("command", ["norm", "pl"])
 def test_non_finite_element_is_input_error(capsys, command, bad):
