@@ -217,8 +217,6 @@ class BaseNorm:
         best, best_val = None, -1.0
         for x in cands:
             n = self.norm(x)
-            if n <= 0:
-                continue
             val = abs(np.dot(c, x)) / n
             if val > best_val:
                 best, best_val = x / n, val
