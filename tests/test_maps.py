@@ -481,3 +481,38 @@ def test_bilinear_ascent_values_only_the_source_a_step_moves(monkeypatch):
     est = lb_norm_lower(r, budget=100, seed=4, use_closed_forms=False)
     assert est.lower == 1.0000000000000007
     assert len(calls) == 254  # 354 when both sources are valued at every step
+
+
+def _lb_pin_map(case: str):
+    """The map of one pinned lb search, over spaces whose searches no
+    benchmark round runs: two functionals and a rank-2 scalar bilinear map,
+    whose norming candidates set the bound, then a linear map and a bilinear
+    map into hilbert(2), whose hill climbs set it."""
+    rng = make_rng(61, "lb-pin", case)
+    lp2 = Quantization.lp(2.0, [1.0, 0.5], inner=Quantization.hilbert(2))
+    tp = Quantization.tensor_p(BaseNorm.lp(1.0, dim=2), Quantization.hilbert(2))
+    lp3 = Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 2.0]))
+    if case == "functional-lp2-hilbert":
+        return LinearMap(random_complex(rng, 4)[:, None], lp2, scalar())
+    if case == "functional-tensor_p-l1":
+        return LinearMap(random_complex(rng, 4)[:, None], tp, scalar())
+    if case == "linear-lp2-hilbert":
+        return LinearMap(random_complex(rng, 4, 2), lp2, Quantization.hilbert(2))
+    if case == "bilinear-rank2":
+        C = random_complex(rng, 2, 2) @ random_complex(rng, 2, 4)
+        return BilinearMap(C[:, :, None], lp3, lp2, scalar())
+    return BilinearMap(random_complex(rng, 2, 4, 2), lp3, tp, Quantization.hilbert(2))
+
+
+@pytest.mark.parametrize("case, lower", [
+    ("functional-lp2-hilbert", 4.35513955182115),
+    ("functional-tensor_p-l1", 2.20332928141145),
+    ("bilinear-rank2", 6.087975557947918),
+    ("linear-lp2-hilbert", 4.962340649060825),
+    ("bilinear-hilbert-target", 2.348238302121473),
+])
+def test_lb_searches_without_closed_forms_are_pinned(case, lower):
+    """Exact lower bounds with closed forms off: any change to the searches'
+    draws, candidates or arithmetic moves them."""
+    est = lb_norm_lower(_lb_pin_map(case), budget=100, seed=7, use_closed_forms=False)
+    assert est.lower == lower
