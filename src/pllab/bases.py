@@ -11,10 +11,11 @@ injective-type quantized norm and the certificate machinery run on:
 
 * ``dual_ball_maximize(A)``: sup of ||A c||_2 over the dual unit ball, with a
   certified [lower, upper] enclosure and a witness.  Exact for euclidean,
-  polytope, weighted l-infinity, p = 2, l1 bases at one row of A (closed
-  form), complex l1 bases at two coordinates (closed form) and real-mode l1
-  bases otherwise (sign enumeration up to 16 coordinates); multi-start
-  ascent otherwise, with all starts iterated at once as the columns of one
+  polytope, weighted l-infinity and p = 2 bases, for l1 bases at one row of
+  A (closed form), and from two rows for complex l1 bases at two
+  coordinates (closed form) and real-mode l1 bases (sign enumeration over
+  at most 16 coordinates; ``check_rows`` raises beyond); multi-start ascent
+  for the rest, with all starts iterated at once as the columns of one
   m x starts matrix.
 * ``primal_align(c)``: a norming vector for a coefficient vector in the
   primal unit ball (Hoelder alignment).
@@ -211,16 +212,10 @@ class BaseNorm:
             if np.isinf(self.p):
                 return phase / w
             return self._holder_align(c[:, None])[:, 0]
-        # polytope: try the scaled conjugate and coordinate directions
-        cands = [np.conj(c)]
-        cands.extend(np.eye(self.dim, dtype=complex))
-        best, best_val = None, -1.0
-        for x in cands:
-            n = self.norm(x)
-            val = abs(np.dot(c, x)) / n
-            if val > best_val:
-                best, best_val = x / n, val
-        return best
+        # polytope: the first best of the conjugate and the coordinate directions, scaled
+        cands = [np.conj(c), *np.eye(self.dim, dtype=complex)]
+        x = max(cands, key=lambda x: abs(np.dot(c, x)) / self.norm(x))
+        return x / self.norm(x)
 
     def _holder_align(self, C: np.ndarray) -> np.ndarray:
         """primal_align of each column of C, for an lp base with 1 < p < inf."""

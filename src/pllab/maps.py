@@ -5,7 +5,8 @@ on amplified elements by fixing the H slot (and, for bilinear maps, pairing
 the two H slots with the diamond product).  The lb-norm of a map is the
 supremum of amplified norm ratios over all truncations; ``lb_norm_lower``
 produces certified lower bounds for it, exactly for functionals and for
-Frobenius-to-Frobenius maps.
+Frobenius-to-Frobenius maps; its search runs one ratio and one loop of hill
+climbs for both map kinds, a linear map being the one-source case.
 
 Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
@@ -225,10 +226,10 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
         add(base.primal_align(c))
     elif q.kind == "lp":
         blocks, scores, uppers = [], [], []
+        zero = (np.zeros(q.inner.dim, dtype=complex), 1.0)  # a point without candidates
         for ct in c.reshape(q.points, q.inner.dim):
             key = lambda xy: abs(np.dot(ct, xy[0])) / max(xy[1], 1e-30)
-            cands = _norming_candidates(q.inner, ct, rng, n_random=2) or [(np.zeros(q.inner.dim, dtype=complex), 1.0)]
-            y, up = max(cands, key=key)
+            y, up = max(_norming_candidates(q.inner, ct, rng, n_random=2) or [zero], key=key)
             blocks.append(y)
             scores.append(key((y, up)))
             uppers.append(max(up, 1e-30))
@@ -299,9 +300,8 @@ def lb_norm_lower(
 
 
 def _ratio(sources, target, image, rng):
-    """ratio(xs, known) for _ascend: the target's certified lower bound of
-    image(xs) over the product of the sources' amp_norm values of xs, each
-    at budget 40 unless known holds it; 0 when a source value is not positive."""
+    """ratio(xs, known) for _ascend: target lower bound of image(xs) over the product
+    of the sources' amp_norm values (budget 40, unless known holds them); 0 if one is <= 0."""
 
     def ratio(xs, known):
         dens = [amp_norm(q, x, budget=40, rng=rng).value if k is None else k
@@ -314,9 +314,8 @@ def _ratio(sources, target, image, rng):
 
 
 def _climb(ratio, sources, rows: int, starts: int, rng, best: float, best_xs) -> tuple:
-    """(best, best_xs) after an _ascend from each of starts random starts,
-    start s drawing a (1 + s % rows) x dim element per source in order; a
-    climb replaces the best only when it beats it."""
+    """(best, best_xs) after an _ascend from each start s, which draws a (1 + s % rows) x dim
+    element per source in order; a climb replaces the best only when it beats it."""
     for s in range(starts):
         val, xs = _ascend(ratio, [random_complex(rng, 1 + s % rows, q.dim) for q in sources], rng)
         if val > best:
@@ -342,7 +341,7 @@ def _ascend(ratio, xs: list, rng) -> tuple:
 
 
 def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
-    best, best_xs = 0.0, None
+    best, best_xs = 0.0, [None]
     if phi.is_functional:
         c = phi.matrix[:, 0]
         for x, up in _norming_candidates(phi.source, c, rng):
@@ -353,7 +352,7 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
                 best, best_xs = val, [x[None, :]]
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
     best, best_xs = _climb(ratio, [phi.source], 3, starts, rng, best, best_xs)
-    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": None if best_xs is None else best_xs[0]})
+    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_xs[0]})
 
 
 def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:

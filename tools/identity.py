@@ -189,7 +189,8 @@ def record(root: Path) -> dict:
             dm = underlying_dual_maximize(q, A, wl._rng(0, "lb-search", name, i))
             out[f"lb/dual/{name}/{i}"] = _digest((underlying_dual_norm(q, c), dm.lower, dm.upper, dm.exact,
                                                   dm.witness))
-            out[f"lb/functional/{name}/{i}"] = _digest(lb_rec(LinearMap(c[:, None], q, Quantization.scalar()), i))
+            functional = LinearMap(c[:, None], q, Quantization.scalar())
+            out[f"lb/functional/{name}/{i}"] = _digest(lb_rec(functional, i))
             out[f"lb/linear/{name}/{i}"] = _digest(lb_rec(LinearMap(M, q, H2), i))
     for a, b in itertools.product(LB_SOURCES, repeat=2):
         E, F = lb[a], lb[b]
