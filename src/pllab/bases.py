@@ -232,11 +232,12 @@ class BaseNorm:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
         A weighted-l1 base at one row of A, or a complex one at two
-        coordinates, takes a closed form, exact and drawing nothing from rng.  The multi-start
-        ascents (weighted l1 polydisc, lq ball) run all starts as columns of
-        one m x starts matrix; a column stops under the same rule as a lone
-        start would (phases settled, or no gain above 1e-15), and the last
-        column within 1e-14 relative of the best is returned (_best_column).
+        coordinates, takes a closed form, exact and drawing nothing from rng.
+        The multi-start ascents (weighted l1 polydisc, lq ball) run all
+        starts as columns of one m x starts matrix; a column stops under the
+        same rule as a lone start would (phases settled, or no gain above
+        1e-15), and the last column within 1e-14 relative of the best is
+        returned (_best_column).
         """
         A = np.asarray(A, dtype=complex)
         if A.shape[1] != self.dim:
