@@ -23,12 +23,12 @@ injective-type quantized norm and the certificate machinery run on:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from .hilbert import l2_norm
 from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
 __all__ = ["BaseNorm", "DualMax"]
@@ -53,13 +53,6 @@ class DualMax:
 def _require_real(arr: np.ndarray, what: str):
     if np.abs(np.asarray(arr).imag).max(initial=0.0) > _REAL_TOL:
         raise ValueError(f"{what} must be real-valued in real-restricted mode")
-
-
-def l2_norm(x) -> float:
-    """np.linalg.norm of an array by numpy's own formula, sqrt(re.re + im.im)
-    of the raveled array, without its dispatch."""
-    x = x.ravel()
-    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 @dataclass(frozen=True)
@@ -198,7 +191,6 @@ class BaseNorm:
         if not np.any(c):
             x = np.zeros(self.dim, dtype=complex)
             return x
-        phase = np.where(np.abs(c) > 0, np.conj(c) / np.where(np.abs(c) > 0, np.abs(c), 1.0), 0.0)
         if self.kind == "euclidean":
             return np.conj(c) / np.linalg.norm(c)
         if self.kind == "lp":
@@ -207,10 +199,10 @@ class BaseNorm:
             if self.p == 1.0:
                 j = int(np.argmax(a / w))
                 x = np.zeros(self.dim, dtype=complex)
-                x[j] = phase[j] / w[j]
+                x[j] = np.conj(c[j]) / a[j] / w[j]
                 return x
             if np.isinf(self.p):
-                return phase / w
+                return np.where(a > 0, np.conj(c) / np.where(a > 0, a, 1.0), 0.0) / w
             return self._holder_align(c[:, None])[:, 0]
         # polytope: the first best of the conjugate and the coordinate directions, scaled
         cands = [np.conj(c), *np.eye(self.dim, dtype=complex)]

@@ -154,16 +154,27 @@ def op_norm(a) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def frobenius_norm(a) -> float:
-    """Frobenius norm of an array of finite entries of any magnitude.
+def l2_norm(x) -> float:
+    """np.linalg.norm of a float or complex array by numpy's own formula,
+    sqrt(re.re + im.im) of the raveled array, without its dispatch."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
-    np.linalg.norm squares the entries, so it returns 0 or inf for some such
+
+def frobenius_norm(a) -> float:
+    """Frobenius norm of an array of finite entries of any magnitude,
+    bit-equal to np.linalg.norm wherever that is finite and nonzero.
+
+    The l2 formula squares the entries, so it gives 0 or inf for some such
     arrays; those are rescaled by their largest entry first, without a numpy
     overflow warning from the first try.  Raises
     ValueError for NaN or infinite entries, or a norm beyond the float range.
     """
+    a = np.asarray(a)
+    if a.dtype.kind not in "fc":  # numpy's norm sums integers as floats too
+        a = a.astype(float)
     with np.errstate(over="ignore", under="ignore"):
-        n = float(np.linalg.norm(a))
+        n = l2_norm(a)
     if 0.0 < n < math.inf:
         return n
     big = float(np.max(np.abs(a), initial=0.0))

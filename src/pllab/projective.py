@@ -31,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bases import BaseNorm, l2_norm
+from .bases import BaseNorm
+from .hilbert import l2_norm
 
 __all__ = ["ProjResult", "proj_bracket"]
 

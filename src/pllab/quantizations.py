@@ -18,6 +18,10 @@ is a certified upper bound and ``lower`` records the best certified lower
 bound found within the budget.  Inputs are normalized to unit Frobenius
 scale before evaluation, so every reported quantity is exactly homogeneous.
 
+An ``lp`` over a ``hilbert`` inner (the scalar ``hilbert(1)`` included) is
+valued in one pass: its point norms are the Frobenius norms of the column
+blocks, computed together.  Every other inner is valued point by point.
+
 ``hilbert`` and ``lp(2, ...)`` over such an inner are weighted Frobenius norms
 ||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over them is bracketed
 as a column-scaled euclidean projective norm, with no inner norm evaluations.
@@ -31,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .bases import BaseNorm
-from .hilbert import coeffs_of, frobenius_norm
+from .hilbert import coeffs_of, frobenius_norm, l2_norm
 from .projective import ProjResult, proj_bracket
 from .sampling import make_rng, random_complex
 from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
@@ -245,7 +249,7 @@ def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue
         dm = q.base.dual_ball_maximize(U, rng=rng, starts=max(4, budget // 25))
         return NormValue(dm.upper, dm.lower, dm.exact, "min/dual-ball")
     if q.kind == "hilbert":
-        v = float(np.linalg.norm(U))
+        v = l2_norm(U)
         return NormValue(v, v, True, "hilbert/frobenius")
     if q.kind == "concrete":
         gens = np.stack(q.generators)  # (m, L, K)
@@ -306,25 +310,31 @@ def point_base(q: Quantization) -> BaseNorm:
 
 
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
+    """Point norms of U's column blocks, combined as point_base says: one
+    exact pass over a hilbert inner, else one _amp_dispatch call per block."""
     mi = q.inner.dim
-    uppers = np.zeros(q.points)
-    lowers = np.zeros(q.points)
-    exact = True
+    if q.inner.kind == "hilbert":
+        n = np.sqrt((U.real**2 + U.imag**2).reshape(U.shape[0], q.points, mi).sum(axis=(0, 2)))
+        if not n.all():  # zero blocks, or blocks whose squares underflow
+            for t in np.flatnonzero(n == 0.0):
+                n[t] = frobenius_norm(U[:, t * mi : (t + 1) * mi])
+        v = _combine(q, n)
+        return NormValue(v, v, True, "lp/pointwise")
+    uppers, lowers, exact = np.zeros(q.points), np.zeros(q.points), True
     for t in range(q.points):
-        # U is checked and unit-scaled: no amp_norm re-check or overflow guard
+        # U is checked and unit-scaled: no amp_norm re-check
         block = U[:, t * mi : (t + 1) * mi]
-        scale = float(np.linalg.norm(block)) or frobenius_norm(block)  # the latter on underflow
+        scale = frobenius_norm(block)
         if scale == 0.0:
             continue
         nv = _amp_dispatch(q.inner, block / scale, max(budget // 4, 20), rng).scaled(scale)
         uppers[t], lowers[t], exact = nv.value, nv.lower, exact and nv.exact
-    w = q.weights
-    if np.isinf(q.p):
-        hi, lo = float(np.max(uppers)), float(np.max(lowers))
-    else:
-        hi = float(np.sum(w * uppers**q.p) ** (1.0 / q.p))
-        lo = float(np.sum(w * lowers**q.p) ** (1.0 / q.p))
-    return NormValue(hi, lo, exact, "lp/pointwise")
+    return NormValue(_combine(q, uppers), _combine(q, lowers), exact, "lp/pointwise")
+
+
+def _combine(q: Quantization, n: np.ndarray) -> float:
+    """point_base's norm of the point norms n."""
+    return float(n.max()) if np.isinf(q.p) else float((q.weights * n**q.p).sum() ** (1.0 / q.p))
 
 
 def _beta_slices(U: np.ndarray, m_base: int, m_inner: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from pllab import (
     rank_one,
     vec_diamond_amp,
 )
+from pllab.hilbert import frobenius_norm
 from pllab.sampling import make_rng, random_complex
 
 
@@ -141,3 +142,15 @@ def test_rank_one_action():
     z = np.array([3.0, 1.0j])
     out = rank_one(x, y) @ z
     np.testing.assert_allclose(out, np.vdot(y, z) * x, atol=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [complex, float, int])
+@pytest.mark.parametrize("layout", ["1-d", "2-d", "column-slice", "transposed"])
+def test_frobenius_norm_is_bit_equal_to_numpy(dtype, layout):
+    """One l2 formula: the first try of frobenius_norm is numpy's own sum."""
+    rng = make_rng(40, "frobenius-bits", layout)
+    for _ in range(50):
+        A = random_complex(rng, 5, 7) * 100.0
+        A = A.astype(dtype) if dtype is complex else A.real.astype(dtype)
+        a = {"1-d": A[0], "2-d": A, "column-slice": A[:, 2:6], "transposed": A.T}[layout]
+        assert frobenius_norm(a) == float(np.linalg.norm(a))

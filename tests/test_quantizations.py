@@ -346,6 +346,43 @@ def test_weighted_frobenius_metric_gives_amp_norm(shape, w, w_inner, d, seed, s)
     assert nv.value == pytest.approx(np.linalg.norm(U * g), rel=1e-12, abs=0)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, np.inf]),
+    st.lists(_positive, min_size=1, max_size=4),
+    st.integers(min_value=1, max_value=3),
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1.0, 1e-150, 1e150]),
+)
+def test_lp_over_hilbert_is_one_pass(p, w, mi, d, seed, s):
+    """lp(p, w, hilbert(mi)) combines the blocks' Frobenius norms exactly,
+    with no _amp_dispatch call per point; some blocks are zero."""
+    from pllab import quantizations
+
+    rng = make_rng(seed, "lp-one-pass")
+    q = Quantization.lp(p, w, inner=Quantization.hilbert(mi))
+    U = random_complex(rng, d, q.dim)
+    U[:, np.repeat(rng.random(len(w)) < 0.3, mi)] = 0.0
+    n = np.array([np.linalg.norm(U[:, t * mi : (t + 1) * mi]) for t in range(len(w))])
+    want = n.max() if np.isinf(p) else np.sum(np.array(w) * n**p) ** (1.0 / p)
+    calls = []
+    dispatch = quantizations._amp_dispatch
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quantizations, "_amp_dispatch", lambda *args: calls.append(1) or dispatch(*args))
+        nv = amp_norm(q, s * U)
+    assert nv.exact and nv.lower == nv.value
+    assert nv.value == pytest.approx(s * want, rel=1e-13, abs=0)
+    assert len(calls) == (1 if n.any() else 0)  # the top-level call only
+
+
+def test_lp_over_hilbert_keeps_a_block_whose_squares_underflow():
+    """A block at 1e-170 beside a unit block still counts, however heavy its weight."""
+    q = Quantization.lp(1.0, [1.0, 1e300], inner=Quantization.hilbert(2))
+    nv = amp_norm(q, [[1.0, 0.0, 3e-170, 4e-170]])
+    assert nv.value == pytest.approx(1.0 + 5e130, rel=1e-13)
+
+
 def test_frobenius_metric_values_and_none_kinds():
     w = [1.0, 0.25]
     np.testing.assert_array_equal(frobenius_metric(Quantization.hilbert(3)), np.ones(3))

@@ -5,8 +5,10 @@
 
 ``record`` imports pllab from ROOT/src and the benchmark inputs from
 ROOT/bench, runs the fixed record set below, and writes OUT, a JSON object
-mapping each record key to the sha256 of the record's ``repr`` (numpy prints
-at full precision, with no summarizing).  The records:
+mapping each record key to two sha256 digests: of the record's ``repr``
+(numpy prints at full precision, with no summarizing), and of that ``repr``
+with every float literal rounded to ``ROUND_DIGITS`` significant digits.
+The records:
 
 * every operation output, witnesses and ``to_dict()`` included, of the
   ``bracket-batch``, ``amp-sweep`` and ``lb-search`` rounds for seeds 1 and 2,
@@ -42,11 +44,13 @@ at full precision, with no summarizing).  The records:
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
   violations.
 
-``compare`` lists the keys whose fingerprints differ, or that only one file
-has, then counts them per group of the first two key segments (such as
-``pairs/11`` or ``bracket-batch/1``), and exits 1 when there are any.
+``compare`` lists the keys whose full-precision digests differ, or that
+only one file has, then counts them per group of the first two key segments
+(such as ``pairs/11`` or ``bracket-batch/1``), with how many of them still
+agree at ``ROUND_DIGITS`` significant digits, and exits 1 when there are any.
 Record a tree before a change and again after it; equal files mean every
-record is bit-identical.
+record is bit-identical, and a change that moves outputs by rounding only
+shows every differing record as agreeing.
 """
 
 from __future__ import annotations
@@ -59,12 +63,15 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib
 import itertools
 import json
+import re
 import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 SEEDS = (1, 2)
+ROUND_DIGITS = 12
+_FLOAT = re.compile(r"(?<![\w.])(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")  # not inside a name like lp1.5w
 IN_PROCESS = ("bracket-batch", "amp-sweep", "lb-search")
 SCALES = (1.0, 1e12, 1e-9)
 PROJ_BASES = {  # name -> BaseNorm.from_dict descriptor
@@ -78,8 +85,10 @@ TP_INNER = {"kind": "min", "params": {"base": {"kind": "lp", "dim": 2, "p": 3.0}
 LB_SOURCES = ("lp2-hilbert", "lp1-min", "lp3-concrete", "tp-l1", "concrete", "hilbert", "min-lp3")
 
 
-def _digest(obj) -> str:
-    return hashlib.sha256(repr(obj).encode()).hexdigest()
+def _digest(obj) -> list:
+    text = repr(obj)
+    rounded = _FLOAT.sub(lambda m: f"{float(m.group()):.{ROUND_DIGITS}g}", text)
+    return [hashlib.sha256(t.encode()).hexdigest() for t in (text, rounded)]
 
 
 def record(root: Path) -> dict:
@@ -212,7 +221,8 @@ def record(root: Path) -> dict:
 
 
 def compare(a: dict, b: dict) -> list:
-    return sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    """Keys whose full-precision digests differ or that one file lacks."""
+    return sorted(k for k in a.keys() | b.keys() if k not in a or k not in b or a[k][0] != b[k][0])
 
 
 def main(argv=None) -> int:
@@ -229,9 +239,13 @@ def main(argv=None) -> int:
     differ = compare(a, b)
     for key in differ:
         print(key)
-    print(f"{len(differ)} of {len(a.keys() | b.keys())} records differ")
-    for group, n in sorted(Counter("/".join(key.split("/")[:2]) for key in differ).items()):
-        print(f"{n:6d}  {group}")
+    close = {k for k in differ if k in a and k in b and a[k][1] == b[k][1]}
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} records differ, "
+          f"{len(close)} of them agree at {ROUND_DIGITS} significant digits")
+    groups = {key: "/".join(key.split("/")[:2]) for key in differ}
+    counts, agree = Counter(groups.values()), Counter(groups[key] for key in close)
+    for g, n in sorted(counts.items()):
+        print(f"{n:6d} differ {agree[g]:6d} agree  {g}")
     return 1 if differ else 0
 
 
