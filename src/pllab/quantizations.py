@@ -20,7 +20,8 @@ scale before evaluation, so every reported quantity is exactly homogeneous.
 
 An ``lp`` over a ``hilbert`` inner (the scalar ``hilbert(1)`` included) is
 valued in one pass: its point norms are the Frobenius norms of the column
-blocks, computed together.  Every other inner is valued point by point.
+blocks, with no inner ``amp_norm`` evaluation per point.  Every other inner
+is valued point by point.
 
 ``hilbert`` and ``lp(2, ...)`` over such an inner are weighted Frobenius norms
 ||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over them is bracketed
@@ -311,13 +312,19 @@ def point_base(q: Quantization) -> BaseNorm:
 
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
     """Point norms of U's column blocks, combined as point_base says: one
-    exact pass over a hilbert inner, else one _amp_dispatch call per block."""
+    exact pass over a hilbert inner, else one _amp_dispatch call per block.
+
+    Each block is divided by its rough norm before it is valued, so a block
+    whose squares underflow still gets its norm to rounding.  The hilbert
+    pass does the loop's arithmetic in place, so both give the same bits."""
     mi = q.inner.dim
     if q.inner.kind == "hilbert":
-        n = np.sqrt((U.real**2 + U.imag**2).reshape(U.shape[0], q.points, mi).sum(axis=(0, 2)))
-        if not n.all():  # zero blocks, or blocks whose squares underflow
-            for t in np.flatnonzero(n == 0.0):
-                n[t] = frobenius_norm(U[:, t * mi : (t + 1) * mi])
+        n = np.zeros(q.points)
+        for t in range(q.points):
+            block = U[:, t * mi : (t + 1) * mi]
+            scale = l2_norm(block) or frobenius_norm(block)  # U is unit-scaled: no overflow
+            if scale:
+                n[t] = scale * l2_norm(block / scale)
         v = _combine(q, n)
         return NormValue(v, v, True, "lp/pointwise")
     uppers, lowers, exact = np.zeros(q.points), np.zeros(q.points), True

@@ -14,6 +14,7 @@ from pllab import (
     semi_ruan_witness_search,
     underlying_norm,
 )
+from pllab.hilbert import frobenius_norm
 from pllab.quantizations import frobenius_metric
 from pllab.sampling import make_rng, random_complex, random_unit
 
@@ -357,14 +358,16 @@ def test_weighted_frobenius_metric_gives_amp_norm(shape, w, w_inner, d, seed, s)
 )
 def test_lp_over_hilbert_is_one_pass(p, w, mi, d, seed, s):
     """lp(p, w, hilbert(mi)) combines the blocks' Frobenius norms exactly,
-    with no _amp_dispatch call per point; some blocks are zero."""
+    with no _amp_dispatch call per point, and gives the bits of valuing each
+    block through _amp_dispatch; some blocks are zero."""
     from pllab import quantizations
 
     rng = make_rng(seed, "lp-one-pass")
     q = Quantization.lp(p, w, inner=Quantization.hilbert(mi))
     U = random_complex(rng, d, q.dim)
     U[:, np.repeat(rng.random(len(w)) < 0.3, mi)] = 0.0
-    n = np.array([np.linalg.norm(U[:, t * mi : (t + 1) * mi]) for t in range(len(w))])
+    blocks = [U[:, t * mi : (t + 1) * mi] for t in range(len(w))]
+    n = np.array([np.linalg.norm(b) for b in blocks])
     want = n.max() if np.isinf(p) else np.sum(np.array(w) * n**p) ** (1.0 / p)
     calls = []
     dispatch = quantizations._amp_dispatch
@@ -374,13 +377,30 @@ def test_lp_over_hilbert_is_one_pass(p, w, mi, d, seed, s):
     assert nv.exact and nv.lower == nv.value
     assert nv.value == pytest.approx(s * want, rel=1e-13, abs=0)
     assert len(calls) == (1 if n.any() else 0)  # the top-level call only
+    if n.any():  # the per-point path: each unit-scaled block rescaled by its own norm
+        S = frobenius_norm(s * U)
+        per_point = np.zeros(len(w))
+        for t, b in enumerate(blocks):
+            b = s * b / S
+            if b.any():
+                r = np.linalg.norm(b)
+                per_point[t] = dispatch(q.inner, b / r, 20, None).scaled(r).value
+        bits = per_point.max() if np.isinf(p) else np.sum(q.weights * per_point**p) ** (1.0 / p)
+        assert nv.value == float(bits) * S
 
 
-def test_lp_over_hilbert_keeps_a_block_whose_squares_underflow():
-    """A block at 1e-170 beside a unit block still counts, however heavy its weight."""
-    q = Quantization.lp(1.0, [1.0, 1e300], inner=Quantization.hilbert(2))
-    nv = amp_norm(q, [[1.0, 0.0, 3e-170, 4e-170]])
-    assert nv.value == pytest.approx(1.0 + 5e130, rel=1e-13)
+@pytest.mark.parametrize("mi, u, norm", [
+    (1, [[1.0, 1.6e-162]], 1.6e-162),
+    (2, [[1.0, 0.0, 3e-162, 4e-162]], 5e-162),
+    (2, [[1.0, 0.0, 3e-170, 4e-170]], 5e-170),
+])
+def test_lp_over_hilbert_values_blocks_whose_squares_underflow(mi, u, norm):
+    """A tiny block beside a unit block gets its norm to rounding, however
+    heavy its weight: its squares are subnormal or zero."""
+    q = Quantization.lp(1.0, [1.0, 1e300], inner=Quantization.hilbert(mi))
+    nv = amp_norm(q, u)
+    assert nv.exact and nv.lower == nv.value
+    assert nv.value == pytest.approx(1.0 + 1e300 * norm, rel=1e-13, abs=0)
 
 
 def test_frobenius_metric_values_and_none_kinds():
