@@ -11,7 +11,7 @@ climbs for both map kinds, a linear map being the one-source case.
 Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
 is a sound lower bound for its pl tensor norm, and for its l norm only when
-the target is proved semi-Ruan from its descriptor (tensorlab._semi_ruan).
+the target is proved semi-Ruan from its descriptor (Quantization.semi_ruan).
 ``builtin_certificates`` assembles every catalog entry applicable to a factor
 pair; a user certificate is built for one pair and reaches the brackets only
 through their ``certificates=`` argument.
@@ -27,7 +27,7 @@ import numpy as np
 
 from .bases import BaseNorm, DualMax
 from .hilbert import PairingMap, coeffs_of
-from .quantizations import Quantization, amp_norm, point_base, underlying_norm
+from .quantizations import Quantization, amp_norm, underlying_norm
 from .sampling import make_rng, random_complex
 
 __all__ = [
@@ -132,25 +132,15 @@ def amplify_bilinear(r: BilinearMap, u, v, pairing: PairingMap = PairingMap()) -
 # -- underlying dual machinery ------------------------------------------------
 
 
-def _underlying_base(q: Quantization) -> Optional[BaseNorm]:
-    """Base norm of q's underlying space, when it is one: the base of min, max
-    and hilbert, point_base(q) for an lp over the scalar inner, else None."""
-    if q.kind in ("min", "max", "hilbert"):
-        return q.base
-    if q.kind == "lp" and q.inner.dim == 1:
-        return point_base(q)
-    return None
-
-
 def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
     """Exact dual norm of a functional on the underlying space, when closed form."""
     c = np.asarray(c, dtype=complex).ravel()
-    base = _underlying_base(q)
+    base = q.underlying_base
     if base is not None:
         return base.dual_norm(c)
     if q.kind == "lp":
         pointwise = [underlying_dual_norm(q.inner, ct) for ct in c.reshape(q.points, q.inner.dim)]
-        return None if None in pointwise else point_base(q).dual_norm(np.asarray(pointwise))
+        return None if None in pointwise else q.point_base.dual_norm(np.asarray(pointwise))
     return None
 
 
@@ -161,7 +151,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
     kind; exactness holds only where the base machinery is exact.
     """
     A = np.asarray(A, dtype=complex)
-    base = _underlying_base(q)
+    base = q.underlying_base
     if base is not None:
         return base.dual_ball_maximize(A, rng=rng, starts=starts)
     if q.kind == "lp":
@@ -169,7 +159,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
         blocks = np.split(A, q.points, axis=1)
         phis = [underlying_dual_maximize(q.inner, B, rng, starts=2).witness for B in blocks]
         M = np.stack([B @ phi for B, phi in zip(blocks, phis)], axis=1)
-        outer = point_base(q).dual_ball_maximize(M, rng=rng, starts=starts)
+        outer = q.point_base.dual_ball_maximize(M, rng=rng, starts=starts)
         f = np.concatenate([w * phi for w, phi in zip(outer.witness, phis)])
     elif q.kind == "concrete":
         # the functionals w . T_m v over unit v and w span the dual ball
@@ -219,7 +209,7 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
             return
         out.append((x, underlying_norm(q, x)))
 
-    base = _underlying_base(q)
+    base = q.underlying_base
     if q.kind == "hilbert":
         add(np.conj(c))
     elif base is not None:
@@ -233,7 +223,7 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
             blocks.append(y)
             scores.append(key((y, up)))
             uppers.append(max(up, 1e-30))
-        s = point_base(q).primal_align(np.asarray(scores, dtype=complex))
+        s = q.point_base.primal_align(np.asarray(scores, dtype=complex))
         add(np.concatenate([st / ut * y for st, ut, y in zip(s, uppers, blocks)]))
     elif q.kind == "tensor_p":
         C = c.reshape(q.base.dim, q.inner.dim)

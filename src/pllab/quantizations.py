@@ -26,6 +26,8 @@ is valued point by point.
 ``hilbert`` and ``lp(2, ...)`` over such an inner are weighted Frobenius norms
 ||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over them is bracketed
 as a column-scaled euclidean projective norm, with no inner norm evaluations.
+``max(E)`` is ``tensor_p(E, scalar)`` and is bracketed as one.  Facts read
+off a descriptor without evaluating a norm are Quantization properties.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ __all__ = [
     "NormValue",
     "Quantization",
     "amp_norm",
-    "frobenius_metric",
     "underlying_norm",
     "semi_ruan_witness_search",
     "tensor_p_bracket",
@@ -168,6 +169,54 @@ class Quantization:
     def real(self) -> bool:  # a real-restricted min base here or in an lp inner
         return (self.base is not None and self.base.real) or (self.inner is not None and self.inner.real)
 
+    # -- descriptor facts -------------------------------------------------
+
+    @property
+    def underlying_base(self) -> Optional[BaseNorm]:
+        """Base norm of the underlying space, when it is one: the base of min,
+        max and hilbert, point_base for an lp over the scalar inner, else None."""
+        if self.kind in ("min", "max", "hilbert"):
+            return self.base
+        if self.kind == "lp" and self.inner.dim == 1:
+            return self.point_base
+        return None
+
+    @property
+    def point_base(self) -> BaseNorm:
+        """lp only: the norm that combines the point norms n_t as _amp_lp does,
+        (sum_t w_t n_t^p)^(1/p), and max_t n_t (no weights) at p = inf."""
+        return BaseNorm.lp(self.p, weights=np.ones(self.points) if np.isinf(self.p) else self.weights)
+
+    @property
+    def frobenius_metric(self) -> Optional[np.ndarray]:
+        """Column weights g with amp_norm(q, U) == ||U diag(g)||_F, or None: ones
+        for hilbert, sqrt(w_t) g' on point t for lp(2, w) over an inner with
+        metric g' (the scalar inner counts), None for every other kind."""
+        if self.kind == "hilbert":
+            return np.ones(self.dim)
+        if self.kind == "lp" and self.p == 2.0:
+            g = self.inner.frobenius_metric
+            return None if g is None else np.kron(np.sqrt(self.weights), g)
+        return None
+
+    @property
+    def projective_base(self) -> Optional[BaseNorm]:
+        """Underlying base when the underlying norm is of projective type: max,
+        and lp(1, ...) over the scalar inner; else None."""
+        return self.underlying_base if self.kind == "max" or (self.kind == "lp" and self.p == 1.0) else None
+
+    @property
+    def semi_ruan(self) -> bool:
+        """True only when the descriptor proves ||u + v||^2 <= ||u||^2 + ||v||^2
+        for u, v on orthogonal H-blocks: min and hilbert, concrete (the column
+        stack ||[A; B]||^2 <= ||A||^2 + ||B||^2), and lp with p >= 2 or one
+        point, over a scalar or proved inner (the triangle inequality of
+        l_(p/2) on the squared point norms).  False for every other
+        descriptor, semi-Ruan or not."""
+        if self.kind in ("min", "hilbert", "concrete"):
+            return True
+        return self.kind == "lp" and (self.p >= 2 or self.points == 1) and (self.inner.dim == 1 or self.inner.semi_ruan)
+
     def check_element(self, u) -> np.ndarray:
         U = coeffs_of(u)
         if U.shape[1] != self.dim:
@@ -259,10 +308,9 @@ def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue
         return NormValue(v, v, True, "concrete/block-operator")
     if q.kind == "lp":
         return _amp_lp(q, U, budget, rng)
-    if q.kind == "max":
-        res = proj_bracket(q.base, None, U.T, budget=budget, rng=rng)
-    else:
-        res = tensor_p_bracket(q.base, q.inner, U, budget, rng)
+    # max(E) is tensor_p(E, scalar): the same proj_bracket call on U.T
+    inner = Quantization.scalar() if q.kind == "max" else q.inner
+    res = tensor_p_bracket(q.base, inner, U, budget, rng)
     return NormValue(res.upper, res.lower, res.exact, f"{q.kind}/{res.upper_method}")
 
 
@@ -277,7 +325,7 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
     evaluation was.
     """
     Z = _beta_slices(U, base.dim, inner.dim)
-    g = frobenius_metric(inner)
+    g = inner.frobenius_metric
     if g is None:
         inner_budget = max(budget // 4, 20)
 
@@ -291,27 +339,8 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
     return replace(res, terms=[(x, v / G) for x, v in res.terms])
 
 
-def frobenius_metric(q: Quantization) -> Optional[np.ndarray]:
-    """Column weights g with amp_norm(q, U) == ||U diag(g)||_F, or None: ones
-    for hilbert, sqrt(w_t) g' on point t for lp(2, w) over an inner with
-    metric g' (the scalar inner counts), None for every other kind."""
-    if q.kind == "hilbert":
-        return np.ones(q.dim)
-    if q.kind == "lp" and q.p == 2.0:
-        g = frobenius_metric(q.inner)
-        return None if g is None else np.kron(np.sqrt(q.weights), g)
-    return None
-
-
-def point_base(q: Quantization) -> BaseNorm:
-    """Norm that combines the point norms n_t of an lp quantization as
-    _amp_lp does: (sum_t w_t n_t^p)^(1/p), and max_t n_t (no weights) at
-    p = inf."""
-    return BaseNorm.lp(q.p, weights=np.ones(q.points) if np.isinf(q.p) else q.weights)
-
-
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
-    """Point norms of U's column blocks, combined as point_base says: one
+    """Point norms of U's column blocks, combined as q.point_base says: one
     exact pass over a hilbert inner, else one _amp_dispatch call per block.
 
     Each block is divided by its rough norm before it is valued, so a block
@@ -340,7 +369,7 @@ def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
 
 
 def _combine(q: Quantization, n: np.ndarray) -> float:
-    """point_base's norm of the point norms n."""
+    """q.point_base's norm of the point norms n."""
     return float(n.max()) if np.isinf(q.p) else float((q.weights * n**q.p).sum() ** (1.0 / q.p))
 
 

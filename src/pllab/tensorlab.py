@@ -19,8 +19,8 @@ pl representation families once, values their orthogonalizations, plain or
 balanced, from the families' own term values as l upper bounds (no amplified
 norm is evaluated again; see _l_candidate) and evaluates each certificate
 once; an l lower bound counts only when its target is proved semi-Ruan from
-its descriptor (_semi_ruan), with no search.  compare_pl_l thus reports the
-standalone brackets of both norms, with l.upper <= pl.upper.
+its descriptor (Quantization.semi_ruan), with no search.  compare_pl_l thus
+reports the standalone brackets of both norms, with l.upper <= pl.upper.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bases import BaseNorm
 from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm
-from .maps import _underlying_base, builtin_certificates
+from .maps import builtin_certificates
 from .projective import RECON_TOL
 from .quantizations import Quantization, amp_norm, tensor_p_bracket
 from .sampling import make_rng
@@ -355,11 +354,6 @@ def _family_identity_block(U, E, F, pairing, budget, seed):
     return [(block, *eye)], [(op_norm(block), nu, nv)]
 
 
-def _projective_base(q: Quantization) -> Optional[BaseNorm]:
-    """Base descriptor when q's underlying norm is of projective type."""
-    return _underlying_base(q) if q.kind == "max" or (q.kind == "lp" and q.p == 1.0) else None
-
-
 def _family_projective(U, E, F, budget, seed, side: str):
     """Decompose against one projectively normed factor.
 
@@ -370,9 +364,9 @@ def _family_projective(U, E, F, budget, seed, side: str):
     """
     d = U.shape[0]
     if side == "left":
-        base, other, W, order = _projective_base(E), F, U, slice(None)
+        base, other, W, order = E.projective_base, F, U, slice(None)
     else:
-        base, other, W, order = _projective_base(F), E, _swap(U, E.dim, F.dim), slice(None, None, -1)
+        base, other, W, order = F.projective_base, E, _swap(U, E.dim, F.dim), slice(None, None, -1)
     if base is None:
         return None
     scale = float(np.linalg.norm(W))
@@ -381,20 +375,6 @@ def _family_projective(U, E, F, budget, seed, side: str):
     terms = [(eye, *(x[None, :], scale * v.reshape(d, other.dim))[order]) for x, v in res.terms]
     vals = [(1.0, c * scale, 1.0) for c in res.values]
     return terms, vals, res.upper * scale, res.upper_method
-
-
-# -- semi-Ruan screening of certificate targets --------------------------------
-
-
-def _semi_ruan(q: Quantization) -> bool:
-    """True only when the descriptor proves ||u + v||^2 <= ||u||^2 + ||v||^2
-    for u, v on orthogonal H-blocks: min and hilbert, concrete (the column
-    stack ||[A; B]||^2 <= ||A||^2 + ||B||^2), and lp with p >= 2 or one point,
-    over a scalar or proved inner (the triangle inequality of l_(p/2) on the
-    squared point norms).  False for every other descriptor, semi-Ruan or not."""
-    if q.kind in ("min", "hilbert", "concrete"):
-        return True
-    return q.kind == "lp" and (q.p >= 2 or q.points == 1) and (q.inner.dim == 1 or _semi_ruan(q.inner))
 
 
 # -- brackets -------------------------------------------------------------------
@@ -465,9 +445,9 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
 
     Every bound is found on the unit element U/||U||, from one family build
     and one certificate pass: all certificates when pl is requested, else
-    only those whose target _semi_ruan proves, which are the l rows.  The
-    unit bracket carries no witness; building it asserts lower <= upper +
-    1e-9.  Only then is the winning representation built, once, at U's
+    only those whose target Quantization.semi_ruan proves, which are the l
+    rows.  The unit bracket carries no witness; building it asserts lower <=
+    upper + 1e-9.  Only then is the winning representation built, once, at U's
     scale: the winning unit terms with their blocks times ||U||, for l the
     plain or balanced terms that won (_l_candidate), orthogonalized.  It is
     validated on construction.  The bracket of U scales the unit numbers by
@@ -497,7 +477,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     rows = [
         (c, *c.evaluate_lower(unit, budget=budget, seed=seed))
         for c in certs
-        if "pl" in norms or _semi_ruan(c.target)
+        if "pl" in norms or c.target.semi_ruan
     ]
     units, out = [], []
     for norm in norms:
@@ -513,7 +493,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
         else:
             candidates = {k: _l_candidate(v[0], v[3]) for k, v in fam.items()}
             name, (upper, terms) = min(candidates.items(), key=lambda kv: kv[1][0])
-            norm_rows = [row for row in rows if _semi_ruan(row[0].target)]
+            norm_rows = [row for row in rows if row[0].target.semi_ruan]
             details = {
                 "families": {k + "+orth": v[0] for k, v in candidates.items()},
                 "certificates": {c.name: val for c, val, _ in norm_rows},
@@ -575,8 +555,8 @@ def l_norm_bracket(
     lower bound is the best member of builtin_certificates(E, F), or of the
     passed list, in the l pool (details["pool"]): an l lower bound counts
     only when its target is proved semi-Ruan from its descriptor
-    (_semi_ruan).  lower <= upper + 1e-9 is asserted on the unit-Frobenius
-    element.  Raises ValueError as pl_norm_bracket does.
+    (Quantization.semi_ruan).  lower <= upper + 1e-9 is asserted on the
+    unit-Frobenius element.  Raises ValueError as pl_norm_bracket does.
     """
     _, (l,) = _brackets(("l",), E, F, U, budget, seed, pairing, certificates)
     return l

@@ -15,7 +15,6 @@ from pllab import (
     underlying_norm,
 )
 from pllab.hilbert import frobenius_norm
-from pllab.quantizations import frobenius_metric
 from pllab.sampling import make_rng, random_complex, random_unit
 
 
@@ -339,7 +338,7 @@ def test_weighted_frobenius_metric_gives_amp_norm(shape, w, w_inner, d, seed, s)
         "lp-hilbert": Quantization.lp(2.0, w, Quantization.hilbert(2)),
         "lp-lp": Quantization.lp(2.0, w, Quantization.lp(2.0, w_inner)),
     }[shape]
-    g = frobenius_metric(q)
+    g = q.frobenius_metric
     assert g.shape == (q.dim,)
     U = s * random_complex(make_rng(seed, "metric"), d, q.dim)
     nv = amp_norm(q, U)
@@ -405,10 +404,10 @@ def test_lp_over_hilbert_values_blocks_whose_squares_underflow(mi, u, norm):
 
 def test_frobenius_metric_values_and_none_kinds():
     w = [1.0, 0.25]
-    np.testing.assert_array_equal(frobenius_metric(Quantization.hilbert(3)), np.ones(3))
-    np.testing.assert_array_equal(frobenius_metric(Quantization.lp(2.0, w)), [1.0, 0.5])
+    np.testing.assert_array_equal(Quantization.hilbert(3).frobenius_metric, np.ones(3))
+    np.testing.assert_array_equal(Quantization.lp(2.0, w).frobenius_metric, [1.0, 0.5])
     np.testing.assert_array_equal(
-        frobenius_metric(Quantization.lp(2.0, w, Quantization.hilbert(2))), [1.0, 1.0, 0.5, 0.5]
+        Quantization.lp(2.0, w, Quantization.hilbert(2)).frobenius_metric, [1.0, 1.0, 0.5, 0.5]
     )
     euc = BaseNorm.euclidean(2)
     for q in (
@@ -422,7 +421,82 @@ def test_frobenius_metric_values_and_none_kinds():
         Quantization.concrete([np.eye(2), np.array([[0.0, 1.0], [1.0, 0.0]])]),
         Quantization.tensor_p(euc, Quantization.hilbert(2)),
     ):
-        assert frobenius_metric(q) is None, q.kind
+        assert q.frobenius_metric is None, q.kind
+
+
+_TABLE_BASES = {
+    "weighted-l1": BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0]),
+    "euclidean": BaseNorm.euclidean(3),
+    "l3": BaseNorm.lp(3.0, dim=3),
+    "polytope": BaseNorm.polytope(np.vstack([np.eye(3), np.ones((1, 3)), -np.eye(3), -np.ones((1, 3))])),
+}
+
+
+@pytest.mark.parametrize("base", list(_TABLE_BASES.values()), ids=list(_TABLE_BASES))
+def test_max_is_tensor_p_over_the_scalar_inner(base, monkeypatch):
+    """max(B) is bracketed as tensor_p(B, scalar), bit for bit, through one
+    tensor_p_bracket call."""
+    from pllab import quantizations
+
+    calls = []
+    bracket = quantizations.tensor_p_bracket
+    monkeypatch.setattr(quantizations, "tensor_p_bracket", lambda *a: calls.append(a[1].kind) or bracket(*a))
+    tp = Quantization.tensor_p(base, Quantization.scalar())
+    for d in (1, 2, 3):
+        U = random_complex(make_rng(39, "max-tp", d), d, base.dim)
+        mx = amp_norm(Quantization.max(base), U, rng=make_rng(0, "max-tp-draws", d))
+        assert calls == ["hilbert"]
+        nv = amp_norm(tp, U, rng=make_rng(0, "max-tp-draws", d))
+        assert (mx.value, mx.lower, mx.exact) == (nv.value, nv.lower, nv.exact)
+        calls.clear()
+
+
+def _facts(q) -> tuple:
+    """(underlying_base, projective_base, semi_ruan) of q, bases by to_dict."""
+    dicts = [None if b is None else b.to_dict() for b in (q.underlying_base, q.projective_base)]
+    return (*dicts, q.semi_ruan)
+
+
+def test_descriptor_facts_of_the_pool_and_the_catalog_targets():
+    from pllab.maps import builtin_certificates
+    from pllab.suites import quantization_pool
+
+    pool = quantization_pool()
+    own = lambda i: pool[i].base.to_dict()
+    lp = lambda p, w: BaseNorm.lp(p, weights=w).to_dict()
+    expected = [  # by pool index: underlying base, projective base, semi-Ruan
+        (own(0), None, True),  # min(euclidean 3)
+        (own(1), None, True),  # min(weighted l1)
+        (own(2), None, True),  # min(l_inf)
+        (own(3), None, True),  # min(polytope)
+        (own(4), own(4), False),  # max(weighted l1)
+        (own(5), own(5), False),  # max(euclidean 2)
+        (lp(1.0, [1.0, 0.5, 2.0]), lp(1.0, [1.0, 0.5, 2.0]), False),  # lp(1), three points
+        (lp(2.0, [1.0, 1.0]), None, True),  # lp(2)
+        (lp(np.inf, [1.0, 1.0]), None, True),  # lp(inf): the point base has no weights
+        (None, None, True),  # lp(2) over hilbert(2)
+        (own(10), None, True),  # hilbert(3)
+        (None, None, True),  # concrete
+        (None, None, False),  # tensor_p(l1, hilbert 2)
+        (None, None, False),  # tensor_p(euclidean, hilbert 2)
+    ]
+    assert [_facts(q) for q in pool] == expected
+    by_name = {  # certificate -> (underlying base kind, projective base kind, semi-Ruan) of its target
+        "functional-pair": ("euclidean", None, True),
+        "coordinate-multiplication-l1": ("lp", "lp", False),
+        "coordinate-multiplication-l2": ("euclidean", None, True),
+        "hilbert-tensor-embedding": ("euclidean", None, True),
+        "max-tensor-identity": (None, None, False),
+        "l1-reshape": (None, None, False),
+    }
+    seen = set()
+    for E in pool:
+        for F in pool:
+            for cert in builtin_certificates(E, F):
+                ub, pb, semi = _facts(cert.target)
+                assert (ub and ub["kind"], pb and pb["kind"], semi) == by_name[cert.name], cert.name
+                seen.add(cert.name)
+    assert seen == set(by_name)
 
 
 def _counted_amp_norm(monkeypatch):
@@ -462,7 +536,7 @@ def test_tensor_p_bracket_on_euclidean_base_is_exact_without_amp_norm(inner, mon
         U = random_complex(make_rng(37, "tp-metric", d), d, base.dim * inner.dim)
         res = tensor_p_bracket(base, inner, U, 200, make_rng(0, "tp"))
         Z = _beta_slices(U, base.dim, inner.dim)
-        nuclear = np.linalg.norm(Z * np.tile(frobenius_metric(inner), d), "nuc")
+        nuclear = np.linalg.norm(Z * np.tile(inner.frobenius_metric, d), "nuc")
         assert res.upper == pytest.approx(nuclear, rel=1e-12, abs=0)
         assert res.lower == pytest.approx(res.upper, rel=1e-12, abs=0)
         recon = sum(np.multiply.outer(x, v) for x, v in res.terms)

@@ -543,12 +543,11 @@ def _catalog_targets():
 
 
 def test_semi_ruan_verdict_has_no_falsifier():
-    """Every descriptor _semi_ruan proves passes the witness search."""
+    """Every descriptor Quantization.semi_ruan proves passes the witness search."""
     from pllab.quantizations import semi_ruan_witness_search
     from pllab.suites import quantization_pool
-    from pllab.tensorlab import _semi_ruan
 
-    proved = [q for q in quantization_pool() + _catalog_targets() if _semi_ruan(q)]
+    proved = [q for q in quantization_pool() + _catalog_targets() if q.semi_ruan]
     assert {q.kind for q in proved} == {"min", "hilbert", "lp", "concrete"}
     for q in proved:
         assert semi_ruan_witness_search(q, trials=50) is None, q.to_dict()
@@ -556,7 +555,6 @@ def test_semi_ruan_verdict_has_no_falsifier():
 
 def test_semi_ruan_verdicts_from_the_descriptor():
     from pllab.suites import quantization_pool
-    from pllab.tensorlab import _semi_ruan
 
     H = Quantization.hilbert
     concrete = quantization_pool()[11]
@@ -576,8 +574,8 @@ def test_semi_ruan_verdicts_from_the_descriptor():
         Quantization.max(BaseNorm.euclidean(2)),
         Quantization.tensor_p(BaseNorm.euclidean(2), H(2)),
     ]
-    assert [_semi_ruan(q) for q in proved] == [True] * len(proved)
-    assert [_semi_ruan(q) for q in unproved] == [False] * len(unproved)
+    assert [q.semi_ruan for q in proved] == [True] * len(proved)
+    assert [q.semi_ruan for q in unproved] == [False] * len(unproved)
 
 
 def test_l_pool_keeps_proved_targets_only():
