@@ -216,10 +216,9 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
         add(base.primal_align(c))
     elif q.kind == "lp":
         blocks, scores, uppers = [], [], []
-        zero = (np.zeros(q.inner.dim, dtype=complex), 1.0)  # a point without candidates
         for ct in c.reshape(q.points, q.inner.dim):
             key = lambda xy: abs(np.dot(ct, xy[0])) / max(xy[1], 1e-30)
-            y, up = max(_norming_candidates(q.inner, ct, rng, n_random=2) or [zero], key=key)
+            y, up = max(_norming_candidates(q.inner, ct, rng, n_random=2), key=key)
             blocks.append(y)
             scores.append(key((y, up)))
             uppers.append(max(up, 1e-30))
@@ -227,16 +226,11 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) 
         add(np.concatenate([st / ut * y for st, ut, y in zip(s, uppers, blocks)]))
     elif q.kind == "tensor_p":
         C = c.reshape(q.base.dim, q.inner.dim)
-        b_cands = _norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2) or [
-            (np.ones(q.inner.dim, dtype=complex), underlying_norm(q, np.ones(q.dim, dtype=complex)))
-        ]
-        b = b_cands[0][0]
+        b = _norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2)[0][0]
         a = None
         for _ in range(4):
             a = q.base.primal_align(C @ b)
-            b_cands = _norming_candidates(q.inner, a @ C, rng, n_random=1)
-            if b_cands:
-                b = b_cands[0][0]
+            b = _norming_candidates(q.inner, a @ C, rng, n_random=1)[0][0]
         add(np.multiply.outer(a, b).ravel())
     for _ in range(n_random):
         add(random_complex(rng, q.dim))
