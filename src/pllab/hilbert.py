@@ -15,6 +15,7 @@ on top is scheme-independent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +162,18 @@ def l2_norm(x) -> float:
     return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
+def unit_scaled(a, scale: float) -> np.ndarray:
+    """a / scale for a positive scale at least the largest entry modulus of a.
+
+    numpy divides by a float through its reciprocal, which overflows below
+    1 / DBL_MAX, so a subnormal scale is first multiplied, with a, by the
+    exact power of two 2**64.  A normal scale gives a / scale bit for bit.
+    """
+    if scale < sys.float_info.min:
+        a, scale = a * 2.0**64, scale * 2.0**64
+    return a / scale
+
+
 def frobenius_norm(a) -> float:
     """Frobenius norm of an array of finite entries of any magnitude,
     bit-equal to np.linalg.norm wherever that is finite and nonzero.
@@ -179,7 +192,7 @@ def frobenius_norm(a) -> float:
         return n
     big = float(np.max(np.abs(a), initial=0.0))
     if 0.0 < big < math.inf:
-        n = big * float(np.linalg.norm(a / big))
+        n = big * float(np.linalg.norm(unit_scaled(a, big)))
     if not math.isfinite(n):
         raise ValueError("element has non-finite entries or a Frobenius norm beyond the float range")
     return n

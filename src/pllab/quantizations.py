@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .bases import BaseNorm
-from .hilbert import coeffs_of, frobenius_norm, l2_norm
+from .hilbert import coeffs_of, frobenius_norm, l2_norm, unit_scaled
 from .projective import ProjResult, proj_bracket
 from .sampling import make_rng, random_complex
 from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
@@ -224,7 +224,8 @@ class Quantization:
                 f"element has {U.shape[1]} base coordinates, quantization has {self.dim}"
             )
         if self.real:
-            if np.abs(U.imag).max(initial=0.0) > 1e-12:
+            top = np.abs(U).max(initial=0.0)  # relative test; absolute when non-finite
+            if np.abs(U.imag).max(initial=0.0) > 1e-12 * (top if np.isfinite(top) else 1.0):
                 # finiteness first: amp_norm reports other non-finite entries itself
                 if not np.isfinite(U).all():
                     raise ValueError("element has non-finite entries")
@@ -290,7 +291,7 @@ def amp_norm(q: Quantization, u, budget: int = 200, seed: int = 0, rng=None) -> 
     if scale == 0.0:
         return NormValue(0.0, 0.0, True, f"{q.kind}/zero")
     rng = make_rng(seed, "amp", q.kind) if rng is None else rng
-    nv = _amp_dispatch(q, U / scale, budget, rng)
+    nv = _amp_dispatch(q, unit_scaled(U, scale), budget, rng)
     return nv.scaled(scale)
 
 
@@ -353,7 +354,7 @@ def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
             block = U[:, t * mi : (t + 1) * mi]
             scale = l2_norm(block) or frobenius_norm(block)  # U is unit-scaled: no overflow
             if scale:
-                n[t] = scale * l2_norm(block / scale)
+                n[t] = scale * l2_norm(unit_scaled(block, scale))
         v = _combine(q, n)
         return NormValue(v, v, True, "lp/pointwise")
     uppers, lowers, exact = np.zeros(q.points), np.zeros(q.points), True
@@ -363,7 +364,7 @@ def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
         scale = frobenius_norm(block)
         if scale == 0.0:
             continue
-        nv = _amp_dispatch(q.inner, block / scale, max(budget // 4, 20), rng).scaled(scale)
+        nv = _amp_dispatch(q.inner, unit_scaled(block, scale), max(budget // 4, 20), rng).scaled(scale)
         uppers[t], lowers[t], exact = nv.value, nv.lower, exact and nv.exact
     return NormValue(_combine(q, uppers), _combine(q, lowers), exact, "lp/pointwise")
 

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm
+from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm, unit_scaled
 from .maps import builtin_certificates
 from .projective import RECON_TOL
 from .quantizations import Quantization, amp_norm, tensor_p_bracket
@@ -471,7 +471,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     if scale == 0.0:
         zero = tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms)
         return zero, zero
-    unit = U / scale
+    unit = unit_scaled(U, scale)
     fam = _pl_families(unit, E, F, budget, seed, pairing)
     certs = builtin_certificates(E, F) if certificates is None else certificates
     rows = [

@@ -332,6 +332,24 @@ def test_complex_element_on_a_real_restricted_norm_job_is_input_error(capsys):
     assert "real-valued" in rep["error"]["message"]
 
 
+_TINY_COMPLEX = [[[1e-13, 0], [1e-13, 0], [0, 1e-13]], [[1e-13, 0], [0, 0], [1e-13, 0]]]
+
+
+@pytest.mark.parametrize("base, element", [
+    ({"kind": "lp", "dim": 3, "p": 1, "real": True}, _TINY_COMPLEX),
+    ({"kind": "lp", "dim": 3, "p": 3, "real": True}, _TINY_COMPLEX),
+    ({"kind": "euclidean", "dim": 2, "real": True}, [[[1e-13, 0], [0, 1e-13]]]),
+], ids=["l1", "l3", "euclidean"])
+def test_real_mode_test_is_relative_to_the_largest_entry(capsys, base, element):
+    """An imaginary part as large as the entries is rejected at any scale."""
+    doc = norm_doc(quantization={"kind": "min", "params": {"base": base}}, element=element)
+    code, out, _ = run_cli(capsys, "--command", "norm", "--input", doc)
+    assert code == 3
+    assert json.loads(out)["error"]["diagnostics"] == [
+        {"pointer": "/element", "message": "element must be real-valued in real-restricted mode"}
+    ]
+
+
 _REAL_L1 = {"kind": "lp", "dim": 2, "p": 1, "weights": [1, 1], "real": True}
 
 
@@ -469,6 +487,20 @@ def test_element_of_any_finite_magnitude_is_bracketed(capsys):
     code, out, _ = run_cli(capsys, "--command", "pl", "--input", pair_doc(element=[[[1e308, 0]] * 4]))
     assert code == 3
     assert json.loads(out)["error"]["diagnostics"][0]["pointer"] == "/element"
+
+
+@pytest.mark.parametrize("command", ["pl", "l", "compare"])
+def test_subnormal_entries_are_bracketed(capsys, command):
+    """A 1e-320 entry beside a unit one, and a whole element at 1e-310, give
+    finite certified brackets: no division overflows at a subnormal scale."""
+    element = [[[1, 0], [0, 0], [0, 0], [1e-320, 0]]]
+    code, out, _ = run_cli(capsys, "--command", command, "--input", pair_doc(element=element))
+    assert code == 0
+    tiny = [[[1e-310 * re, 1e-310 * im] for re, im in row] for row in json.loads(pair_doc())["element"]]
+    code, out, _ = run_cli(capsys, "--command", command, "--input", pair_doc(element=tiny))
+    assert code == 0
+    brackets = [case for case in json.loads(out)["cases"] if "upper" in case]
+    assert brackets and all(0.0 < c["lower"] <= c["upper"] < 1e-300 for c in brackets)
 
 
 def test_element_of_huge_magnitude_leaves_stderr_quiet():

@@ -274,9 +274,10 @@ def test_non_finite_descriptor_numbers_are_rejected(bad):
         Quantization.concrete([np.eye(2), np.array([[0.0, bad], [1.0, 0.0]])])
 
 
-@pytest.mark.parametrize("s", [1e-170, 1e200])
+@pytest.mark.parametrize("s", [1e-170, 1e200, 1e-310])
 def test_amp_norm_is_homogeneous_at_extreme_scales(s):
-    """np.linalg.norm underflows to 0 at 1e-170 and overflows at 1e200."""
+    """np.linalg.norm underflows to 0 at 1e-170 and overflows at 1e200; at
+    the subnormal 1e-310 numpy's division by the scale overflows."""
     from pllab.suites import quantization_pool
 
     rng = make_rng(35, "extreme-scale")
@@ -305,6 +306,14 @@ def test_huge_elements_raise_no_runtime_warning():
     assert nv.lower == pytest.approx(1e200 * ref_amp.lower, rel=1e-12, abs=0)
     assert b.lower == pytest.approx(1e200 * ref_pl.lower, rel=1e-12, abs=0)
     assert b.upper == pytest.approx(1e200 * ref_pl.upper, rel=1e-12, abs=0)
+
+
+def test_a_block_of_subnormal_scale_over_a_min_inner_is_valued():
+    """numpy divides by a float through its reciprocal, which overflows at a
+    subnormal scale; the 1e-320 point is valued, and 1 + 1e-320 rounds to 1."""
+    q = Quantization.lp(1.0, [1.0, 1.0], inner=Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 1.0])))
+    nv = amp_norm(q, [[1.0, 0.0, 1e-320, 0.0]])
+    assert nv.value == 1.0 and nv.lower == 1.0
 
 
 @pytest.mark.parametrize("label", [np.int64(1), np.float64(0.5), np.int32(-3)])
@@ -392,6 +401,8 @@ def test_lp_over_hilbert_is_one_pass(p, w, mi, d, seed, s):
     (1, [[1.0, 1.6e-162]], 1.6e-162),
     (2, [[1.0, 0.0, 3e-162, 4e-162]], 5e-162),
     (2, [[1.0, 0.0, 3e-170, 4e-170]], 5e-170),
+    (1, [[1.0, 1e-320]], 1e-320),  # a subnormal block scale
+    (2, [[1.0, 0.0, 1e-320, 0.0]], 1e-320),
 ])
 def test_lp_over_hilbert_values_blocks_whose_squares_underflow(mi, u, norm):
     """A tiny block beside a unit block gets its norm to rounding, however
