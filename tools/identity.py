@@ -16,7 +16,8 @@ The records:
 * the exit code and stdout of every ``cli-jobs`` job for seeds 1 and 2, each
   in a fresh ``python3 -m pllab.cli`` process;
 * pl and l ``to_dict()``, their residuals and ``compare_pl_l`` over the
-  benchmark pairs x d = 1..3 x scales 1, 1e12, 1e-9 x both pairings;
+  benchmark pairs x d = 1..3 x scales 1, 1e12, 1e-9, 1e-310 (subnormal) x
+  both pairings (a raised error is recorded as its message);
 * ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
   ``quantization_pool()`` descriptors;
 * ``proj_bracket`` upper, lower, method and terms against the euclidean
@@ -73,7 +74,7 @@ SEEDS = (1, 2)
 ROUND_DIGITS = 12
 _FLOAT = re.compile(r"(?<![\w.])(?:\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+)")  # not inside a name like lp1.5w
 IN_PROCESS = ("bracket-batch", "amp-sweep", "lb-search")
-SCALES = (1.0, 1e12, 1e-9)
+SCALES = (1.0, 1e12, 1e-9, 1e-310)
 PROJ_BASES = {  # name -> BaseNorm.from_dict descriptor
     "lp3": {"kind": "lp", "dim": 3, "p": 3.0},
     "lp1.5w": {"kind": "lp", "dim": 3, "p": 1.5, "weights": [1.0, 0.5, 2.0]},
@@ -127,10 +128,13 @@ def record(root: Path) -> dict:
             for scale in SCALES:
                 for scheme in ("row-major", "column-major"):
                     U, pairing = scale * U0, PairingMap(scheme)
-                    pl = pl_norm_bracket(E, F, U, pairing=pairing)
-                    l = l_norm_bracket(E, F, U, pairing=pairing)
-                    rec = (pl.to_dict(), pl.upper_witness.residual(), l.to_dict(),
-                           l.upper_witness.residual(), compare_pl_l(E, F, U, pairing=pairing))
+                    try:
+                        pl = pl_norm_bracket(E, F, U, pairing=pairing)
+                        l = l_norm_bracket(E, F, U, pairing=pairing)
+                        rec = (pl.to_dict(), pl.upper_witness.residual(), l.to_dict(),
+                               l.upper_witness.residual(), compare_pl_l(E, F, U, pairing=pairing))
+                    except ValueError as exc:
+                        rec = str(exc)
                     out[f"pairs/{i}/{d}/{scale!r}/{scheme}"] = _digest(rec)
 
     pool = quantization_pool()
