@@ -220,7 +220,7 @@ class BaseNorm:
 
     # -- ball suprema -------------------------------------------------------
 
-    def dual_ball_maximize(self, A, rng=None, starts: int = 8) -> DualMax:
+    def dual_ball_maximize(self, A, rng, starts: int = 8) -> DualMax:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
         A weighted-l1 base at one row of A, or a complex one at two
@@ -283,7 +283,6 @@ class BaseNorm:
             k = int(np.argmax(vals))
             c = signs[:, k] * w
             return DualMax(float(vals[k]), float(vals[k]), c.astype(complex), True)
-        rng = np.random.default_rng(0) if rng is None else rng
         Q = B.conj().T @ B
         # starts as columns: ones, the phases of the Gram column of the
         # heaviest coordinate, then random phases
@@ -313,7 +312,6 @@ class BaseNorm:
 
     def _dual_ball_max_lq(self, A, rng, starts) -> DualMax:
         dd = self.dual_descriptor()  # an lq(w') descriptor
-        rng = np.random.default_rng(0) if rng is None else rng
         q, wq = dd.p, dd.weights
         # starts as columns: the aligner of the summed rows, then random
         # directions scaled to the dual sphere
@@ -345,7 +343,7 @@ class BaseNorm:
         upper = max(min(float(np.linalg.norm(A, 2)) * embed, col_bound), best_val)
         return DualMax(best_val, upper, best_c, False)
 
-    def primal_ball_maximize(self, A, rng=None) -> DualMax:
+    def primal_ball_maximize(self, A, rng) -> DualMax:
         """sup of ||A x||_2 over the primal unit ball of this base."""
         dd = self.dual_descriptor()
         if dd is not None:
@@ -356,16 +354,12 @@ class BaseNorm:
         sigma_min = np.linalg.svd(v, compute_uv=False)[-1]
         upper = float(np.linalg.norm(A, 2)) * np.sqrt(v.shape[0]) / max(sigma_min, 1e-30)
         best_val, best_x = -1.0, np.zeros(self.dim, dtype=complex)
-        rng = np.random.default_rng(0) if rng is None else rng
         for s in range(_PRIMAL_STARTS + self.dim):
             if s < self.dim:
                 x = np.eye(self.dim, dtype=complex)[s]
             else:
                 x = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-            n = self.norm(x)
-            if n <= 0:
-                continue
-            x = x / n
+            x = x / self.norm(x)
             val = float(np.linalg.norm(A @ x))
             if val > best_val:
                 best_val, best_x = val, x

@@ -285,13 +285,11 @@ def lb_norm_lower(
 
 def _ratio(sources, target, image, rng):
     """ratio(xs, known) for _ascend: target lower bound of image(xs) over the product
-    of the sources' amp_norm values (budget 40, unless known holds them); 0 if one is <= 0."""
+    of the sources' amp_norm values (budget 40, unless known holds them)."""
 
     def ratio(xs, known):
         dens = [amp_norm(q, x, budget=40, rng=rng).value if k is None else k
                 for q, x, k in zip(sources, xs, known)]
-        if any(d <= 0 for d in dens):
-            return 0.0, dens
         return amp_norm(target, image(xs), budget=40, rng=rng).lower / math.prod(dens), dens
 
     return ratio
@@ -329,8 +327,6 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
     if phi.is_functional:
         c = phi.matrix[:, 0]
         for x, up in _norming_candidates(phi.source, c, rng):
-            if up <= 0:
-                continue
             val = abs(np.dot(c, x)) / up
             if val > best:
                 best, best_xs = val, [x[None, :]]
@@ -358,12 +354,8 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
         cand_L += _norming_candidates(r.source_left, uu[:, 0], rng, n_random=0)
         cand_R = _norming_candidates(r.source_right, vv[0], rng, n_random=3)
         for x, ux in cand_L:
-            if ux <= 0:
-                continue
             # best y for this x by aligning against x C
             for y, uy in _norming_candidates(r.source_right, x @ C, rng, n_random=1) + cand_R:
-                if uy <= 0:
-                    continue
                 val = abs(x @ C @ y) / (ux * uy)
                 if val > best:
                     best, best_xs = val, [x[None, :], y[None, :]]
@@ -371,8 +363,6 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
     # elementary candidates from per-factor norming data
     for x, ux in _norming_candidates(r.source_left, T.sum(axis=(1, 2)).conj(), rng, n_random=2):
         for y, uy in _norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2):
-            if ux <= 0 or uy <= 0:
-                continue
             pair = [x[None, :], y[None, :]]
             val, _ = ratio(pair, [None, None])
             if val > best:

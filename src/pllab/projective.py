@@ -55,7 +55,7 @@ def _euclidean(v: np.ndarray) -> tuple:
     return n, n, True
 
 
-def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None) -> ProjResult:
+def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, *, rng) -> ProjResult:
     """Bracket the projective norm of Z (one factor vector per base coordinate).
 
     factor is None (the euclidean norm) or v -> (upper, lower, exact).  On a
@@ -65,7 +65,6 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, rng=None) -> Proj
     Zf = np.asarray(Z, dtype=complex)
     if Zf.ndim != 2 or Zf.shape[0] != base.dim:
         raise ValueError("Z must have one factor-vector per base coordinate")
-    rng = np.random.default_rng(0) if rng is None else rng
     evaluate = _euclidean if factor is None else factor
 
     terms, values, lower, exact = [], [], 0.0, True

@@ -32,7 +32,7 @@ off a descriptor without evaluating a norm are Quantization properties.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -278,6 +278,8 @@ class Quantization:
 
 # -- amplified norm ---------------------------------------------------------
 
+_SCALAR = Quantization.scalar()  # the inner of max(E) = tensor_p(E, scalar)
+
 
 def amp_norm(q: Quantization, u, budget: int = 200, seed: int = 0, rng=None) -> NormValue:
     """Evaluate the quantized norm of an amplified element.
@@ -310,7 +312,7 @@ def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue
     if q.kind == "lp":
         return _amp_lp(q, U, budget, rng)
     # max(E) is tensor_p(E, scalar): the same proj_bracket call on U.T
-    inner = Quantization.scalar() if q.kind == "max" else q.inner
+    inner = _SCALAR if q.kind == "max" else q.inner
     res = tensor_p_bracket(q.base, inner, U, budget, rng)
     return NormValue(res.upper, res.lower, res.exact, f"{q.kind}/{res.upper_method}")
 
@@ -337,7 +339,9 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
         return proj_bracket(base, factor, Z, budget=budget, rng=rng)
     G = np.tile(g, U.shape[0])
     res = proj_bracket(base, None, Z * G, budget=budget, rng=rng)
-    return replace(res, terms=[(x, v / G) for x, v in res.terms])
+    for _, v in res.terms:  # each v is proj_bracket's own copy
+        v /= G
+    return res
 
 
 def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
@@ -391,19 +395,14 @@ def underlying_norm(q: Quantization, x) -> float:
 # -- semi-Ruan search --------------------------------------------------------
 
 
-def semi_ruan_witness_search(
-    q: Quantization,
-    trials: int = 400,
-    seed: int = 0,
-    tolerance: float = 1e-9,
-    budget: int = 60,
-):
+def semi_ruan_witness_search(q: Quantization, trials: int = 400, seed: int = 0, tolerance: float = 1e-9):
     """Search for a violation of the semi-Ruan inequality.
 
     Samples pairs with orthogonal coordinate-block supports on the H slot and
     tests ||u + v||^2 <= ||u||^2 + ||v||^2.  Returns a witness dict for the
     first certified violation (lower bound of the left side beats the upper
-    bounds on the right) or None when all trials pass.
+    bounds on the right) or None when all trials pass.  Each norm is valued
+    at budget 60.
     """
     rng = make_rng(seed, "semi-ruan", q.kind)
     m = q.dim
@@ -415,9 +414,9 @@ def semi_ruan_witness_search(
         V = np.zeros((d, m), dtype=complex)
         U[:d1] = Ublock
         V[d1:] = Vblock
-        nu = amp_norm(q, U, budget=budget, rng=rng)
-        nv = amp_norm(q, V, budget=budget, rng=rng)
-        ns = amp_norm(q, U + V, budget=budget, rng=rng)
+        nu = amp_norm(q, U, budget=60, rng=rng)
+        nv = amp_norm(q, V, budget=60, rng=rng)
+        ns = amp_norm(q, U + V, budget=60, rng=rng)
         if ns.lower**2 > nu.value**2 + nv.value**2 + tolerance:
             return {
                 "u": U,

@@ -130,13 +130,10 @@ class PLRepresentation(_Representation):
             out += block @ diamond_amp(left, right, self.pairing)
         return out
 
-    def term_values(self, budget: int = 60, seed: int = 0) -> list:
-        norms = self._pair_values([(u, v) for _, u, v in self.terms], budget, seed)
-        return [(op_norm(block), nu, nv) for (block, _, _), (nu, nv) in zip(self.terms, norms)]
-
     def value(self, budget: int = 60, seed: int = 0) -> float:
         """Certified upper bound for the pl norm of the target."""
-        return float(sum(a * b * c for a, b, c in self.term_values(budget, seed)))
+        norms = self._pair_values([(u, v) for _, u, v in self.terms], budget, seed)
+        return float(sum(op_norm(block) * nu * nv for (block, _, _), (nu, nv) in zip(self.terms, norms)))
 
     def to_dict(self, include_data: bool = True) -> dict:
         out = self._header()
@@ -206,12 +203,9 @@ class LRepresentation(_Representation):
         zero = np.zeros((self.block.shape[1], self.target.shape[1]), dtype=complex)
         return self.block @ sum((diamond_amp(u, v, self.pairing) for u, v in self.terms), zero)
 
-    def term_norms(self, budget: int = 60, seed: int = 0) -> list:
-        return self._pair_values(self.terms, budget, seed)
-
     def value(self, budget: int = 60, seed: int = 0) -> float:
         """Certified upper bound for the l norm of the target."""
-        sq = sum((a * b) ** 2 for a, b in self.term_norms(budget, seed))
+        sq = sum((a * b) ** 2 for a, b in self._pair_values(self.terms, budget, seed))
         return float(op_norm(self.block) * math.sqrt(sq))
 
     def to_dict(self, include_data: bool = True) -> dict:

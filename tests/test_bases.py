@@ -143,7 +143,7 @@ def test_real_l1_one_row_takes_the_closed_form_past_the_sign_enumeration_limit()
     rng = make_rng(5, "real-l1-row")
     w = 0.5 + 1.5 * rng.random(17)
     a = rng.standard_normal(17)
-    dm = BaseNorm.lp(1.0, weights=w, real=True).dual_ball_maximize(a[None, :])
+    dm = BaseNorm.lp(1.0, weights=w, real=True).dual_ball_maximize(a[None, :], rng=rng)
     want = float(np.sum(np.abs(a * w)))
     assert dm.exact
     assert dm.lower == pytest.approx(want, rel=1e-12) and dm.upper == dm.lower
