@@ -36,7 +36,7 @@ __all__ = ["BaseNorm", "DualMax"]
 _REAL_TOL = 1e-12
 _SIGN_ENUM_LIMIT = 16
 _ASCENT_ITERS = 60  # iteration cap of the multi-start dual-ball ascents
-_TIE_RTOL = 1e-14  # ascent columns this close to the best value count as tied
+TIE_RTOL = 1e-14  # values this close to the best tie: ascent columns, bracket winners, lb-search moves
 _PRIMAL_STARTS = 8  # starts of primal_ball_maximize
 
 
@@ -392,7 +392,7 @@ class BaseNorm:
 
 
 def _best_column(vals: np.ndarray) -> int:
-    """Index of the last ascent column within _TIE_RTOL of the best value.
+    """Index of the last ascent column within TIE_RTOL of the best value.
 
     Columns that reach one optimum along different paths tie up to rounding
     but stop at witnesses that differ well above it, so a plain argmax lets
@@ -402,7 +402,7 @@ def _best_column(vals: np.ndarray) -> int:
     phases (at two coordinates the optimum, which the closed form of
     _dual_ball_max_l1 returns before any ascent).
     """
-    return int(np.flatnonzero(vals >= vals.max() * (1.0 - _TIE_RTOL))[-1])
+    return int(np.flatnonzero(vals >= vals.max() * (1.0 - TIE_RTOL))[-1])
 
 
 def _phases(z: np.ndarray) -> np.ndarray:

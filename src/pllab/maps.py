@@ -20,13 +20,13 @@ through their ``certificates=`` argument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .bases import BaseNorm, DualMax
-from .hilbert import PairingMap, coeffs_of
+from .bases import TIE_RTOL, BaseNorm, DualMax
+from .hilbert import PairingMap, coeffs_of, frobenius_norm
 from .quantizations import Quantization, amp_norm, underlying_norm
 from .sampling import make_rng, random_complex
 
@@ -263,13 +263,23 @@ def lb_norm_lower(
     Ratios are evaluated as target-lower over source-upper, so the estimate
     never exceeds the true lb-norm even on bracketed kinds.  Closed forms:
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
-    singular value of the coefficient matrix).  Raises ValueError on a
-    real-restricted source or target: the searches sample complex elements.
+    singular value of the coefficient matrix).  Coefficients of Frobenius norm
+    outside [2**-64, 2**64] are first scaled by a power of two to norm in
+    [1/2, 1), the bound scaled back, so no search overflows or underflows.
+    Raises ValueError on a real-restricted source or target: the searches
+    sample complex elements.
     """
     bilinear = isinstance(phi, BilinearMap)
     spaces = (phi.source_left, phi.source_right, phi.target) if bilinear else (phi.source, phi.target)
     if any(q.real for q in spaces):
         raise ValueError("lb_norm_lower does not take real-restricted sources or targets")
+    key = "tensor" if bilinear else "matrix"
+    n = frobenius_norm(getattr(phi, key))
+    if n and not 2.0**-64 <= n <= 2.0**64:
+        e = math.frexp(n)[1]
+        est = lb_norm_lower(replace(phi, **{key: _ldexp(getattr(phi, key), -e)}), budget, seed, use_closed_forms)
+        witness = {k: _ldexp(v, e) if k == "f" else v for k, v in est.witness.items()}  # f g^T is the tensor
+        return replace(est, lower=math.ldexp(est.lower, e), witness=witness)
     rng = make_rng(seed, "lbnorm")
     starts = max(2, budget // 50)
     if bilinear:
@@ -281,6 +291,11 @@ def lb_norm_lower(
     if use_closed_forms and phi.source.kind == "hilbert" and phi.target.kind == "hilbert":
         return LbNormEstimate(float(np.linalg.norm(phi.matrix, 2)), True, "hilbert/operator-norm")
     return _lb_lower_linear_search(phi, starts, rng)
+
+
+def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
+    """The complex array a times 2**e, exact wherever the result is normal."""
+    return np.ldexp(a.real, e) + 1j * np.ldexp(a.imag, e)
 
 
 def _ratio(sources, target, image, rng):
@@ -295,12 +310,17 @@ def _ratio(sources, target, image, rng):
     return ratio
 
 
+def _beats(val: float, best: float) -> bool:
+    """val > best by more than TIE_RTOL relative: of candidates or moves tied up to rounding the earlier stays."""
+    return val > best * (1.0 + TIE_RTOL)
+
+
 def _climb(ratio, sources, rows: int, starts: int, rng, best: float, best_xs) -> tuple:
     """(best, best_xs) after an _ascend from each start s, which draws a (1 + s % rows) x dim
-    element per source in order; a climb replaces the best only when it beats it."""
+    element per source in order; a climb replaces the best only when it _beats it."""
     for s in range(starts):
         val, xs = _ascend(ratio, [random_complex(rng, 1 + s % rows, q.dim) for q in sources], rng)
-        if val > best:
+        if _beats(val, best):
             best, best_xs = val, xs
     return best, best_xs
 
@@ -308,7 +328,7 @@ def _climb(ratio, sources, rows: int, starts: int, rng, best: float, best_xs) ->
 def _ascend(ratio, xs: list, rng) -> tuple:
     """(ratio, xs) after 50 hill-climbing steps on ratio(xs, known): each adds
     0.3 times a complex Gaussian to one of xs, the first when there is one or
-    when rng.random() < 0.5, and keeps the move when the ratio grows.  ratio
+    when rng.random() < 0.5, and keeps the move when its ratio _beats.  ratio
     returns the ratio and the source values of xs; a step passes on the kept
     values with None for the element it moves, which alone is valued again."""
     val, dens = ratio(xs, [None] * len(xs))
@@ -317,7 +337,7 @@ def _ascend(ratio, xs: list, rng) -> tuple:
         cand, known = list(xs), list(dens)
         cand[k], known[k] = xs[k] + 0.3 * random_complex(rng, *xs[k].shape), None
         v2, d2 = ratio(cand, known)
-        if v2 > val:
+        if _beats(v2, val):
             xs, dens, val = cand, d2, v2
     return val, xs
 
@@ -328,7 +348,7 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
         c = phi.matrix[:, 0]
         for x, up in _norming_candidates(phi.source, c, rng):
             val = abs(np.dot(c, x)) / up
-            if val > best:
+            if _beats(val, best):
                 best, best_xs = val, [x[None, :]]
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
     best, best_xs = _climb(ratio, [phi.source], 3, starts, rng, best, best_xs)
@@ -357,7 +377,7 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
             # best y for this x by aligning against x C
             for y, uy in _norming_candidates(r.source_right, x @ C, rng, n_random=1) + cand_R:
                 val = abs(x @ C @ y) / (ux * uy)
-                if val > best:
+                if _beats(val, best):
                     best, best_xs = val, [x[None, :], y[None, :]]
 
     # elementary candidates from per-factor norming data
@@ -365,14 +385,14 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
         for y, uy in _norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2):
             pair = [x[None, :], y[None, :]]
             val, _ = ratio(pair, [None, None])
-            if val > best:
+            if _beats(val, best):
                 best, best_xs = val, pair
 
     if all(q.kind == "hilbert" for q in (*sources, r.target)):
         _, f, g = _alternate(r.source_left, r.source_right, T.transpose(2, 0, 1), starts, rng)
         pair = [f[None, :], g[None, :]]
         val, _ = ratio(pair, [None, None])
-        if val > best:
+        if _beats(val, best):
             best, best_xs = val, pair
     else:
         best, best_xs = _climb(ratio, sources, 2, starts, rng, best, best_xs)

@@ -60,7 +60,8 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, *, rng) -> ProjRe
 
     factor is None (the euclidean norm) or v -> (upper, lower, exact).  On a
     weighted-l1 base the result is the column-sum closed form, method
-    "l1-columns"; elsewhere exact is False.
+    "l1-columns"; elsewhere exact is False, and the refinement and the lower
+    bound draw from rng, which the caller builds from a seed and a label.
     """
     Zf = np.asarray(Z, dtype=complex)
     if Zf.ndim != 2 or Zf.shape[0] != base.dim:

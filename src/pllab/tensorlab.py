@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from .bases import TIE_RTOL
 from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm, unit_scaled
 from .maps import builtin_certificates
 from .projective import RECON_TOL
@@ -352,9 +353,10 @@ def _family_projective(U, E, F, budget, seed, side: str):
     """Decompose against one projectively normed factor.
 
     Calls tensor_p_bracket, the routine of the TENSOR_P quantization, on the
-    same seed stream, so the value agrees with amp_norm of the matching
-    tensor quantization evaluated at (budget, seed).  None when the factor on
-    that side is not of projective type.
+    same seed stream and on U as given, the unit element of _brackets, so the
+    value agrees up to rounding with amp_norm of the matching tensor
+    quantization evaluated at (budget, seed).  None when the factor on that
+    side is not of projective type.
     """
     d = U.shape[0]
     if side == "left":
@@ -363,12 +365,10 @@ def _family_projective(U, E, F, budget, seed, side: str):
         base, other, W, order = F.projective_base, E, _swap(U, E.dim, F.dim), slice(None, None, -1)
     if base is None:
         return None
-    scale = float(np.linalg.norm(W))
-    res = tensor_p_bracket(base, other, W / scale, budget, make_rng(seed, "amp", "tensor_p"))
+    res = tensor_p_bracket(base, other, W, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
-    terms = [(eye, *(x[None, :], scale * v.reshape(d, other.dim))[order]) for x, v in res.terms]
-    vals = [(1.0, c * scale, 1.0) for c in res.values]
-    return terms, vals, res.upper * scale, res.upper_method
+    terms = [(eye, *(x[None, :], v.reshape(d, other.dim))[order]) for x, v in res.terms]
+    return terms, [(1.0, c, 1.0) for c in res.values], res.upper, res.upper_method
 
 
 # -- brackets -------------------------------------------------------------------
@@ -426,12 +426,21 @@ def _l_candidate(terms, vals) -> tuple:
     )
 
 
+def _first_best(items, value):
+    """The first of items whose value is within TIE_RTOL relative of the least.
+    Families and certificates often tie up to rounding (several reach one
+    closed-form norm), so a plain min would let rounding, and with it the
+    element's scale, pick the winner."""
+    items = list(items)
+    best = min(map(value, items))
+    return next(it for it in items if value(it) <= best + TIE_RTOL * abs(best))
+
+
 def _best_lower(rows) -> tuple:
-    lower, lw = 0.0, {"certificate": None}
-    for cert, val, info in rows:
-        if val > lower:
-            lower, lw = val, {"certificate": cert.name, **canonical(info)}
-    return lower, lw
+    if not any(val > 0 for _, val, _ in rows):
+        return 0.0, {"certificate": None}
+    cert, lower, info = _first_best(rows, lambda row: -row[1])  # the greatest lower bound
+    return lower, {"certificate": cert.name, **canonical(info)}
 
 
 def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
@@ -476,7 +485,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     units, out = [], []
     for norm in norms:
         if norm == "pl":
-            name, (terms, upper, _, _) = min(fam.items(), key=lambda kv: kv[1][1])
+            name, (terms, upper, _, _) = _first_best(fam.items(), lambda kv: kv[1][1])
             norm_rows = rows
             details = {
                 "families": {k: v[1] for k, v in fam.items()},
@@ -486,7 +495,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
             }
         else:
             candidates = {k: _l_candidate(v[0], v[3]) for k, v in fam.items()}
-            name, (upper, terms) = min(candidates.items(), key=lambda kv: kv[1][0])
+            name, (upper, terms) = _first_best(candidates.items(), lambda kv: kv[1][0])
             norm_rows = [row for row in rows if row[0].target.semi_ruan]
             details = {
                 "families": {k + "+orth": v[0] for k, v in candidates.items()},
@@ -521,7 +530,9 @@ def pl_norm_bracket(
 
     The upper bound is the least value over the generated representation
     families; the lower bound is the best evaluation of the certificates,
-    builtin_certificates(E, F) unless a list is passed.  Both are certified,
+    builtin_certificates(E, F) unless a list is passed.  Values within 1e-14
+    relative of the best tie, and the first in order wins (_first_best), so
+    the witnesses do not follow rounding.  Both bounds are certified,
     and lower <= upper + 1e-9 is asserted on the unit-Frobenius element.
     Raises ValueError on non-finite input, on a real-restricted factor (the
     searches run on complex data) and on a passed certificate whose sources

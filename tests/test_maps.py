@@ -1,5 +1,7 @@
 """Maps between quantized spaces: amplification, lb-norm bounds, certificates."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -479,8 +481,44 @@ def test_bilinear_ascent_values_only_the_source_a_step_moves(monkeypatch):
     monkeypatch.setattr(maps, "amp_norm", counted)
     r = embedding_map(1.0, [0.7, 1.6], Quantization.min(BaseNorm.euclidean(2)))
     est = lb_norm_lower(r, budget=100, seed=4, use_closed_forms=False)
-    assert est.lower == 1.0000000000000007
+    assert est.lower == 0.9999999999999998
     assert len(calls) == 254  # 354 when both sources are valued at every step
+
+
+def test_lb_search_witness_does_not_follow_the_scale_of_the_map():
+    """Candidates and hill-climbing moves that tie up to rounding keep the
+    earlier one: scaling the tensor of an isometric embedding by 3 or by
+    1 + 2**-52 keeps the witness direction, and the lower bound stays within
+    two units in the last place of the lb-norm 1."""
+    rng = make_rng(3, "embedding-ties")
+    unit = lambda x: x / np.linalg.norm(x)  # noqa: E731
+    for p in (1.0, 2.0, 3.0, np.inf):
+        for F in (Quantization.hilbert(2), Quantization.min(BaseNorm.euclidean(2)), Quantization.lp(1.0, [1.0, 2.0])):
+            r = embedding_map(p, 0.5 + 1.5 * rng.random(2), F)
+            ref = lb_norm_lower(r, use_closed_forms=False)
+            assert ref.lower <= 1.0 + 2.0**-51
+            for s in (3.0, 1.0 + 2.0**-52):
+                est = lb_norm_lower(BilinearMap(s * r.tensor, r.source_left, r.source_right, r.target), use_closed_forms=False)
+                assert est.lower / s <= 1.0 + 2.0**-51
+                for k in ("u", "v"):
+                    np.testing.assert_allclose(unit(est.witness[k]), unit(ref.witness[k]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("target", [scalar(), Quantization.hilbert(2)])
+def test_lb_norm_lower_holds_at_every_scale(target):
+    """The searches run on the map scaled by a power of two into a unit-size
+    norm: from 1e-300 to 1e300 no error or warning, the bound over s within
+    5e-16 relative of the s = 1 bound, and bit-equal to it at s = 2**700 and
+    s = 2**-700."""
+    E, F = Quantization.hilbert(2), Quantization.min(BaseNorm.lp(3.0, dim=2))
+    T = random_complex(make_rng(1, "lb-scale"), 2, 2, target.dim)
+    lower = lambda s: lb_norm_lower(BilinearMap(s * T, E, F, target), use_closed_forms=False).lower  # noqa: E731
+    ref = lower(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-300, 301, 50):
+            assert lower(10.0**k) / 10.0**k == pytest.approx(ref, rel=5e-16, abs=0)
+        assert lower(2.0**700) == ref * 2.0**700 and lower(2.0**-700) == ref * 2.0**-700
 
 
 def _lb_pin_map(case: str):

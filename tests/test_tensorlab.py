@@ -734,5 +734,23 @@ def test_l_lower_is_homogeneous_where_l1_ascent_columns_tie():
         assert got.lower == pytest.approx(s * ref.lower, rel=1e-12, abs=0)
 
 
+def test_bracket_winners_do_not_follow_rounding():
+    """Families and certificates that tie up to rounding keep their order, so
+    over the thirteen pairs at d = 1..3 a rescaling of the element by
+    1 + 2**-52, 1 - 2**-53 or 3 changes neither norm's winning family nor its
+    certificate."""
+
+    def picks(E, F, U):
+        rep = compare_pl_l(E, F, U, seed=0)
+        return [(rep[n]["upper_witness"]["label"], rep[n]["lower_witness"]["certificate"]) for n in ("pl", "l")]
+
+    for i, (E, F) in enumerate(_factor_pairs()):
+        for d in (1, 2, 3):
+            U = random_complex(make_rng(0, "tie-grid", i, d), d, E.dim * F.dim)
+            want = picks(E, F, U)
+            for s in (1 + 2.0**-52, 1 - 2.0**-53, 3.0):
+                assert picks(E, F, s * U) == want, (i, d, s)
+
+
 if __name__ == "__main__":
     _record_bracket_pins([int(a) for a in sys.argv[1:]] or range(13))

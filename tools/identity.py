@@ -17,7 +17,9 @@ The records:
   in a fresh ``python3 -m pllab.cli`` process;
 * pl and l ``to_dict()``, their residuals and ``compare_pl_l`` over the
   benchmark pairs x d = 1..3 x scales 1, 1e12, 1e-9, 1e-310 (subnormal) x
-  both pairings (a raised error is recorded as its message);
+  both pairings (a raised error is recorded as its message), and apart from
+  them, as ``labels/...`` records, the pl and l ``upper_witness.label`` and
+  certificate, so ``compare`` tells a flipped winner from a last-bit change;
 * ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
   ``quantization_pool()`` descriptors;
 * ``proj_bracket`` upper, lower, method and terms against the euclidean
@@ -133,9 +135,11 @@ def record(root: Path) -> dict:
                         l = l_norm_bracket(E, F, U, pairing=pairing)
                         rec = (pl.to_dict(), pl.upper_witness.residual(), l.to_dict(),
                                l.upper_witness.residual(), compare_pl_l(E, F, U, pairing=pairing))
+                        labels = [(b.upper_witness.label, b.lower_witness["certificate"]) for b in (pl, l)]
                     except ValueError as exc:
-                        rec = str(exc)
+                        rec = labels = str(exc)
                     out[f"pairs/{i}/{d}/{scale!r}/{scheme}"] = _digest(rec)
+                    out[f"labels/{i}/{d}/{scale!r}/{scheme}"] = _digest(labels)
 
     pool = quantization_pool()
     for a, E in enumerate(pool):
