@@ -274,10 +274,11 @@ def lb_norm_lower(
     if any(q.real for q in spaces):
         raise ValueError("lb_norm_lower does not take real-restricted sources or targets")
     key = "tensor" if bilinear else "matrix"
-    n = frobenius_norm(getattr(phi, key))
+    coeffs = getattr(phi, key)
+    n = frobenius_norm(coeffs)
     if n and not 2.0**-64 <= n <= 2.0**64:
         e = math.frexp(n)[1]
-        est = lb_norm_lower(replace(phi, **{key: _ldexp(getattr(phi, key), -e)}), budget, seed, use_closed_forms)
+        est = lb_norm_lower(replace(phi, **{key: _ldexp(coeffs, -e)}), budget, seed, use_closed_forms)
         witness = {k: _ldexp(v, e) if k == "f" else v for k, v in est.witness.items()}  # f g^T is the tensor
         return replace(est, lower=math.ldexp(est.lower, e), witness=witness)
     rng = make_rng(seed, "lbnorm")
@@ -311,7 +312,7 @@ def _ratio(sources, target, image, rng):
 
 
 def _beats(val: float, best: float) -> bool:
-    """val > best by more than TIE_RTOL relative: of candidates or moves tied up to rounding the earlier stays."""
+    """val > best by more than TIE_RTOL relative, so of candidates tied up to rounding the earlier stays."""
     return val > best * (1.0 + TIE_RTOL)
 
 
