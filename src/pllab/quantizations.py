@@ -18,10 +18,11 @@ is a certified upper bound and ``lower`` records the best certified lower
 bound found within the budget.  Inputs are normalized to unit Frobenius
 scale before evaluation, so every reported quantity is exactly homogeneous.
 
-An ``lp`` over a ``hilbert`` inner (the scalar ``hilbert(1)`` included) is
-valued in one pass: its point norms are the Frobenius norms of the column
-blocks, with no inner ``amp_norm`` evaluation per point.  Every other inner
-is valued point by point.
+Below ``amp_norm`` one valuation step, ``_valued``, values a checked element
+of known Frobenius norm at unit scale and scales the bounds back, as a plain
+(upper, lower, exact, method) tuple.  ``amp_norm`` checks its element once;
+the points of an ``lp`` and the factor evaluations of a ``tensor_p`` over an
+inner without a Frobenius metric go through ``_valued`` with no re-check.
 
 ``hilbert`` and ``lp(2, ...)`` over such an inner are weighted Frobenius norms
 ||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over them is bracketed
@@ -73,9 +74,6 @@ class NormValue:
         lo = min(max(float(self.lower), 0.0), v)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "lower", lo)
-
-    def scaled(self, s: float) -> "NormValue":
-        return NormValue(self.value * s, self.lower * s, self.exact, self.method)
 
 
 @dataclass(frozen=True)
@@ -290,31 +288,37 @@ def amp_norm(q: Quantization, u, budget: int = 200, seed: int = 0, rng=None) -> 
     """
     U = q.check_element(u)
     scale = frobenius_norm(U)
-    if scale == 0.0:
-        return NormValue(0.0, 0.0, True, f"{q.kind}/zero")
     rng = make_rng(seed, "amp", q.kind) if rng is None else rng
-    nv = _amp_dispatch(q, unit_scaled(U, scale), budget, rng)
-    return nv.scaled(scale)
+    return NormValue(*_valued(q, U, scale, budget, rng))
 
 
-def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
+def _valued(q: Quantization, U: np.ndarray, scale: float, budget: int, rng) -> tuple:
+    """(upper, lower, exact, method) of a checked element U of Frobenius norm
+    scale: U is valued at unit scale and the bounds are scaled back."""
+    if scale == 0.0:
+        return 0.0, 0.0, True, f"{q.kind}/zero"
+    upper, lower, exact, method = _amp_dispatch(q, unit_scaled(U, scale), budget, rng)
+    return upper * scale, lower * scale, exact, method
+
+
+def _amp_dispatch(q: Quantization, U: np.ndarray, budget: int, rng) -> tuple:
     if q.kind == "min":
         dm = q.base.dual_ball_maximize(U, rng=rng, starts=max(4, budget // 25))
-        return NormValue(dm.upper, dm.lower, dm.exact, "min/dual-ball")
+        return dm.upper, dm.lower, dm.exact, "min/dual-ball"
     if q.kind == "hilbert":
         v = l2_norm(U)
-        return NormValue(v, v, True, "hilbert/frobenius")
+        return v, v, True, "hilbert/frobenius"
     if q.kind == "concrete":
         gens = np.stack(q.generators)  # (m, L, K)
         gamma = np.einsum("ij,jlk->ilk", U, gens).reshape(U.shape[0] * gens.shape[1], gens.shape[2])
         v = float(np.linalg.norm(gamma, 2)) if gamma.size else 0.0
-        return NormValue(v, v, True, "concrete/block-operator")
+        return v, v, True, "concrete/block-operator"
     if q.kind == "lp":
         return _amp_lp(q, U, budget, rng)
     # max(E) is tensor_p(E, scalar): the same proj_bracket call on U.T
     inner = _SCALAR if q.kind == "max" else q.inner
     res = tensor_p_bracket(q.base, inner, U, budget, rng)
-    return NormValue(res.upper, res.lower, res.exact, f"{q.kind}/{res.upper_method}")
+    return res.upper, res.lower, res.exact, f"{q.kind}/{res.upper_method}"
 
 
 def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget: int, rng) -> ProjResult:
@@ -322,8 +326,8 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
 
     U has one row per H coordinate and base.dim * inner.dim columns.  An
     inner with a frobenius_metric g is bracketed as the euclidean factor with
-    columns scaled by g, terms scaled back; any other inner by one amp_norm
-    call per factor evaluation, whose (value, lower, exact) is the factor
+    columns scaled by g, terms scaled back; any other inner by one _valued
+    step per factor evaluation, whose (upper, lower, exact) is the factor
     bracket.  On a weighted-l1 base the result is exact iff every inner
     evaluation was.
     """
@@ -333,8 +337,8 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
         inner_budget = max(budget // 4, 20)
 
         def factor(v):
-            nv = amp_norm(inner, v.reshape(-1, inner.dim), budget=inner_budget, rng=rng)
-            return nv.value, nv.lower, nv.exact
+            V = v.reshape(-1, inner.dim)
+            return _valued(inner, V, frobenius_norm(V), inner_budget, rng)[:3]
 
         return proj_bracket(base, factor, Z, budget=budget, rng=rng)
     G = np.tile(g, U.shape[0])
@@ -344,33 +348,23 @@ def tensor_p_bracket(base: BaseNorm, inner: Quantization, U: np.ndarray, budget:
     return res
 
 
-def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> NormValue:
-    """Point norms of U's column blocks, combined as q.point_base says: one
-    exact pass over a hilbert inner, else one _amp_dispatch call per block.
+def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> tuple:
+    """Point norms of U's column blocks, combined as q.point_base says.
 
-    Each block is divided by its rough norm before it is valued, so a block
-    whose squares underflow still gets its norm to rounding.  The hilbert
-    pass does the loop's arithmetic in place, so both give the same bits."""
+    U is checked and unit-scaled, so each block goes to _valued with no
+    re-check and no overflow.  Each block is divided by its own norm before
+    it is valued, so a block whose squares underflow still gets its norm to
+    rounding.  An exact point's lower is its upper, so the lowers are
+    combined only when some point was inexact."""
     mi = q.inner.dim
-    if q.inner.kind == "hilbert":
-        n = np.zeros(q.points)
-        for t in range(q.points):
-            block = U[:, t * mi : (t + 1) * mi]
-            scale = l2_norm(block) or frobenius_norm(block)  # U is unit-scaled: no overflow
-            if scale:
-                n[t] = scale * l2_norm(unit_scaled(block, scale))
-        v = _combine(q, n)
-        return NormValue(v, v, True, "lp/pointwise")
     uppers, lowers, exact = np.zeros(q.points), np.zeros(q.points), True
     for t in range(q.points):
-        # U is checked and unit-scaled: no amp_norm re-check
         block = U[:, t * mi : (t + 1) * mi]
-        scale = frobenius_norm(block)
-        if scale == 0.0:
-            continue
-        nv = _amp_dispatch(q.inner, unit_scaled(block, scale), max(budget // 4, 20), rng).scaled(scale)
-        uppers[t], lowers[t], exact = nv.value, nv.lower, exact and nv.exact
-    return NormValue(_combine(q, uppers), _combine(q, lowers), exact, "lp/pointwise")
+        scale = l2_norm(block) or frobenius_norm(block)
+        uppers[t], lowers[t], ex, _ = _valued(q.inner, block, scale, max(budget // 4, 20), rng)
+        exact = exact and ex
+    v = _combine(q, uppers)
+    return v, v if exact else _combine(q, lowers), exact, "lp/pointwise"
 
 
 def _combine(q: Quantization, n: np.ndarray) -> float:

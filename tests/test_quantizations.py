@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from pllab import (
     BaseNorm,
+    NormValue,
     Quantization,
     amp_norm,
     semi_ruan_witness_search,
@@ -366,9 +367,9 @@ def test_weighted_frobenius_metric_gives_amp_norm(shape, w, w_inner, d, seed, s)
 )
 def test_lp_over_hilbert_is_one_pass(p, w, mi, d, seed, s):
     """lp(p, w, hilbert(mi)) combines the blocks' Frobenius norms exactly,
-    with no _amp_dispatch call per point, and gives the bits of valuing each
-    block through _amp_dispatch; some blocks are zero."""
-    from pllab import quantizations
+    and gives the bits of valuing each block through _amp_dispatch on its
+    own; some blocks are zero."""
+    from pllab.quantizations import _amp_dispatch
 
     rng = make_rng(seed, "lp-one-pass")
     q = Quantization.lp(p, w, inner=Quantization.hilbert(mi))
@@ -377,22 +378,17 @@ def test_lp_over_hilbert_is_one_pass(p, w, mi, d, seed, s):
     blocks = [U[:, t * mi : (t + 1) * mi] for t in range(len(w))]
     n = np.array([np.linalg.norm(b) for b in blocks])
     want = n.max() if np.isinf(p) else np.sum(np.array(w) * n**p) ** (1.0 / p)
-    calls = []
-    dispatch = quantizations._amp_dispatch
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(quantizations, "_amp_dispatch", lambda *args: calls.append(1) or dispatch(*args))
-        nv = amp_norm(q, s * U)
+    nv = amp_norm(q, s * U)
     assert nv.exact and nv.lower == nv.value
     assert nv.value == pytest.approx(s * want, rel=1e-13, abs=0)
-    assert len(calls) == (1 if n.any() else 0)  # the top-level call only
-    if n.any():  # the per-point path: each unit-scaled block rescaled by its own norm
+    if n.any():  # each unit-scaled block valued on its own, rescaled by its own norm
         S = frobenius_norm(s * U)
         per_point = np.zeros(len(w))
         for t, b in enumerate(blocks):
             b = s * b / S
             if b.any():
                 r = np.linalg.norm(b)
-                per_point[t] = dispatch(q.inner, b / r, 20, None).scaled(r).value
+                per_point[t] = _amp_dispatch(q.inner, b / r, 20, None)[0] * r
         bits = per_point.max() if np.isinf(p) else np.sum(q.weights * per_point**p) ** (1.0 / p)
         assert nv.value == float(bits) * S
 
@@ -745,20 +741,21 @@ def test_proj_bracket_on_a_weighted_l1_base_evaluates_each_nonzero_slice_once():
 def test_tensor_p_bracket_on_a_weighted_l1_base_with_an_inexact_inner(monkeypatch):
     """Over min(lp(3, ...)) the inner norm is bracketed, not exact: the
     tensor_p bracket is [sum_j w_j lower_j, sum_j w_j upper_j] of the inner
-    evaluations, one amp_norm call per nonzero slice, and not exact."""
+    evaluations, one _valued step per nonzero slice, and not exact."""
     from pllab import quantizations
     from pllab.quantizations import _beta_slices, tensor_p_bracket
 
     base = BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0])
     inner = Quantization.min(BaseNorm.lp(3.0, dim=2))
     evaluations = []
-    amp = quantizations.amp_norm
+    valued = quantizations._valued
 
-    def recorded(*args, **kwargs):
-        evaluations.append(amp(*args, **kwargs))
-        return evaluations[-1]
+    def recorded(*args):
+        out = valued(*args)
+        evaluations.append(NormValue(*out))
+        return out
 
-    monkeypatch.setattr(quantizations, "amp_norm", recorded)
+    monkeypatch.setattr(quantizations, "_valued", recorded)
     for d in (1, 2):
         evaluations.clear()
         U = random_complex(make_rng(47, "l1-inexact", d), d, base.dim * inner.dim)
@@ -773,3 +770,19 @@ def test_tensor_p_bracket_on_a_weighted_l1_base_with_an_inexact_inner(monkeypatc
         assert res.upper_method == "l1-columns"
         Z = _beta_slices(U, base.dim, inner.dim)
         assert all(np.array_equal(v, Z[j]) for j, (_, v) in enumerate(res.terms))
+
+
+@pytest.mark.parametrize("base, seed, value", [
+    (BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0]), 1, 3.793085535423767),
+    (BaseNorm.lp(3.0, dim=2), 2, 3.8375130706431064),
+])
+def test_amp_norm_checks_its_element_once(monkeypatch, base, seed, value):
+    """The factor evaluations of a tensor_p over an inner without a Frobenius
+    metric value unit-scaled slices with no re-check of their own."""
+    q = Quantization.tensor_p(base, Quantization.min(BaseNorm.lp(3.0, dim=2)))
+    calls = []
+    check = Quantization.check_element
+    monkeypatch.setattr(Quantization, "check_element", lambda self, u: calls.append(1) or check(self, u))
+    nv = amp_norm(q, np.random.default_rng(seed).standard_normal((2, q.dim)))
+    assert nv.value == value
+    assert len(calls) == 1
