@@ -181,6 +181,7 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
 
     Start 0 takes g from T as a (d mE) x mF matrix, each later start from a
     random max(2, d) x mF one; six rounds follow, each an f step then a g step.
+    A later start is kept only when it _beats the best, so ties keep the earlier.
     """
     d, mE, mF = T.shape
     best, best_f, best_g = -1.0, None, None
@@ -193,7 +194,7 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
             f = underlying_dual_maximize(E, np.einsum("ijk,k->ij", T, g), rng, starts=2).witness
             g = underlying_dual_maximize(F, np.einsum("ijk,j->ik", T, f), rng, starts=2).witness
         val = float(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)))
-        if val > best:
+        if s == 0 or _beats(val, best):
             best, best_f, best_g = val, f, g
     return best, best_f, best_g
 

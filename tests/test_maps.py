@@ -504,6 +504,35 @@ def test_lb_search_witness_does_not_follow_the_scale_of_the_map():
                     np.testing.assert_allclose(unit(est.witness[k]), unit(ref.witness[k]), rtol=0, atol=1e-12)
 
 
+# the d = 2 element of concrete(Pauli) x min(l1) on the benchmark's identity grid
+_FP_ELEMENT = np.array([
+    [0.6722795046758313 + 0.9586506767754776j, -1.632599041358511 - 0.112642274303524j,
+     -2.0394997136207684 - 0.6198022754971602j, 1.3941203748645472 + 1.6524039323406376j,
+     0.4419752579524694 + 0.41427089245303084j, 2.7742137060836183 - 0.8694959167796257j,
+     -1.232251226010157 + 1.6659603455924255j, -0.28153943805924986 - 1.2986602392285915j,
+     -1.2456026046405435 - 0.1221952927277131j],
+    [-1.044008991702713 - 0.0731797877440739j, 0.5200296320399765 - 0.3228428077669868j,
+     -1.5190767068046254 - 3.2295885398024273j, 1.2340547384082337 - 0.38075378952660227j,
+     0.5058930354173589 - 0.5812854416239203j, 0.9281662935943218 - 2.5253253000879248j,
+     0.7414090613071059 + 0.858627676791579j, -1.3012195804557156 - 0.5126192710838655j,
+     0.011048226675320726 - 1.1717745445150856j],
+])
+
+
+@pytest.mark.parametrize("bracket", [pl_norm_bracket, l_norm_bracket])
+def test_functional_pair_lower_does_not_follow_the_scale_of_the_element(bracket):
+    """Alternation starts that tie up to rounding keep the earlier one, so the
+    functional-pair lower of s U is s times that of U to rounding, both for
+    s one unit in the last place above 1 and for s = 1e12."""
+    E, F = Quantization.concrete(_PAULI), Quantization.min(BaseNorm.lp(1.0, dim=3))
+    ref = bracket(E, F, _FP_ELEMENT)
+    assert ref.lower_witness["certificate"] == "functional-pair"
+    for s in (1.0 + 2.0**-52, 1e12):
+        b = bracket(E, F, s * _FP_ELEMENT)
+        assert b.lower_witness["certificate"] == "functional-pair"
+        assert b.lower == pytest.approx(s * ref.lower, rel=1e-14, abs=0)
+
+
 @pytest.mark.parametrize("target", [scalar(), Quantization.hilbert(2)])
 def test_lb_norm_lower_holds_at_every_scale(target):
     """The searches run on the map scaled by a power of two into a unit-size
