@@ -24,11 +24,12 @@ of known Frobenius norm at unit scale and scales the bounds back, as a plain
 the points of an ``lp`` and the factor evaluations of a ``tensor_p`` over an
 inner without a Frobenius metric go through ``_valued`` with no re-check.
 
-``hilbert`` and ``lp(2, ...)`` over such an inner are weighted Frobenius norms
-||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over them is bracketed
-as a column-scaled euclidean projective norm, with no inner norm evaluations.
-``max(E)`` is ``tensor_p(E, scalar)`` and is bracketed as one.  Facts read
-off a descriptor without evaluating a norm are Quantization properties.
+``hilbert``, and ``lp(2, ...)`` over a scalar or such an inner, are weighted
+Frobenius norms ||U diag(g)||_F (``frobenius_metric``); a ``tensor_p`` over
+them is bracketed as a column-scaled euclidean projective norm, with no inner
+norm evaluations.  ``max(E)`` is ``tensor_p(E, scalar)`` and is bracketed as
+one.  Facts read off a descriptor without evaluating a norm are Quantization
+properties.
 """
 
 from __future__ import annotations

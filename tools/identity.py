@@ -28,7 +28,7 @@ The records:
 * ``tensor_p_bracket`` upper, lower, method and terms over the ``TP_INNER``
   inner on the lp3 and polytope bases, 5 elements for each n = 2, 3 rows at
   budget 200: an inner without a Frobenius metric, whose every factor
-  evaluation is an ``amp_norm`` call drawing from the shared generator;
+  evaluation is one valuation step drawing from the shared generator;
 * ``dual_ball_maximize`` lower, upper, exact and witness on complex
   weighted-l1 and weighted-l3 bases, 10 elements for each m = 2..4 base
   coordinates and 1..3 rows: the l1 closed forms at one row or two
