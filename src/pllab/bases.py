@@ -33,7 +33,6 @@ from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
 __all__ = ["BaseNorm", "DualMax"]
 
-_REAL_TOL = 1e-12
 _SIGN_ENUM_LIMIT = 16
 _ASCENT_ITERS = 60  # iteration cap of the multi-start dual-ball ascents
 TIE_RTOL = 1e-14  # values this close to the best tie: ascent columns, bracket winners, lb-search moves
@@ -50,9 +49,16 @@ class DualMax:
     exact: bool
 
 
-def _require_real(arr: np.ndarray, what: str):
-    if np.abs(np.asarray(arr).imag).max(initial=0.0) > _REAL_TOL:
+def admit_real(x: np.ndarray, what: str = "element") -> np.ndarray:
+    """The real part of a complex array x, as a complex array, once x passes
+    the real-mode rule: no imaginary part above 1e-12 times the largest entry
+    modulus, so the verdict does not depend on x's scale.  A non-finite entry
+    is reported before the rule."""
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what} has non-finite entries")
+    if np.abs(x.imag).max(initial=0.0) > 1e-12 * np.abs(x).max(initial=0.0):
         raise ValueError(f"{what} must be real-valued in real-restricted mode")
+    return x.real.astype(complex)
 
 
 @dataclass(frozen=True)
@@ -88,8 +94,7 @@ class BaseNorm:
             if v.ndim != 2 or v.shape[1] != self.dim or v.shape[0] < 1 or not np.all(np.isfinite(v)):
                 raise ValueError("polytope base needs a finite K x dim vertex matrix")
             if self.real:
-                _require_real(v, "polytope vertices")
-                v = v.real.astype(complex)
+                v = admit_real(v, "polytope vertices")
             # symmetry: each vertex must have its negation in the set
             for row in v:
                 if np.min(np.linalg.norm(v + row[None, :], axis=1)) > 1e-9 * max(
@@ -128,9 +133,7 @@ class BaseNorm:
         x = np.asarray(x, dtype=complex)
         if x.shape[-1] != self.dim:
             raise ValueError(f"element has {x.shape[-1]} coordinates, base has {self.dim}")
-        if self.real:
-            _require_real(x, "element")
-        return x
+        return admit_real(x) if self.real else x
 
     def check_rows(self, rows: int):
         """Raise ValueError when dual_ball_maximize cannot take a matrix with
@@ -229,11 +232,11 @@ class BaseNorm:
         starts as columns of one m x starts matrix; a column stops under the
         same rule as a lone start would (phases settled, or no gain above
         1e-15), and the last column within 1e-14 relative of the best is
-        returned (_best_column).
+        returned (_best_column).  A is admitted by check_element and
+        check_rows: a real base takes a real A only, valued as its real part.
         """
-        A = np.asarray(A, dtype=complex)
-        if A.shape[1] != self.dim:
-            raise ValueError("matrix columns must match the base dimension")
+        A = self.check_element(A)
+        self.check_rows(A.shape[0])
         if self.kind == "euclidean":
             val, c = _top_direction(A)
             return DualMax(val, val, c, True)
@@ -261,7 +264,6 @@ class BaseNorm:
     def _dual_ball_max_l1(self, A, rng, starts) -> DualMax:
         # dual ball is the weighted polydisc {|c_j| <= w_j}
         if self.real:
-            _require_real(A, "matrix")
             A = A.real  # real phases are exact signs
         w = self.weights
         B = A * w[None, :]
@@ -276,7 +278,6 @@ class BaseNorm:
             v = l2_norm(B @ z)
             return DualMax(v, v, np.asarray(z * w, dtype=complex), True)
         if self.real:
-            self.check_rows(A.shape[0])
             grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)
             signs = np.vstack([np.ones((1, grid.shape[1])), grid])
             vals = np.linalg.norm(B @ signs, axis=0)

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bases import BaseNorm
+from .bases import BaseNorm, admit_real
 from .hilbert import coeffs_of, frobenius_norm, l2_norm, unit_scaled
 from .projective import ProjResult, proj_bracket
 from .sampling import make_rng, random_complex
@@ -223,12 +223,7 @@ class Quantization:
                 f"element has {U.shape[1]} base coordinates, quantization has {self.dim}"
             )
         if self.real:
-            top = np.abs(U).max(initial=0.0)  # relative test; absolute when non-finite
-            if np.abs(U.imag).max(initial=0.0) > 1e-12 * (top if np.isfinite(top) else 1.0):
-                # finiteness first: amp_norm reports other non-finite entries itself
-                if not np.isfinite(U).all():
-                    raise ValueError("element has non-finite entries")
-                raise ValueError("element must be real-valued in real-restricted mode")
+            U = admit_real(U)
             q = self
             while q.kind == "lp":  # a real lp ends in a min over a real base
                 q = q.inner

@@ -131,10 +131,34 @@ def test_dual_ball_maximize_exact_kinds_match_oracle():
     assert dm.upper == pytest.approx(np.linalg.norm(A, 2), rel=1e-12)
 
 
-def test_real_mode_rejects_complex_data():
-    base = BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True)
-    with pytest.raises(ValueError):
-        base.norm(np.array([1.0j, 0.0]))
+_REAL_BASES = {
+    "euclidean": lambda: BaseNorm.euclidean(2, real=True),
+    **{f"lp{p:g}": (lambda p=p: BaseNorm.lp(p, weights=[1.0, 0.5], real=True)) for p in (1.0, 2.0, 3.0, np.inf)},
+    "polytope": lambda: BaseNorm.polytope([[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]], real=True),
+}
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+@pytest.mark.parametrize("kind", list(_REAL_BASES))
+def test_real_mode_rejects_complex_data(kind, scale):
+    """One rule at every scale and on every base kind: an imaginary part
+    above 1e-12 times the largest entry modulus is rejected by norm,
+    primal_align and dual_ball_maximize; below it the element is taken as
+    its real part."""
+    base = _REAL_BASES[kind]()
+    x, A = scale * np.array([1.0, 1.0j]), scale * np.array([[1.0, 1.0j], [0.5, 2.0]])
+    for call in (lambda: base.norm(x), lambda: base.primal_align(x),
+                 lambda: base.dual_ball_maximize(A, rng=make_rng(0, "real-mode"))):
+        with pytest.raises(ValueError, match="^element must be real-valued in real-restricted mode$"):
+            call()
+    x, A = scale * np.array([1.0, -2.0]), scale * np.array([[1.0, -2.0], [0.5, 2.0]])
+    noise = 1e-14j * scale
+    assert base.norm(x + noise) == base.norm(x)
+    np.testing.assert_array_equal(base.primal_align(x + noise), base.primal_align(x))
+    dm, want = (base.dual_ball_maximize(M, rng=make_rng(0, "real-mode")) for M in (A + noise, A))
+    assert (dm.lower, dm.upper, dm.exact) == (want.lower, want.upper, want.exact)
+    np.testing.assert_array_equal(dm.witness, want.witness)
+    assert not np.any(dm.witness.imag)
 
 
 def test_real_l1_one_row_takes_the_closed_form_past_the_sign_enumeration_limit():

@@ -322,10 +322,19 @@ def test_make_rng_hashes_numpy_scalar_labels_by_their_value(label):
     assert make_rng(0, "unfold", "left", label).random() == make_rng(0, "unfold", "left", label.item()).random()
 
 
-def test_real_mode_rejects_complex_elements():
-    q = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 1.0], real=True))
-    with pytest.raises(ValueError):
-        amp_norm(q, np.array([[1.0j, 0.0]]))
+@pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_real_mode_rejects_complex_elements(p, scale):
+    """amp_norm follows the base's rule at every scale, also through an lp
+    inner: an admitted element is valued as its real part, so a point block
+    far below the largest entry is not judged again on its own scale."""
+    base = BaseNorm.lp(p, weights=[1.0, 1.0], real=True)
+    for q in (Quantization.min(base), Quantization.lp(1.0, [1.0, 1.0], inner=Quantization.min(base))):
+        U = scale * np.array([[1.0, -0.5, 1e-3, -1e-3], [0.5, 2.0, 2e-3, 1e-3]])[:, : q.dim]
+        with pytest.raises(ValueError, match="^element must be real-valued in real-restricted mode$"):
+            amp_norm(q, U + 1e-11j * np.abs(U).max() * np.array([0.0, 1.0, 0.0, 1.0])[: q.dim])
+        noisy = amp_norm(q, U + 1e-14j * scale)
+        assert noisy == amp_norm(q, U) and noisy.value > 0
 
 
 _positive = st.floats(min_value=1e-3, max_value=1e3)
