@@ -205,11 +205,11 @@ def load_document(source: str) -> dict:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"cannot read input file {source!r}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses once per nested value
         raise _error("", str(exc), f"input is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
@@ -219,7 +219,10 @@ def load_document(source: str) -> dict:
 def validate_document(doc: dict, command: str) -> None:
     """Check the command's document structure; raise with JSON pointers on failure."""
     errs = []
-    _DOCUMENTS[command](errs, doc, ())
+    try:
+        _DOCUMENTS[command](errs, doc, ())
+    except RecursionError as exc:  # the walk, and repr in its messages, recurse once per nested value
+        raise InputError(f"input nests too deeply to check against the {command} schema: {exc}") from exc
     errs.sort(key=lambda e: e[0])
     diags = [{"pointer": "".join(f"/{key}" for key in path), "message": msg} for path, msg in errs]
     if diags:

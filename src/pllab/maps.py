@@ -129,6 +129,15 @@ def amplify_bilinear(r: BilinearMap, u, v, pairing: PairingMap = PairingMap()) -
     return out
 
 
+def pair_element(E: Quantization, F: Quantization, u) -> tuple:
+    """(U, ||U||_F) of an element over the factor pair (E, F): U is u's
+    coefficient matrix, with E.dim * F.dim columns and finite entries."""
+    U = coeffs_of(u)
+    if U.shape[1] != E.dim * F.dim:
+        raise ValueError(f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}")
+    return U, frobenius_norm(U)
+
+
 # -- underlying dual machinery ------------------------------------------------
 
 
@@ -443,7 +452,7 @@ class Certificate:
 
     def evaluate_lower(self, U: np.ndarray, budget: int = 200, seed: int = 0):
         rng = make_rng(seed, "certificate", self.name)
-        U = np.asarray(U, dtype=complex)
+        U, _ = pair_element(*self.sources, U)
         if self.bilinear is not None:
             W = U @ self.bilinear.linearized_matrix
             nv = amp_norm(self.target, W, budget=budget, rng=rng)

@@ -84,7 +84,8 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, *, rng) -> ProjRe
         return evaluate(v)[0]
 
     up_val, up_terms, up_vals, up_method = sum(values, 0.0), terms, values, "basis-slices"
-    svd_terms, svd_vals, svd_val = _svd_decomposition(base, upper, Zf)
+    svd = np.linalg.svd(Zf, full_matrices=False)  # shared with the trace-duality lower bound
+    svd_terms, svd_vals, svd_val = _svd_decomposition(base, upper, Zf, svd)
     if svd_val < up_val:
         up_val, up_terms, up_vals, up_method = svd_val, svd_terms, svd_vals, "svd"
 
@@ -94,7 +95,7 @@ def proj_bracket(base: BaseNorm, factor, Z, budget: int = 200, *, rng) -> ProjRe
             up_val, up_terms, up_vals = ref_val, ref_terms, ref_vals
             up_method += "+refine"
 
-    low_val = min(_lower_bound(base, factor, Zf, rng), up_val)  # float jitter
+    low_val = min(_lower_bound(base, factor, Zf, svd, rng), up_val)  # float jitter
     return ProjResult(up_val, low_val, False, up_terms, up_vals, up_method)
 
 
@@ -103,8 +104,8 @@ def _reconstructs(terms, Zf) -> bool:
     return np.linalg.norm(recon - Zf) <= RECON_TOL * max(1.0, np.linalg.norm(Zf))
 
 
-def _svd_decomposition(base, upper, Zf):
-    u, s, vh = np.linalg.svd(Zf, full_matrices=False)
+def _svd_decomposition(base, upper, Zf, svd):
+    u, s, vh = svd
     terms, vals = [], []
     for k in np.flatnonzero(s > s[0] * 1e-15):
         x = u[:, k] * s[k]
@@ -147,15 +148,15 @@ def _refine(base, upper, terms, vals, Zf, budget, rng):
     return terms, list(vals[keep]), float(vals[keep].sum())
 
 
-def _lower_bound(base, factor, Zf, rng) -> float:
+def _lower_bound(base, factor, Zf, svd, rng) -> float:
     """Best certified lower bound from functionals in the dual ball of the
     base.  Euclidean factor: the dual-ball search and the trace-duality
-    pairing with the polar factor of Z.  Other factors: the lower bound of
-    the factor at Z^T f for each polytope vertex f, or for the dual-ball
-    witness and the scaled dual coordinate vectors."""
+    pairing with the polar factor of Z, read off svd, Z's thin SVD.  Other
+    factors: the lower bound of the factor at Z^T f for each polytope vertex
+    f, or for the dual-ball witness and the scaled dual coordinate vectors."""
     if factor is None:
         dm = base.dual_ball_maximize(Zf.T, rng=rng)
-        u, s, vh = np.linalg.svd(Zf, full_matrices=False)
+        u, _, vh = svd
         phi = np.conj(u @ vh)
         pm = base.primal_ball_maximize(phi.T, rng=rng)
         return max(dm.lower, float(abs(np.sum(Zf * phi)) / pm.upper))

@@ -55,6 +55,18 @@ __all__ = [
 ]
 
 _KINDS = ("min", "max", "lp", "hilbert", "concrete", "tensor_p")
+MAX_DEPTH = 32  # descriptors in one chain of inners; every evaluation recurses a few frames per level
+
+
+def _check_depth(part) -> None:
+    """Raise ValueError when a descriptor, or its dict form, chains more than
+    MAX_DEPTH descriptors through inner; counted in a loop, which no depth
+    can exhaust."""
+    depth = 0
+    while isinstance(part, (dict, Quantization)):
+        part, depth = part.get("inner") if isinstance(part, dict) else part.inner, depth + 1
+    if depth > MAX_DEPTH:
+        raise ValueError(f"descriptor chains {depth} descriptors through inner, at most {MAX_DEPTH}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,7 @@ class Quantization:
         if self.real and self.kind not in ("min", "lp"):
             # the projective searches of max and tensor_p run on complex data
             raise ValueError(f"{self.kind} quantization does not take a real-restricted base or inner")
+        _check_depth(self)
 
     # -- constructors -----------------------------------------------------
 
@@ -248,6 +261,7 @@ class Quantization:
 
     @staticmethod
     def from_dict(d: dict) -> "Quantization":
+        _check_depth(d)  # before the recursion into inner
         kind = str(d["kind"]).lower()
         params = d.get("params", {}) or {}
         inner = Quantization.from_dict(d["inner"]) if d.get("inner") else None

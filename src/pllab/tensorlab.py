@@ -33,7 +33,7 @@ import numpy as np
 
 from .bases import TIE_RTOL
 from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm, unit_scaled
-from .maps import builtin_certificates
+from .maps import builtin_certificates, pair_element
 from .projective import RECON_TOL
 from .quantizations import Quantization, amp_norm, tensor_p_bracket
 from .sampling import make_rng
@@ -462,15 +462,12 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     """
     if E.real or F.real:
         raise ValueError("the pl and l brackets do not take real-restricted factors")
-    U = coeffs_of(U)
-    if U.shape[1] != E.dim * F.dim:
-        raise ValueError(f"element has base dimension {U.shape[1]}, factors give {E.dim}*{F.dim}")
+    U, scale = pair_element(E, F, U)
     if certificates is not None:
         certificates, pair = list(certificates), (E.to_dict(), F.to_dict())
         for cert in certificates:
             if tuple(q.to_dict() for q in cert.sources) != pair:
                 raise ValueError(f"certificate {cert.name!r} was built for another factor pair")
-    scale = frobenius_norm(U)
     if scale == 0.0:
         zero = tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms)
         return zero, zero

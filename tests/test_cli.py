@@ -108,6 +108,18 @@ def test_validate_document_reports_json_pointer():
     assert "/quantization/params/weights/1" in pointers
 
 
+def test_validate_document_reports_a_value_nested_past_the_recursion_limit():
+    """The walk, and repr in its messages, recurse once per nested value; a
+    document built in Python nests deeper than the JSON decoder allows."""
+    element, inner = [[[1, 0]]], {"kind": "hilbert", "dim": 1}
+    for _ in range(5000):
+        element, inner = [element], {"kind": "lp", "params": {"p": 2, "weights": [1]}, "inner": inner}
+    for doc in (dict(json.loads(norm_doc()), element=element), dict(json.loads(norm_doc()), quantization=inner)):
+        with pytest.raises(InputError, match="^input nests too deeply to check against the norm schema") as info:
+            validate_document(doc, "norm")
+        assert [d["pointer"] for d in info.value.diagnostics] == [""]
+
+
 def test_load_document_inline_and_file(tmp_path):
     inline = load_document('{"schema_version": "1"}')
     assert inline == {"schema_version": "1"}
@@ -239,8 +251,42 @@ def test_a_document_that_is_not_an_object_points_at_the_whole_document(capsys, t
     assert _input_error_pointer(capsys, "norm", str(path)) == ""
 
 
-def test_invalid_json_points_at_the_whole_document(capsys):
-    assert _input_error_pointer(capsys, "pl", '{"schema_version": ') == ""
+@pytest.mark.parametrize("content", [None, b'{"label": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+                         ids=["inline", "file-not-utf8", "file-nested-100000"])
+def test_invalid_json_points_at_the_whole_document(capsys, tmp_path, content):
+    source = '{"schema_version": '
+    if content is not None:
+        source = tmp_path / "job.json"
+        source.write_bytes(content)
+    assert _input_error_pointer(capsys, "pl", str(source)) == ""
+
+
+def _chain(depth: int, kind: str) -> str:
+    """A descriptor of depth descriptors, the outer ones lp or tensor_p over
+    an l1 base through inner, built as text: json.dumps recurses per level."""
+    head = {"lp": '{"kind": "lp", "params": {"p": 2, "weights": [1]}, "inner": ',
+            "tensor_p": '{"kind": "tensor_p", "params": {"base": {"kind": "lp", "dim": 1, "p": 1}}, "inner": '}[kind]
+    return head * (depth - 1) + '{"kind": "hilbert", "dim": 1}' + "}" * (depth - 1)
+
+
+@pytest.mark.parametrize("depth", [400, 5000])
+@pytest.mark.parametrize("command", ["norm", "pl"])
+def test_a_descriptor_nested_past_the_bound_is_input_error(capsys, command, depth):
+    """No depth reaches a traceback: past MAX_DEPTH the descriptor's pointer,
+    past the JSON decoder's own depth the whole document."""
+    if command == "norm":
+        doc = '{"schema_version": "1", "element": [[[1, 0]]], "quantization": %s}' % _chain(depth, "lp")
+    else:
+        doc = ('{"schema_version": "1", "element": [[[1, 0]]], "right": {"kind": "hilbert", "dim": 1}, '
+               '"left": %s}' % _chain(depth, "tensor_p"))
+    code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
+    assert code == 3
+    error = json.loads(out)["error"]
+    if depth == 400:
+        assert error["diagnostics"] == [{"pointer": "/quantization" if command == "norm" else "/left",
+                                         "message": "descriptor chains 400 descriptors through inner, at most 32"}]
+    else:
+        assert error["diagnostics"][0]["pointer"] == "" and "recursion" in error["message"]
 
 
 @pytest.mark.parametrize("command", ["norm", "pl"])

@@ -382,6 +382,21 @@ def test_lp_functional_dual_norm_closed_form_matches_search_and_formula(p, inner
         assert search.lower == pytest.approx(closed.lower, rel=1e-9)
 
 
+def test_evaluate_lower_admits_its_element_as_the_brackets_do():
+    """Every certificate, the functional pair too, rejects a non-finite entry
+    and a column count other than dim(E) * dim(F) with the brackets' errors."""
+    H2 = Quantization.hilbert(2)
+    U = random_complex(make_rng(0, "admit-cert"), 2, 4)
+    U[1, 2] = np.nan
+    for cert in builtin_certificates(H2, H2):
+        with pytest.raises(ValueError, match="^element has non-finite entries"):
+            cert.evaluate_lower(U)
+        with pytest.raises(ValueError, match=r"^element has base dimension 3, factors give 2\*2$"):
+            cert.evaluate_lower(np.ones((2, 3)))
+        with pytest.raises(ValueError, match=r"^element has base dimension 3, factors give 2\*2$"):
+            pl_norm_bracket(H2, H2, np.ones((2, 3)))
+
+
 def test_pl_bracket_over_unweighted_linf_points_is_sound():
     """lp(inf, w) is max_t ||U_t|| whatever the weights, so the functional-pair
     witness lies in the unweighted l1 dual ball."""

@@ -16,6 +16,7 @@ from pllab import (
     underlying_norm,
 )
 from pllab.hilbert import frobenius_norm
+from pllab.quantizations import MAX_DEPTH
 from pllab.sampling import make_rng, random_complex, random_unit
 
 
@@ -265,6 +266,23 @@ def test_error_contract():
     with pytest.raises(ValueError):
         # declared dim contradicting the descriptor
         Quantization.from_dict({"kind": "hilbert", "dim": 3}).check_element(np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("depth", [400, 5000])
+def test_descriptor_depth_is_bounded(depth):
+    """A chain of MAX_DEPTH descriptors is valued; one more raises
+    ValueError, from the constructors and from a dict of any depth."""
+    q = Quantization.hilbert(1)
+    for _ in range(MAX_DEPTH - 1):
+        q = Quantization.lp(2.0, [1.0], inner=q)
+    assert amp_norm(q, [[3.0]]).value == 3.0
+    with pytest.raises(ValueError, match=f"chains {MAX_DEPTH + 1} descriptors through inner, at most {MAX_DEPTH}"):
+        Quantization.tensor_p(BaseNorm.lp(1.0, dim=1), q)
+    d = {"kind": "hilbert", "dim": 1}
+    for _ in range(depth - 1):
+        d = {"kind": "lp", "params": {"p": 2, "weights": [1]}, "inner": d}
+    with pytest.raises(ValueError, match=f"chains {depth} descriptors"):
+        Quantization.from_dict(d)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

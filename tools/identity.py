@@ -35,6 +35,11 @@ The records:
   coordinates, the l1 phase ascent elsewhere, and the lq ascent; and on
   real weighted-l1 bases at one row, 10 elements for each m = 1..4 and one
   at m = 17 (a raised error is recorded as its message);
+* ``admission/<base>/<scale>``: the accept verdict, or the reject message,
+  of ``BaseNorm.norm``, ``dual_ball_maximize`` and ``amp_norm`` of ``min``
+  on each real base kind of ``REAL_BASES``, for a complex element and a
+  real one with imaginary noise 1e-14 times the scale, at the scales of
+  ``ADMISSION_SCALES``: the real-mode rule apart from any output digits;
 * the lb-norm paths no benchmark round reaches, over the ``LB_SOURCES``
   spaces: ``underlying_dual_norm`` and ``underlying_dual_maximize`` (lp over
   hilbert, min and concrete inners, tensor_p, concrete), and
@@ -84,6 +89,13 @@ PROJ_BASES = {  # name -> BaseNorm.from_dict descriptor
     "polytope": {"kind": "polytope", "dim": 3, "vertices": [
         [[s * v, 0.0] for v in row] for s in (1, -1) for row in ([1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1])]},
 }
+REAL_BASES = {  # name -> real-restricted BaseNorm.from_dict descriptor
+    "euclidean": {"kind": "euclidean", "dim": 2, "real": True},
+    **{f"lp{p}": {"kind": "lp", "dim": 2, "p": p, "weights": [1.0, 0.5], "real": True} for p in (1, 2, 3, "inf")},
+    "polytope": {"kind": "polytope", "dim": 2, "real": True, "vertices": [
+        [[s * v, 0.0] for v in row] for s in (1, -1) for row in ([1, 0], [0, 1], [1, 1])]},
+}
+ADMISSION_SCALES = (1e-13, 1.0, 1e13)
 TP_INNER = {"kind": "min", "params": {"base": {"kind": "lp", "dim": 2, "p": 3.0}}}
 LB_SOURCES = ("lp2-hilbert", "lp1-min", "lp3-concrete", "tp-l1", "concrete", "hilbert", "min-lp3")
 
@@ -100,7 +112,8 @@ def record(root: Path) -> dict:
 
     np.set_printoptions(threshold=sys.maxsize, floatmode="unique")
     import workloads as wl
-    from pllab import BaseNorm, PairingMap, Quantization, compare_pl_l, l_norm_bracket, pl_norm_bracket
+    from pllab import (BaseNorm, PairingMap, Quantization, amp_norm, compare_pl_l, l_norm_bracket,
+                       pl_norm_bracket)
     from pllab.maps import (BilinearMap, LinearMap, builtin_certificates, embedding_map, lb_norm_lower,
                             underlying_dual_maximize, underlying_dual_norm)
     from pllab.projective import proj_bracket
@@ -183,6 +196,24 @@ def record(root: Path) -> dict:
             except ValueError as exc:
                 rec = str(exc)
             out[f"dual/lp1-real/{m}/1/{i}"] = _digest(rec)
+
+    def verdict(call):
+        try:
+            call()
+            return "accept"
+        except ValueError as exc:
+            return f"reject: {exc}"
+
+    for name, desc in REAL_BASES.items():
+        base = BaseNorm.from_dict(desc)
+        for scale in ADMISSION_SCALES:
+            rec = []
+            for A in (np.array([[1.0, 1.0j], [0.5, 2.0]]), np.array([[1.0, -2.0], [0.5, 2.0]]) + 1e-14j):
+                A = scale * A
+                rng = wl._rng(0, "admission", name, scale)
+                rec += [verdict(lambda: base.norm(A[0])), verdict(lambda: base.dual_ball_maximize(A, rng=rng)),
+                        verdict(lambda: amp_norm(Quantization.min(base), A))]
+            out[f"admission/{name}/{scale!r}"] = _digest(rec)
 
     H2 = Quantization.hilbert(2)
     lb = dict(zip(LB_SOURCES, map(Quantization.from_dict, (
