@@ -22,6 +22,11 @@ The records:
   certificate, so ``compare`` tells a flipped winner from a last-bit change;
 * ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
   ``quantization_pool()`` descriptors;
+* ``functional-pair/<i>/<j>/<d>``: the value and both functionals of the
+  ``functional-pair`` certificate over every ordered pair of
+  ``quantization_pool()`` descriptors at d = 1..3 rows, the alternating
+  search on lp-over-inner, polytope, ``tensor_p`` and ``concrete`` factors
+  on either side;
 * ``proj_bracket`` upper, lower, method and terms against the euclidean
   factor on the bases of ``PROJ_BASES``, 20 elements for each n = 2..4
   factor coordinates: bases where the refinement search wins;
@@ -160,6 +165,10 @@ def record(root: Path) -> dict:
             certs = builtin_certificates(E, F)
             rec = [(c.to_dict(), None if c.bilinear is None else c.bilinear.tensor) for c in certs]
             out[f"certificates/{a}/{b}"] = _digest(rec)
+            for d in (1, 2, 3):
+                U = wl._complex(wl._rng(0, "functional-pair", a, b, d), d, E.dim * F.dim)
+                val, wit = certs[0].evaluate_lower(U)
+                out[f"functional-pair/{a}/{b}/{d}"] = _digest((val, wit["functional_left"], wit["functional_right"]))
 
     for name, desc in PROJ_BASES.items():
         base = BaseNorm.from_dict(desc)
