@@ -52,11 +52,13 @@ class DualMax:
 def admit_real(x: np.ndarray, what: str = "element") -> np.ndarray:
     """The real part of a complex array x, as a complex array, once x passes
     the real-mode rule: no imaginary part above 1e-12 times the largest entry
-    modulus, so the verdict does not depend on x's scale.  A non-finite entry
-    is reported before the rule."""
+    modulus, so the verdict does not depend on x's scale.  The rule holds for
+    each matrix of a stack on its own.  A non-finite entry is reported before
+    the rule."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
-    if np.abs(x.imag).max(initial=0.0) > 1e-12 * np.abs(x).max(initial=0.0):
+    each = tuple(range(max(x.ndim - 2, 0), x.ndim))
+    if np.any(np.abs(x.imag).max(axis=each, initial=0.0) > 1e-12 * np.abs(x).max(axis=each, initial=0.0)):
         raise ValueError(f"{what} must be real-valued in real-restricted mode")
     return x.real.astype(complex)
 
@@ -213,11 +215,12 @@ class BaseNorm:
         return x / self.norm(x)
 
     def _holder_align(self, C: np.ndarray) -> np.ndarray:
-        """primal_align of each column of C, for an lp base with 1 < p < inf."""
+        """primal_align of each column of C, a matrix or a stack of them, for
+        an lp base with 1 < p < inf."""
         s = self.weights[:, None] ** (-1.0 / self.p)
         h = np.abs(C) * s
         q = self.p / (self.p - 1.0)
-        hn = np.linalg.norm(h, q, axis=0)
+        hn = np.linalg.norm(h, q, axis=-2, keepdims=True)
         t = (h / np.where(hn > 0, hn, 1.0)) ** (q - 1.0)
         return _phases(np.conj(C)) * t * s
 
@@ -226,123 +229,138 @@ class BaseNorm:
     def dual_ball_maximize(self, A, rng, starts: int = 8) -> DualMax:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
+        A is a d x m matrix, or an N x d x m stack searched in one step, each
+        matrix as it would be alone, into a DualMax of (N,) and (N, m) arrays.
         A weighted-l1 base at one row of A, or a complex one at two
         coordinates, takes a closed form, exact and drawing nothing from rng.
-        The multi-start ascents (weighted l1 polydisc, lq ball) run all
-        starts as columns of one m x starts matrix; a column stops under the
-        same rule as a lone start would (phases settled, or no gain above
-        1e-15), and the last column within 1e-14 relative of the best is
-        returned (_best_column).  A is admitted by check_element and
-        check_rows: a real base takes a real A only, valued as its real part.
+        The multi-start ascents (weighted l1 polydisc, lq ball) run the starts
+        of each matrix as columns of one m x starts matrix, drawn in stack
+        order; a column stops under the same rule as a lone start would
+        (phases settled, or no gain above 1e-15), and the last column within
+        1e-14 relative of the best is returned (_best_column).  Each matrix is
+        admitted by check_element and check_rows: a real base takes a real A
+        only, valued as its real part.
         """
         A = self.check_element(A)
-        self.check_rows(A.shape[0])
+        self.check_rows(A.shape[-2])
+        if A.ndim == 3:
+            return DualMax(*self._dual_max(A, rng, starts))
+        lower, upper, c, exact = self._dual_max(A[None], rng, starts)
+        return DualMax(float(lower[0]), float(upper[0]), c[0], exact)
+
+    def _dual_max(self, A, rng, starts) -> tuple:
+        """(lower, upper, witnesses, exact) of dual_ball_maximize over a checked N x d x m stack A."""
+        n = np.arange(A.shape[0])
         if self.kind == "euclidean":
             val, c = _top_direction(A)
-            return DualMax(val, val, c, True)
+            return val, val, c, True
         if self.kind == "polytope":
-            vals = np.linalg.norm(A @ self.vertices.T, axis=0)
-            k = int(np.argmax(vals))
-            return DualMax(float(vals[k]), float(vals[k]), self.vertices[k].copy(), True)
+            vals = np.linalg.norm(A @ self.vertices.T, axis=-2)
+            k = np.argmax(vals, axis=-1)
+            return vals[n, k], vals[n, k], self.vertices[k], True
         w = self.weights
         if np.isinf(self.p):
-            vals = w * np.linalg.norm(A, axis=0)
-            k = int(np.argmax(vals))
-            c = np.zeros(self.dim, dtype=complex)
-            c[k] = w[k]
-            return DualMax(float(vals[k]), float(vals[k]), c, True)
+            vals = w * np.linalg.norm(A, axis=-2)
+            k = np.argmax(vals, axis=-1)
+            c = np.zeros((n.size, self.dim), dtype=complex)
+            c[n, k] = w[k]
+            return vals[n, k], vals[n, k], c, True
         if self.p == 2.0:
             # dual ball {sum |c_j|^2 / w_j <= 1} is the image of the unit
             # sphere under c = sqrt(w) z
-            B = A * (w**0.5)[None, :]
-            val, z = _top_direction(B)
-            return DualMax(val, val, z * w**0.5, True)
+            val, z = _top_direction(A * w**0.5)
+            return val, val, z * w**0.5, True
         if self.p == 1.0:
             return self._dual_ball_max_l1(A, rng, starts)
         return self._dual_ball_max_lq(A, rng, starts)
 
-    def _dual_ball_max_l1(self, A, rng, starts) -> DualMax:
+    def _dual_ball_max_l1(self, A, rng, starts) -> tuple:
         # dual ball is the weighted polydisc {|c_j| <= w_j}
         if self.real:
             A = A.real  # real phases are exact signs
         w = self.weights
-        B = A * w[None, :]
-        m = self.dim
+        B = A * w
+        N, d, m = B.shape
+        n = np.arange(N)
         if m == 1:
-            v = float(np.linalg.norm(B[:, 0]))
-            return DualMax(v, v, w.astype(complex).copy(), True)
-        if A.shape[0] == 1 or (m == 2 and not self.real):
+            v = np.array([l2_norm(b) for b in B[:, :, 0]])
+            return v, v, np.tile(w.astype(complex), (N, 1)), True
+        if d == 1 or (m == 2 and not self.real):
             # closed forms: one row aligns every phase (value sum_j |B_0j|), two
             # coordinates the Gram phase (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
-            z = _phases(B[0].conj()) if A.shape[0] == 1 else np.array([1.0, _phases(B[:, 1].conj() @ B[:, 0])])
-            v = l2_norm(B @ z)
-            return DualMax(v, v, np.asarray(z * w, dtype=complex), True)
+            Z = _phases(B[:, 0].conj()) if d == 1 else np.stack(
+                [np.ones(N), _phases(np.array([b[:, 1].conj() @ b[:, 0] for b in B]))], axis=1)
+            v = np.array([l2_norm(b @ z) for b, z in zip(B, Z)])
+            return v, v, np.asarray(Z * w, dtype=complex), True
         if self.real:
             grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)
             signs = np.vstack([np.ones((1, grid.shape[1])), grid])
-            vals = np.linalg.norm(B @ signs, axis=0)
-            k = int(np.argmax(vals))
-            c = signs[:, k] * w
-            return DualMax(float(vals[k]), float(vals[k]), c.astype(complex), True)
-        Q = B.conj().T @ B
+            vals = np.linalg.norm(B @ signs, axis=-2)
+            k = np.argmax(vals, axis=-1)
+            return vals[n, k], vals[n, k], (signs[:, k].T * w).astype(complex), True
+        Q = B.conj().transpose(0, 2, 1) @ B
         # starts as columns: ones, the phases of the Gram column of the
         # heaviest coordinate, then random phases
-        j = int(np.argmax(np.linalg.norm(B, axis=0)))
-        g = rng.standard_normal((max(starts - 2, 0), 2, m))
-        Z = np.column_stack(
-            [np.ones(m), _phases(B.conj().T @ B[:, j]), _phases(g[:, 0] + 1j * g[:, 1]).T]
-        )[:, :starts]
-        live = np.arange(starts)
+        j = np.argmax(np.linalg.norm(B, axis=-2), axis=-1)
+        g = rng.standard_normal((N, max(starts - 2, 0), 2, m))
+        gram = np.stack([_phases(b.conj().T @ b[:, jn]) for b, jn in zip(B, j)])
+        Z = np.concatenate(
+            [np.ones((N, m, 1)), gram[:, :, None], _phases(g[:, :, 0] + 1j * g[:, :, 1]).transpose(0, 2, 1)], axis=2
+        )[:, :, :starts]
+        live = np.ones(Z.shape[::2], dtype=bool)
         for _ in range(_ASCENT_ITERS):
-            Zl = Z[:, live]
-            Zn = _phases(Q @ Zl)
-            Z[:, live] = Zn
-            # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
-            live = live[np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=0)]
-            if not live.size:
+            for rows, cols, Zl in _live_groups(live, Z):
+                Zn = _phases(Q[rows] @ Zl)
+                Z[rows[:, None, None], np.arange(m)[:, None], cols[:, None, :]] = Zn
+                # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
+                live[rows[:, None], cols] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=1)
+            if not live.any():
                 break
-        vals = np.linalg.norm(B @ Z, axis=0)
+        vals = np.linalg.norm(B @ Z, axis=-2)
         k = _best_column(vals)
-        best_val, best_z = float(vals[k]), Z[:, k]
-        upper = min(
-            float(np.sum(np.linalg.norm(B, axis=0))),
-            float(np.linalg.norm(B, 2)) * np.sqrt(m),
-        )
-        upper = max(upper, best_val)
-        return DualMax(best_val, upper, best_z * w, False)
+        lower, sigma = vals[n, k], np.linalg.svd(B, compute_uv=False)[:, 0]
+        upper = np.minimum(np.sum(np.linalg.norm(B, axis=-2), axis=-1), sigma * np.sqrt(m))
+        return lower, np.maximum(upper, lower), Z[n, :, k] * w, False
 
-    def _dual_ball_max_lq(self, A, rng, starts) -> DualMax:
+    def _dual_ball_max_lq(self, A, rng, starts) -> tuple:
         dd = self.dual_descriptor()  # an lq(w') descriptor
         q, wq = dd.p, dd.weights
+        N, d, m = A.shape
+        n = np.arange(N)
         # starts as columns: the aligner of the summed rows, then random
         # directions scaled to the dual sphere
-        g = rng.standard_normal((starts - 1, 2, self.dim))
-        R = (g[:, 0] + 1j * g[:, 1]).T
+        g = rng.standard_normal((N, starts - 1, 2, m))
+        R = (g[:, :, 0] + 1j * g[:, :, 1]).transpose(0, 2, 1)
+        c0 = np.sum(A, axis=-2).conj() + 1e-30
         if self.real:
-            R = R.real.astype(complex)
-        R = R / np.maximum(np.sum(wq[:, None] * np.abs(R) ** q, axis=0) ** (1.0 / q), 1e-30)
-        C = np.column_stack([dd.primal_align(np.sum(A, axis=0).conj() + 1e-30), R])
+            R, c0 = R.real.astype(complex), c0.real.astype(complex)
+        R = R / np.maximum(np.sum(wq[:, None] * np.abs(R) ** q, axis=-2, keepdims=True) ** (1.0 / q), 1e-30)
+        C = np.concatenate([dd._holder_align(c0[:, :, None]), R], axis=2)
         Y = A @ C
-        vals = np.linalg.norm(Y, axis=0)
-        live = np.flatnonzero(vals > 0)
+        vals = np.linalg.norm(Y, axis=-2)
+        live = vals > 0
         for _ in range(_ASCENT_ITERS):
-            if not live.size:
+            if not live.any():
                 break
-            Cn = dd._holder_align(np.conj(A.conj().T @ (Y[:, live] / vals[live])))
-            Yn = A @ Cn
-            vn = np.linalg.norm(Yn, axis=0)
-            up = vn > vals[live] + 1e-15
-            live = live[up]
-            C[:, live], Y[:, live], vals[live] = Cn[:, up], Yn[:, up], vn[up]
+            for rows, cols, Yl in _live_groups(live, Y):
+                vl = np.take_along_axis(vals[rows], cols, axis=1)
+                Cn = dd._holder_align(np.conj(A[rows].conj().transpose(0, 2, 1) @ (Yl / vl[:, None, :])))
+                Yn = A[rows] @ Cn
+                vn = np.linalg.norm(Yn, axis=-2)
+                up = vn > vl + 1e-15
+                live[rows[:, None], cols] = up
+                r, c = np.nonzero(up)
+                C[rows[r], :, cols[r, c]], Y[rows[r], :, cols[r, c]] = Cn[r, :, c], Yn[r, :, c]
+                vals[rows[r], cols[r, c]] = vn[r, c]
         k = _best_column(vals)
-        best_val, best_c = float(vals[k]), C[:, k]
+        lower = vals[n, k]
         if q <= 2.0:
             embed = float(np.max(wq ** (-1.0 / q)))
         else:
             embed = float(np.sum(wq ** (-2.0 / (q - 2.0))) ** ((q - 2.0) / (2.0 * q)))
-        col_bound = float(np.sum(wq ** (-1.0 / q) * np.linalg.norm(A, axis=0)))
-        upper = max(min(float(np.linalg.norm(A, 2)) * embed, col_bound), best_val)
-        return DualMax(best_val, upper, best_c, False)
+        col_bound = np.sum(wq ** (-1.0 / q) * np.linalg.norm(A, axis=-2), axis=-1)
+        upper = np.minimum(np.linalg.svd(A, compute_uv=False)[:, 0] * embed, col_bound)
+        return lower, np.maximum(upper, lower), C[n, :, k], False
 
     def primal_ball_maximize(self, A, rng) -> DualMax:
         """sup of ||A x||_2 over the primal unit ball of this base."""
@@ -392,8 +410,9 @@ class BaseNorm:
         raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _best_column(vals: np.ndarray) -> int:
-    """Index of the last ascent column within TIE_RTOL of the best value.
+def _best_column(vals: np.ndarray) -> np.ndarray:
+    """Index of the last ascent column within TIE_RTOL of the best value, for
+    each row of vals (one row per matrix of a stack).
 
     Columns that reach one optimum along different paths tie up to rounding
     but stop at witnesses that differ well above it, so a plain argmax lets
@@ -403,7 +422,22 @@ def _best_column(vals: np.ndarray) -> int:
     phases (at two coordinates the optimum, which the closed form of
     _dual_ball_max_l1 returns before any ascent).
     """
-    return int(np.flatnonzero(vals >= vals.max() * (1.0 - TIE_RTOL))[-1])
+    tied = vals >= vals.max(axis=-1, keepdims=True) * (1.0 - TIE_RTOL)
+    return vals.shape[-1] - 1 - np.argmax(tied[:, ::-1], axis=-1)
+
+
+def _live_groups(live: np.ndarray, X: np.ndarray):
+    """(rows, cols, Xl) for each count c of live ascent columns in a row of
+    the N x starts mask live: the rows with c live columns, those columns (a
+    rows.size x c array) and X's columns there, each slice column-major as
+    numpy lays out the one-matrix X[:, cols].  A stacked product picks its
+    kernel by column count and operand layout, so each matrix rounds as it
+    would alone."""
+    counts = live.sum(axis=1)
+    for c in sorted(set(counts.tolist()) - {0}):
+        rows = np.flatnonzero(counts == c)
+        cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
+        yield rows, cols, np.take_along_axis(X[rows].transpose(0, 2, 1), cols[:, :, None], axis=1).transpose(0, 2, 1)
 
 
 def _phases(z: np.ndarray) -> np.ndarray:
@@ -412,8 +446,9 @@ def _phases(z: np.ndarray) -> np.ndarray:
 
 
 def _top_direction(A: np.ndarray):
-    """Largest singular value of A and a right vector c with ||Ac|| = sigma_max."""
+    """Largest singular values of a stack of matrices A, and right vectors c
+    with ||A c|| = sigma_max, one per matrix."""
     if A.size == 0:
-        return 0.0, np.zeros(A.shape[1], dtype=complex)
+        return np.zeros(A.shape[0]), np.zeros(A.shape[::2], dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return float(s[0]), vh[0].conj()
+    return s[:, 0], vh[:, 0].conj()

@@ -19,6 +19,7 @@ through their ``certificates=`` argument.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -156,56 +157,70 @@ def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
 def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 6) -> DualMax:
     """sup of ||A f||_2 over the dual unit ball of q's underlying norm.
 
-    The witness is always feasible, so the lower field is certified for any
-    kind; exactness holds only where the base machinery is exact.
+    A is one d x m matrix or an N x d x m stack, searched in one step as
+    BaseNorm.dual_ball_maximize searches one: the nested searches of lp
+    inners, concrete and tensor_p run on the whole stack.  The witness is
+    always feasible, so the lower field is certified for any kind;
+    exactness holds only where the base machinery is exact.
     """
     A = np.asarray(A, dtype=complex)
     base = q.underlying_base
     if base is not None:
         return base.dual_ball_maximize(A, rng=rng, starts=starts)
+    S = A if A.ndim == 3 else A[None]
     if q.kind == "lp":
         # per-point inner witnesses, outer weights through the scalar dual ball
-        blocks = np.split(A, q.points, axis=1)
+        blocks = np.split(S, q.points, axis=-1)
         phis = [underlying_dual_maximize(q.inner, B, rng, starts=2).witness for B in blocks]
-        M = np.stack([B @ phi for B, phi in zip(blocks, phis)], axis=1)
+        M = np.stack([[b @ phi for b, phi in zip(B, P)] for B, P in zip(blocks, phis)], axis=-1)
         outer = q.point_base.dual_ball_maximize(M, rng=rng, starts=starts)
-        f = np.concatenate([w * phi for w, phi in zip(outer.witness, phis)])
+        f = np.concatenate([outer.witness[:, t, None] * P for t, P in enumerate(phis)], axis=-1)
     elif q.kind == "concrete":
         # the functionals w . T_m v over unit v and w span the dual ball
         G = np.stack(q.generators)
         _, w, v = _alternate(Quantization.hilbert(G.shape[1]), Quantization.hilbert(G.shape[2]),
-                             np.einsum("im,mlk->ilk", A, G), starts, rng)
-        f = np.einsum("l,mlk,k->m", w, G, v)
+                             np.einsum("nim,mlk->nilk", S, G), starts, rng)
+        f = np.stack([np.einsum("l,mlk,k->m", wn, G, vn) for wn, vn in zip(w, v)])
     else:
         # tensor_p: elementary functionals phi (x) psi
         _, phi, psi = _alternate(Quantization.min(q.base), q.inner,
-                                 A.reshape(A.shape[0], q.base.dim, q.inner.dim), starts, rng)
-        f = np.multiply.outer(phi, psi).ravel()
-    return DualMax(float(np.linalg.norm(A @ f)), np.inf, f, False)
+                                 S.reshape(*S.shape[:2], q.base.dim, q.inner.dim), starts, rng)
+        f = (phi[:, :, None] * psi[:, None, :]).reshape(len(S), -1)
+    lower = np.array([float(np.linalg.norm(a @ x)) for a, x in zip(S, f)])
+    if A.ndim == 3:
+        return DualMax(lower, np.full(len(S), np.inf), f, False)
+    return DualMax(float(lower[0]), np.inf, f[0], False)
 
 
 def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng) -> tuple:
     """(value, f, g): the best ||sum_jk T[:, j, k] f_j g_k||_2 found over f and
     g in the dual unit balls of E's and F's underlying norms.
 
-    Start 0 takes g from T as a (d mE) x mF matrix, each later start from a
-    random max(2, d) x mF one; six rounds follow, each an f step then a g step.
-    A later start is kept only when it _beats the best, so ties keep the earlier.
+    T is one d x mE x mF array, or an N x d x mE x mF stack of them, whose
+    values and functionals come stacked too.  Start 0 takes g from T as a
+    (d mE) x mF matrix, each later start from a random max(2, d) x mF one,
+    drawn in stack order and start order; six rounds follow, each an f step
+    then a g step.  Every start of every stacked search runs in lockstep, so
+    each step is one stacked underlying_dual_maximize.  A later start is kept
+    only when it _beats the best, so ties keep the earlier.
     """
-    d, mE, mF = T.shape
-    best, best_f, best_g = -1.0, None, None
-    for s in range(starts):
-        if s == 0:
-            g = underlying_dual_maximize(F, T.reshape(d * mE, mF), rng, starts=2).witness
-        else:
-            g = underlying_dual_maximize(F, random_complex(rng, max(2, d), mF), rng, starts=1).witness
-        for _ in range(6):
-            f = underlying_dual_maximize(E, np.einsum("ijk,k->ij", T, g), rng, starts=2).witness
-            g = underlying_dual_maximize(F, np.einsum("ijk,j->ik", T, f), rng, starts=2).witness
-        val = float(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)))
-        if s == 0 or _beats(val, best):
-            best, best_f, best_g = val, f, g
-    return best, best_f, best_g
+    S = T if T.ndim == 4 else T[None]
+    N, d, mE, mF = S.shape
+    step = lambda q, A, k: underlying_dual_maximize(q, A, rng, starts=k).witness
+    rand = [random_complex(rng, max(2, d), mF) for _ in range(N * (starts - 1))]
+    G = step(F, S.reshape(N, d * mE, mF), 2)[:, None]
+    if rand:
+        G = np.concatenate([G, step(F, np.stack(rand), 1).reshape(N, starts - 1, mF)], axis=1)
+    for _ in range(6):
+        Fs = step(E, np.einsum("nijk,nsk->nsij", S, G).reshape(-1, d, mE), 2).reshape(N, starts, mE)
+        G = step(F, np.einsum("nijk,nsj->nsik", S, Fs).reshape(-1, d, mF), 2).reshape(N, starts, mF)
+    best, pick = np.empty(N), np.zeros(N, dtype=int)
+    for n, s in itertools.product(range(N), range(starts)):
+        val = float(np.linalg.norm(np.einsum("ijk,j,k->i", S[n], Fs[n, s], G[n, s])))
+        if s == 0 or _beats(val, best[n]):
+            best[n], pick[n] = val, s
+    f, g = Fs[np.arange(N), pick], G[np.arange(N), pick]
+    return (best, f, g) if T.ndim == 4 else (float(best[0]), f[0], g[0])
 
 
 def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) -> list:

@@ -23,6 +23,7 @@ from pllab import (
 )
 from pllab.maps import _alternate, embedding_map, underlying_dual_maximize, underlying_dual_norm
 from pllab.sampling import make_rng, random_complex
+from pllab.suites import quantization_pool
 
 
 def scalar():
@@ -150,24 +151,48 @@ def test_underlying_dual_norm_closed_forms():
 
 
 def test_underlying_dual_maximize_feasible_witnesses():
-    """Witness functionals stay in the dual ball and attain their value."""
+    """Witness functionals stay in the dual ball and attain their value, for
+    one matrix and for each matrix of a stack searched in one step; the lq
+    ball and a tensor_p over an lq base are steps that draw."""
     rng = make_rng(46, "udm")
     descriptors = [
         Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 2.0])),
         Quantization.hilbert(2),
         Quantization.lp(2.0, [1.0, 0.5]),
         Quantization.lp(1.0, [1.0, 1.0], inner=Quantization.hilbert(1)),
+        Quantization.lp(1.5, [1.0, 0.5, 2.0]),
+        Quantization.tensor_p(BaseNorm.lp(3.0, dim=2), Quantization.hilbert(2)),
     ]
     for q in descriptors:
         A = random_complex(rng, 3, q.dim)
         dm = underlying_dual_maximize(q, A, rng)
-        assert dm.lower <= dm.upper + 1e-9
-        f = dm.witness
-        for _ in range(100):
-            x = random_complex(rng, q.dim)
-            nx = amp_norm(q, x[None, :], budget=40).value
-            assert abs(np.dot(f, x)) <= nx * (1 + 1e-8) + 1e-12
-        assert np.linalg.norm(A @ f) == pytest.approx(dm.lower, rel=1e-8)
+        stack = random_complex(rng, 2, 3, q.dim)
+        dms = underlying_dual_maximize(q, stack, rng)
+        assert dms.witness.shape == (2, q.dim) and dms.lower.shape == (2,)
+        for a, f, lower, upper in [(A, dm.witness, dm.lower, dm.upper), *zip(stack, dms.witness, dms.lower, dms.upper)]:
+            assert lower <= upper + 1e-9
+            for _ in range(50):
+                x = random_complex(rng, q.dim)
+                nx = amp_norm(q, x[None, :], budget=40).value
+                assert abs(np.dot(f, x)) <= nx * (1 + 1e-8) + 1e-12
+            assert np.linalg.norm(a @ f) == pytest.approx(lower, rel=1e-8)
+
+
+@pytest.mark.parametrize("k", range(len(quantization_pool())))
+def test_stacked_dual_step_is_the_one_matrix_step_per_matrix(k):
+    """A stack searched in one step gives each matrix, bit for bit, the
+    witness and lower bound of a one-matrix search, the one-matrix searches
+    run in stack order on one generator: on every pool kind the stack draws
+    what they draw (the random starts of a concrete or tensor_p factor), in
+    their order."""
+    q = quantization_pool()[k]
+    A = random_complex(make_rng(48, "stack", k), 3, 2, q.dim)
+    stacked = underlying_dual_maximize(q, A, make_rng(0, "stack-search", k))
+    rng = make_rng(0, "stack-search", k)
+    for n in range(3):
+        one = underlying_dual_maximize(q, A[n], rng)
+        assert one.witness.tobytes() == stacked.witness[n].tobytes()
+        assert one.lower == stacked.lower[n]
 
 
 _PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]
@@ -189,20 +214,36 @@ def _assert_in_dual_ball(q, f, rng):
 
 @pytest.mark.parametrize("k", range(len(_ALTERNATE_FACTORS)))
 def test_alternate_witnesses_lie_in_their_dual_balls(k):
-    """The functional pair of the alternating search, and the dual-ball
-    witness it gives a concrete or tensor_p factor, are feasible and attain
-    their values."""
+    """The functional pair of the alternating search, one T or each of a
+    stack, and the dual-ball witness it gives a concrete or tensor_p factor,
+    are feasible and attain their values."""
     E, F = _ALTERNATE_FACTORS[k], _ALTERNATE_FACTORS[(k + 1) % len(_ALTERNATE_FACTORS)]
     rng = make_rng(47, "alternate", k)
     T = random_complex(rng, 3, E.dim * F.dim).reshape(3, E.dim, F.dim)
     value, f, g = _alternate(E, F, T, 3, rng)
-    assert value == pytest.approx(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)), rel=1e-12)
-    _assert_in_dual_ball(E, f, rng)
-    _assert_in_dual_ball(F, g, rng)
+    Ts = random_complex(rng, 2, 3, E.dim * F.dim).reshape(2, 3, E.dim, F.dim)
+    values, fs, gs = _alternate(E, F, Ts, 3, rng)
+    for T, value, f, g in [(T, value, f, g), *zip(Ts, values, fs, gs)]:
+        assert value == pytest.approx(np.linalg.norm(np.einsum("ijk,j,k->i", T, f, g)), rel=1e-12)
+        _assert_in_dual_ball(E, f, rng)
+        _assert_in_dual_ball(F, g, rng)
     A = random_complex(rng, 3, E.dim)
     dm = underlying_dual_maximize(E, A, rng)
     assert dm.lower == pytest.approx(np.linalg.norm(A @ dm.witness), rel=1e-12)
     _assert_in_dual_ball(E, dm.witness, rng)
+
+
+def test_alternate_with_more_starts_is_never_below_one_start():
+    """Start 0 runs as it would alone, so three starts never give less than
+    one, over the pairs of pool kinds whose steps draw nothing (min, max, lp,
+    hilbert) and d = 1..3."""
+    pool = [q for q in quantization_pool() if q.kind not in ("concrete", "tensor_p")]
+    for a, E in enumerate(pool):
+        for b, F in enumerate(pool):
+            for d in (1, 2, 3):
+                T = random_complex(make_rng(49, "starts", a, b, d), d, E.dim * F.dim).reshape(d, E.dim, F.dim)
+                one = _alternate(E, F, T, 1, make_rng(0, "starts-search"))[0]
+                assert _alternate(E, F, T, 3, make_rng(0, "starts-search"))[0] >= one
 
 
 def test_concrete_dual_search_values_the_functional_it_returns():
