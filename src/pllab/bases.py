@@ -52,15 +52,34 @@ class DualMax:
 def admit_real(x: np.ndarray, what: str = "element") -> np.ndarray:
     """The real part of a complex array x, as a complex array, once x passes
     the real-mode rule: no imaginary part above 1e-12 times the largest entry
-    modulus, so the verdict does not depend on x's scale.  The rule holds for
-    each matrix of a stack on its own.  A non-finite entry is reported before
-    the rule."""
+    modulus, of x or of each matrix of a stack, so the verdict does not depend
+    on scale.  A non-finite entry is reported before the rule."""
     if not np.isfinite(x).all():
         raise ValueError(f"{what} has non-finite entries")
     each = tuple(range(max(x.ndim - 2, 0), x.ndim))
     if np.any(np.abs(x.imag).max(axis=each, initial=0.0) > 1e-12 * np.abs(x).max(axis=each, initial=0.0)):
         raise ValueError(f"{what} must be real-valued in real-restricted mode")
     return x.real.astype(complex)
+
+
+def check_p(p, what: str) -> None:
+    """Raise ValueError unless p is inf or 1 <= p with p / (p - 1) above 1 in floating point."""
+    if p is None or not 1.0 <= p or (1.0 < p < np.inf and p / (p - 1.0) == 1.0):
+        raise ValueError(f"{what} needs p = inf or 1 <= p below about 2**53, where p / (p - 1) > 1; got {p!r}")
+
+
+def lp_sum(a: np.ndarray, p: float, w=1.0, axis: int = -1):
+    """(sum w a^p)^(1/p) of a nonnegative array a along axis, for a finite p.
+    A slice whose sum is not normal (at a large p a power overflows, or all
+    underflow) is summed again over a / max(a), and scaled back by max(a)."""
+    with np.errstate(over="ignore"):
+        s = np.sum(w * a**p, axis=axis)
+    odd = ~((s >= np.finfo(float).tiny) & (s < np.inf))
+    if not odd.any():
+        return s ** (1.0 / p)
+    t = np.where(odd, np.max(a, axis=axis), 1.0)
+    t = np.expand_dims(np.where(t > 0, t, 1.0), axis)
+    return np.squeeze(t, axis) * np.sum(w * (a / t) ** p, axis=axis) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -83,8 +102,7 @@ class BaseNorm:
         if self.dim < 1:
             raise ValueError("base dimension must be positive")
         if self.kind == "lp":
-            if self.p is None or not (1.0 <= self.p):
-                raise ValueError("lp base needs p in [1, inf]")
+            check_p(self.p, "lp base")
             w = np.ones(self.dim) if self.weights is None else np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,) or not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("lp base needs positive finite weights, one per coordinate")
@@ -157,7 +175,7 @@ class BaseNorm:
             a = np.abs(x)
             if np.isinf(self.p):
                 return float(np.max(self.weights * a))
-            return float(np.sum(self.weights * a**self.p) ** (1.0 / self.p))
+            return float(lp_sum(a, self.p, self.weights))
         return float(np.max(np.abs(self.vertices @ x)))
 
     def dual_norm(self, c) -> Optional[float]:
@@ -215,12 +233,11 @@ class BaseNorm:
         return x / self.norm(x)
 
     def _holder_align(self, C: np.ndarray) -> np.ndarray:
-        """primal_align of each column of C, a matrix or a stack of them, for
-        an lp base with 1 < p < inf."""
+        """primal_align of each column of C (or of a stack), for an lp base with 1 < p < inf."""
         s = self.weights[:, None] ** (-1.0 / self.p)
         h = np.abs(C) * s
         q = self.p / (self.p - 1.0)
-        hn = np.linalg.norm(h, q, axis=-2, keepdims=True)
+        hn = np.expand_dims(lp_sum(h, q, axis=-2), -2)
         t = (h / np.where(hn > 0, hn, 1.0)) ** (q - 1.0)
         return _phases(np.conj(C)) * t * s
 
@@ -230,16 +247,15 @@ class BaseNorm:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
         A is a d x m matrix, or an N x d x m stack searched in one step, each
-        matrix as it would be alone, into a DualMax of (N,) and (N, m) arrays.
-        A weighted-l1 base at one row of A, or a complex one at two
-        coordinates, takes a closed form, exact and drawing nothing from rng.
-        The multi-start ascents (weighted l1 polydisc, lq ball) run the starts
-        of each matrix as columns of one m x starts matrix, drawn in stack
-        order; a column stops under the same rule as a lone start would
-        (phases settled, or no gain above 1e-15), and the last column within
-        1e-14 relative of the best is returned (_best_column).  Each matrix is
-        admitted by check_element and check_rows: a real base takes a real A
-        only, valued as its real part.
+        matrix as alone, into a DualMax of (N,) and (N, m) arrays.  A weighted
+        l1 base at one row of A, or a complex one at two coordinates, takes a
+        closed form, exact and drawing nothing from rng.  The multi-start
+        ascents (weighted l1 polydisc, lq ball) run the starts of each matrix
+        as columns of one m x starts matrix, drawn in stack order; a column
+        stops as a lone start would (phases settled, or no gain above 1e-15),
+        and the last column within 1e-14 relative of the best is returned
+        (_best_column).  Each matrix is admitted by check_element and
+        check_rows: a real base takes a real A only, valued as its real part.
         """
         A = self.check_element(A)
         self.check_rows(A.shape[-2])
@@ -311,7 +327,7 @@ class BaseNorm:
         for _ in range(_ASCENT_ITERS):
             for rows, cols, Zl in _live_groups(live, Z):
                 Zn = _phases(Q[rows] @ Zl)
-                Z[rows[:, None, None], np.arange(m)[:, None], cols[:, None, :]] = Zn
+                Z[rows[:, None], :, cols] = Zn.transpose(0, 2, 1)
                 # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
                 live[rows[:, None], cols] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=1)
             if not live.any():
@@ -347,8 +363,7 @@ class BaseNorm:
                 Cn = dd._holder_align(np.conj(A[rows].conj().transpose(0, 2, 1) @ (Yl / vl[:, None, :])))
                 Yn = A[rows] @ Cn
                 vn = np.linalg.norm(Yn, axis=-2)
-                up = vn > vl + 1e-15
-                live[rows[:, None], cols] = up
+                live[rows[:, None], cols] = up = vn > vl + 1e-15
                 r, c = np.nonzero(up)
                 C[rows[r], :, cols[r, c]], Y[rows[r], :, cols[r, c]] = Cn[r, :, c], Yn[r, :, c]
                 vals[rows[r], cols[r, c]] = vn[r, c]
@@ -411,8 +426,7 @@ class BaseNorm:
 
 
 def _best_column(vals: np.ndarray) -> np.ndarray:
-    """Index of the last ascent column within TIE_RTOL of the best value, for
-    each row of vals (one row per matrix of a stack).
+    """Index of the last ascent column within TIE_RTOL of the best, per row of vals.
 
     Columns that reach one optimum along different paths tie up to rounding
     but stop at witnesses that differ well above it, so a plain argmax lets
@@ -427,17 +441,15 @@ def _best_column(vals: np.ndarray) -> np.ndarray:
 
 
 def _live_groups(live: np.ndarray, X: np.ndarray):
-    """(rows, cols, Xl) for each count c of live ascent columns in a row of
-    the N x starts mask live: the rows with c live columns, those columns (a
-    rows.size x c array) and X's columns there, each slice column-major as
-    numpy lays out the one-matrix X[:, cols].  A stacked product picks its
-    kernel by column count and operand layout, so each matrix rounds as it
-    would alone."""
+    """(rows, cols, Xl) per count c of live columns in a row of the N x starts
+    mask live: those rows, their live columns and X's columns there, each
+    slice column-major as the one-matrix X[:, cols].  numpy picks a product's
+    kernel by column count and layout, so each matrix rounds as alone."""
     counts = live.sum(axis=1)
     for c in sorted(set(counts.tolist()) - {0}):
         rows = np.flatnonzero(counts == c)
         cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
-        yield rows, cols, np.take_along_axis(X[rows].transpose(0, 2, 1), cols[:, :, None], axis=1).transpose(0, 2, 1)
+        yield rows, cols, X[rows[:, None], :, cols].transpose(0, 2, 1)
 
 
 def _phases(z: np.ndarray) -> np.ndarray:
@@ -446,8 +458,7 @@ def _phases(z: np.ndarray) -> np.ndarray:
 
 
 def _top_direction(A: np.ndarray):
-    """Largest singular values of a stack of matrices A, and right vectors c
-    with ||A c|| = sigma_max, one per matrix."""
+    """Largest singular value of each matrix of a stack A, and a right vector c with ||A c|| = sigma_max."""
     if A.size == 0:
         return np.zeros(A.shape[0]), np.zeros(A.shape[::2], dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=False)

@@ -157,11 +157,10 @@ def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
 def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 6) -> DualMax:
     """sup of ||A f||_2 over the dual unit ball of q's underlying norm.
 
-    A is one d x m matrix or an N x d x m stack, searched in one step as
-    BaseNorm.dual_ball_maximize searches one: the nested searches of lp
-    inners, concrete and tensor_p run on the whole stack.  The witness is
-    always feasible, so the lower field is certified for any kind;
-    exactness holds only where the base machinery is exact.
+    A is one d x m matrix or an N x d x m stack searched in one step, the
+    nested searches of lp inners, concrete and tensor_p on the whole stack.
+    The witness is always feasible, so the lower field is certified for any
+    kind; exactness holds only where the base machinery is exact.
     """
     A = np.asarray(A, dtype=complex)
     base = q.underlying_base
@@ -196,12 +195,11 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
     """(value, f, g): the best ||sum_jk T[:, j, k] f_j g_k||_2 found over f and
     g in the dual unit balls of E's and F's underlying norms.
 
-    T is one d x mE x mF array, or an N x d x mE x mF stack of them, whose
-    values and functionals come stacked too.  Start 0 takes g from T as a
-    (d mE) x mF matrix, each later start from a random max(2, d) x mF one,
-    drawn in stack order and start order; six rounds follow, each an f step
-    then a g step.  Every start of every stacked search runs in lockstep, so
-    each step is one stacked underlying_dual_maximize.  A later start is kept
+    T is one d x mE x mF array or an N x d x mE x mF stack, giving stacked
+    results.  Start 0 takes g from T as a (d mE) x mF matrix, each later
+    start from a random max(2, d) x mF one, drawn in stack and start order;
+    all starts then run six rounds in lockstep, each an f step then a g
+    step, one stacked underlying_dual_maximize each.  A later start is kept
     only when it _beats the best, so ties keep the earlier.
     """
     S = T if T.ndim == 4 else T[None]

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bases import BaseNorm, admit_real
+from .bases import BaseNorm, admit_real, check_p, lp_sum
 from .hilbert import coeffs_of, frobenius_norm, l2_norm, unit_scaled
 from .projective import ProjResult, proj_bracket
 from .sampling import make_rng, random_complex
@@ -110,8 +110,7 @@ class Quantization:
             if self.base is None or self.base.kind != "euclidean":
                 raise ValueError("hilbert quantization needs a euclidean base")
         elif self.kind == "lp":
-            if self.p is None or not (1.0 <= self.p):
-                raise ValueError("lp quantization needs p in [1, inf]")
+            check_p(self.p, "lp quantization")
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 1 or w.size < 1 or not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("lp quantization needs positive finite point weights")
@@ -379,7 +378,7 @@ def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> tuple:
 
 def _combine(q: Quantization, n: np.ndarray) -> float:
     """q.point_base's norm of the point norms n."""
-    return float(n.max()) if np.isinf(q.p) else float((q.weights * n**q.p).sum() ** (1.0 / q.p))
+    return float(n.max()) if np.isinf(q.p) else float(lp_sum(n, q.p, q.weights))
 
 
 def _beta_slices(U: np.ndarray, m_base: int, m_inner: int) -> np.ndarray:

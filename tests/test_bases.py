@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from pllab import BaseNorm
+from pllab import BaseNorm, Quantization
 from pllab.sampling import make_rng, random_complex
 
 
@@ -36,6 +36,18 @@ def test_lp_norm_values():
     assert BaseNorm.lp(2.0, weights=w).norm(x) == pytest.approx(np.sqrt(1 + 2 + 2))
     assert BaseNorm.lp(np.inf, weights=w).norm(x) == pytest.approx(2.0)
     assert BaseNorm.euclidean(3).norm(x) == pytest.approx(np.sqrt(6))
+    # at a large p every power underflows, or one overflows: each is valued over x / max |x_j|
+    assert BaseNorm.lp(2000.0, dim=2).norm([0.5, 0.5]) == pytest.approx(0.5 * 2 ** (1 / 2000), rel=1e-15)
+    assert BaseNorm.lp(2000.0, dim=2).norm([3, 1]) == 3.0
+    assert BaseNorm.lp(1e15, weights=w).norm(x) == pytest.approx(2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1e16, 2.0**60, 1e300])
+def test_lp_exponents_without_a_dual_exponent_are_rejected(p):
+    """From about 2**53 on, p / (p - 1) rounds to 1: no lq ascent could run."""
+    for make in (lambda: BaseNorm.lp(p, dim=3), lambda: Quantization.lp(p, [1.0, 1.0])):
+        with pytest.raises(ValueError, match="below about 2\\*\\*53"):
+            make()
 
 
 def test_polytope_norm_is_vertex_sup():

@@ -232,6 +232,12 @@ def test_dimension_mismatch_is_input_error(capsys):
     assert rep["error"]["diagnostics"][0]["pointer"] == "/element"
 
 
+def test_an_lp_exponent_without_a_dual_exponent_is_input_error(capsys):
+    base = {"kind": "lp", "dim": 3, "p": 1e16}
+    doc = norm_doc(quantization={"kind": "min", "params": {"base": base}}, element=[[[1, 0], [2, 0], [3, 0]]])
+    assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
+
+
 def _input_error_pointer(capsys, command, doc):
     code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
     assert code == 3

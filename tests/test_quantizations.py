@@ -117,6 +117,15 @@ def test_lp_pointwise_combination():
     assert nv.value == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1e5, 1e15])
+def test_lp_pointwise_combination_at_a_large_p(p):
+    """The point norms 2**-0.5 of [[0.5, 0.5]] after unit scaling: their p-th
+    powers all underflow, yet the combination is 2**(1/p) / 2."""
+    nv = amp_norm(Quantization.lp(p, weights=[1, 1]), [[0.5, 0.5]])
+    assert nv.exact and nv.value == pytest.approx(0.5 * 2 ** (1 / p), rel=1e-15)
+    assert amp_norm(Quantization.min(BaseNorm.lp(p, dim=3)), [[1, 2, 3]]).lower == pytest.approx(3.0, rel=1e-12)
+
+
 def test_lp_inf_is_pointwise_max():
     rng = make_rng(27, "lpinf")
     q = Quantization.lp(np.inf, [1.0, 1.0, 1.0])
