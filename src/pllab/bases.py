@@ -15,8 +15,8 @@ injective-type quantized norm and the certificate machinery run on:
   A (closed form), and from two rows for complex l1 bases at two
   coordinates (closed form) and real-mode l1 bases (sign enumeration over
   at most 16 coordinates; ``check_rows`` raises beyond); multi-start ascent
-  for the rest, with all starts iterated at once as the columns of one
-  m x starts matrix.
+  for the rest, all starts iterated at once as the columns of one m x starts
+  matrix.  A stack of matrices runs as one step, each rounding as alone.
 * ``primal_align(c)``: a norming vector for a coefficient vector in the
   primal unit ball (Hoelder alignment).
 """
@@ -68,18 +68,18 @@ def check_p(p, what: str) -> None:
         raise ValueError(f"{what} needs p = inf or 1 <= p below about 2**53, where p / (p - 1) > 1; got {p!r}")
 
 
-def lp_sum(a: np.ndarray, p: float, w=1.0, axis: int = -1):
+def lp_sum(a: np.ndarray, p: float, w=None, axis: int = -1):
     """(sum w a^p)^(1/p) of a nonnegative array a along axis, for a finite p.
     A slice whose sum is not normal (at a large p a power overflows, or all
     underflow) is summed again over a / max(a), and scaled back by max(a)."""
     with np.errstate(over="ignore"):
-        s = np.sum(w * a**p, axis=axis)
-    odd = ~((s >= np.finfo(float).tiny) & (s < np.inf))
-    if not odd.any():
+        s = (a**p if w is None else w * a**p).sum(axis=axis)
+    lo, hi = (s, s) if np.isscalar(s) else (np.minimum.reduce(s, axis=None), np.maximum.reduce(s, axis=None))
+    if 2.0**-1022 <= lo and hi < np.inf:
         return s ** (1.0 / p)
-    t = np.where(odd, np.max(a, axis=axis), 1.0)
+    t = np.where((s >= 2.0**-1022) & (s < np.inf), 1.0, a.max(axis=axis))
     t = np.expand_dims(np.where(t > 0, t, 1.0), axis)
-    return np.squeeze(t, axis) * np.sum(w * (a / t) ** p, axis=axis) ** (1.0 / p)
+    return np.squeeze(t, axis) * ((a / t) ** p * (1.0 if w is None else w)).sum(axis=axis) ** (1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -173,9 +173,7 @@ class BaseNorm:
             return l2_norm(x)
         if self.kind == "lp":
             a = np.abs(x)
-            if np.isinf(self.p):
-                return float(np.max(self.weights * a))
-            return float(lp_sum(a, self.p, self.weights))
+            return float(np.max(self.weights * a) if np.isinf(self.p) else lp_sum(a, self.p, self.weights))
         return float(np.max(np.abs(self.vertices @ x)))
 
     def dual_norm(self, c) -> Optional[float]:
@@ -237,7 +235,7 @@ class BaseNorm:
         s = self.weights[:, None] ** (-1.0 / self.p)
         h = np.abs(C) * s
         q = self.p / (self.p - 1.0)
-        hn = np.expand_dims(lp_sum(h, q, axis=-2), -2)
+        hn = lp_sum(h, q, axis=-2)[..., None, :]
         t = (h / np.where(hn > 0, hn, 1.0)) ** (q - 1.0)
         return _phases(np.conj(C)) * t * s
 
@@ -259,28 +257,25 @@ class BaseNorm:
         """
         A = self.check_element(A)
         self.check_rows(A.shape[-2])
-        if A.ndim == 3:
-            return DualMax(*self._dual_max(A, rng, starts))
-        lower, upper, c, exact = self._dual_max(A[None], rng, starts)
-        return DualMax(float(lower[0]), float(upper[0]), c[0], exact)
+        lower, upper, c, exact = self._dual_max(A, rng, starts)
+        if A.ndim == 2:
+            return DualMax(float(lower), float(upper), c, exact)
+        return DualMax(lower, upper, c, exact)
 
     def _dual_max(self, A, rng, starts) -> tuple:
-        """(lower, upper, witnesses, exact) of dual_ball_maximize over a checked N x d x m stack A."""
-        n = np.arange(A.shape[0])
+        """(lower, upper, witnesses, exact) of dual_ball_maximize; every rule takes a matrix or a stack."""
         if self.kind == "euclidean":
             val, c = _top_direction(A)
             return val, val, c, True
         if self.kind == "polytope":
             vals = np.linalg.norm(A @ self.vertices.T, axis=-2)
-            k = np.argmax(vals, axis=-1)
-            return vals[n, k], vals[n, k], self.vertices[k], True
+            v = vals.max(axis=-1)
+            return v, v, self.vertices[vals.argmax(axis=-1)].copy(), True
         w = self.weights
         if np.isinf(self.p):
             vals = w * np.linalg.norm(A, axis=-2)
-            k = np.argmax(vals, axis=-1)
-            c = np.zeros((n.size, self.dim), dtype=complex)
-            c[n, k] = w[k]
-            return vals[n, k], vals[n, k], c, True
+            v, k = vals.max(axis=-1), vals.argmax(axis=-1)
+            return v, v, np.where(np.arange(self.dim) == k[..., None], w, 0.0).astype(complex), True
         if self.p == 2.0:
             # dual ball {sum |c_j|^2 / w_j <= 1} is the image of the unit
             # sphere under c = sqrt(w) z
@@ -296,86 +291,85 @@ class BaseNorm:
             A = A.real  # real phases are exact signs
         w = self.weights
         B = A * w
-        N, d, m = B.shape
-        n = np.arange(N)
+        stack, (d, m) = B.shape[:-2], B.shape[-2:]
+        each = B.reshape(-1, d, m)  # one matrix at a time, where a stacked product would round otherwise
         if m == 1:
-            v = np.array([l2_norm(b) for b in B[:, :, 0]])
-            return v, v, np.tile(w.astype(complex), (N, 1)), True
+            v = np.reshape([l2_norm(b) for b in each], stack)
+            return v, v, np.full(stack + (1,), w, dtype=complex), True
         if d == 1 or (m == 2 and not self.real):
             # closed forms: one row aligns every phase (value sum_j |B_0j|), two
             # coordinates the Gram phase (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
-            Z = _phases(B[:, 0].conj()) if d == 1 else np.stack(
-                [np.ones(N), _phases(np.array([b[:, 1].conj() @ b[:, 0] for b in B]))], axis=1)
-            v = np.array([l2_norm(b @ z) for b, z in zip(B, Z)])
+            Z = _phases(B[..., 0, :].conj()) if d == 1 else np.stack(
+                [np.ones(stack), _phases(np.reshape([b[:, 1].conj() @ b[:, 0] for b in each], stack))], axis=-1)
+            v = np.reshape([l2_norm(b @ z) for b, z in zip(each, Z.reshape(-1, m))], stack)
             return v, v, np.asarray(Z * w, dtype=complex), True
         if self.real:
             grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)
             signs = np.vstack([np.ones((1, grid.shape[1])), grid])
             vals = np.linalg.norm(B @ signs, axis=-2)
-            k = np.argmax(vals, axis=-1)
-            return vals[n, k], vals[n, k], (signs[:, k].T * w).astype(complex), True
-        Q = B.conj().transpose(0, 2, 1) @ B
-        # starts as columns: ones, the phases of the Gram column of the
+            v = vals.max(axis=-1)
+            return v, v, (signs[:, vals.argmax(axis=-1)].T * w).astype(complex), True
+        Q = B.conj().swapaxes(-1, -2) @ B
+        # starts as rows of Z^T: ones, the phases of the Gram column of the
         # heaviest coordinate, then random phases
-        j = np.argmax(np.linalg.norm(B, axis=-2), axis=-1)
-        g = rng.standard_normal((N, max(starts - 2, 0), 2, m))
-        gram = np.stack([_phases(b.conj().T @ b[:, jn]) for b, jn in zip(B, j)])
-        Z = np.concatenate(
-            [np.ones((N, m, 1)), gram[:, :, None], _phases(g[:, :, 0] + 1j * g[:, :, 1]).transpose(0, 2, 1)], axis=2
-        )[:, :, :starts]
-        live = np.ones(Z.shape[::2], dtype=bool)
+        j = np.ravel(np.argmax(np.linalg.norm(B, axis=-2), axis=-1))
+        g = rng.standard_normal(stack + (max(starts - 2, 0), 2, m))
+        gram = np.reshape([_phases(b.conj().T @ b[:, jn]) for b, jn in zip(each, j)], stack + (1, m))
+        ZT = np.concatenate([np.ones(stack + (1, m)), gram, _phases(g[..., 0, :] + 1j * g[..., 1, :])], axis=-2)
+        ZT = ZT[..., :starts, :]
+        live = np.ones(ZT.shape[:-1], dtype=bool)
         for _ in range(_ASCENT_ITERS):
-            for rows, cols, Zl in _live_groups(live, Z):
-                Zn = _phases(Q[rows] @ Zl)
-                Z[rows[:, None], :, cols] = Zn.transpose(0, 2, 1)
-                # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
-                live[rows[:, None], cols] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=1)
-            if not live.any():
+            if not (groups := _live_groups(live)):
                 break
-        vals = np.linalg.norm(B @ Z, axis=-2)
+            for sel, idx in groups:
+                Zl = ZT[idx].swapaxes(-1, -2)
+                Zn = _phases(Q[sel] @ Zl)
+                ZT[idx] = Zn.swapaxes(-1, -2)
+                # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
+                live[idx] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=-2)
+        vals = np.linalg.norm(B @ np.ascontiguousarray(ZT.swapaxes(-1, -2)), axis=-2)
         k = _best_column(vals)
-        lower, sigma = vals[n, k], np.linalg.svd(B, compute_uv=False)[:, 0]
+        lower, sigma = np.take_along_axis(vals, k[..., None], -1)[..., 0], np.linalg.svd(B, compute_uv=False)[..., 0]
         upper = np.minimum(np.sum(np.linalg.norm(B, axis=-2), axis=-1), sigma * np.sqrt(m))
-        return lower, np.maximum(upper, lower), Z[n, :, k] * w, False
+        return lower, np.maximum(upper, lower), np.take_along_axis(ZT, k[..., None, None], -2)[..., 0, :] * w, False
 
     def _dual_ball_max_lq(self, A, rng, starts) -> tuple:
         dd = self.dual_descriptor()  # an lq(w') descriptor
         q, wq = dd.p, dd.weights
-        N, d, m = A.shape
-        n = np.arange(N)
         # starts as columns: the aligner of the summed rows, then random
         # directions scaled to the dual sphere
-        g = rng.standard_normal((N, starts - 1, 2, m))
-        R = (g[:, :, 0] + 1j * g[:, :, 1]).transpose(0, 2, 1)
+        g = rng.standard_normal(A.shape[:-2] + (starts - 1, 2, self.dim))
+        RT = g[..., 0, :] + 1j * g[..., 1, :]
         c0 = np.sum(A, axis=-2).conj() + 1e-30
         if self.real:
-            R, c0 = R.real.astype(complex), c0.real.astype(complex)
-        R = R / np.maximum(np.sum(wq[:, None] * np.abs(R) ** q, axis=-2, keepdims=True) ** (1.0 / q), 1e-30)
-        C = np.concatenate([dd._holder_align(c0[:, :, None]), R], axis=2)
+            RT, c0 = RT.real.astype(complex), c0.real.astype(complex)
+        RT = RT / np.maximum(np.sum(wq * np.abs(RT) ** q, axis=-1, keepdims=True) ** (1.0 / q), 1e-30)
+        C = np.concatenate([dd._holder_align(c0[..., None]), RT.swapaxes(-1, -2)], axis=-1)
         Y = A @ C
         vals = np.linalg.norm(Y, axis=-2)
-        live = vals > 0
+        CT, YT = C.swapaxes(-1, -2).copy(), Y.swapaxes(-1, -2).copy()  # starts as rows
+        live, Ac = vals > 0, A.conj()
         for _ in range(_ASCENT_ITERS):
-            if not live.any():
+            if not (groups := _live_groups(live)):
                 break
-            for rows, cols, Yl in _live_groups(live, Y):
-                vl = np.take_along_axis(vals[rows], cols, axis=1)
-                Cn = dd._holder_align(np.conj(A[rows].conj().transpose(0, 2, 1) @ (Yl / vl[:, None, :])))
-                Yn = A[rows] @ Cn
+            for sel, idx in groups:
+                vl = vals[idx]
+                Cn = dd._holder_align(np.conj(Ac[sel].swapaxes(-1, -2) @ (YT[idx].swapaxes(-1, -2) / vl[..., None, :])))
+                Yn = A[sel] @ Cn
                 vn = np.linalg.norm(Yn, axis=-2)
-                live[rows[:, None], cols] = up = vn > vl + 1e-15
-                r, c = np.nonzero(up)
-                C[rows[r], :, cols[r, c]], Y[rows[r], :, cols[r, c]] = Cn[r, :, c], Yn[r, :, c]
-                vals[rows[r], cols[r, c]] = vn[r, c]
+                # a column that gains no more than 1e-15 keeps its C and value, and stops
+                live[idx] = up = vn > vl + 1e-15
+                CT[idx] = np.where(up[..., None], Cn.swapaxes(-1, -2), CT[idx])
+                YT[idx], vals[idx] = Yn.swapaxes(-1, -2), np.where(up, vn, vl)
         k = _best_column(vals)
-        lower = vals[n, k]
+        lower = np.take_along_axis(vals, k[..., None], -1)[..., 0]
         if q <= 2.0:
             embed = float(np.max(wq ** (-1.0 / q)))
         else:
             embed = float(np.sum(wq ** (-2.0 / (q - 2.0))) ** ((q - 2.0) / (2.0 * q)))
         col_bound = np.sum(wq ** (-1.0 / q) * np.linalg.norm(A, axis=-2), axis=-1)
-        upper = np.minimum(np.linalg.svd(A, compute_uv=False)[:, 0] * embed, col_bound)
-        return lower, np.maximum(upper, lower), C[n, :, k], False
+        upper = np.minimum(np.linalg.svd(A, compute_uv=False)[..., 0] * embed, col_bound)
+        return lower, np.maximum(upper, lower), np.take_along_axis(CT, k[..., None, None], -2)[..., 0, :], False
 
     def primal_ball_maximize(self, A, rng) -> DualMax:
         """sup of ||A x||_2 over the primal unit ball of this base."""
@@ -425,7 +419,7 @@ class BaseNorm:
         raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _best_column(vals: np.ndarray) -> np.ndarray:
+def _best_column(vals: np.ndarray):
     """Index of the last ascent column within TIE_RTOL of the best, per row of vals.
 
     Columns that reach one optimum along different paths tie up to rounding
@@ -437,19 +431,23 @@ def _best_column(vals: np.ndarray) -> np.ndarray:
     _dual_ball_max_l1 returns before any ascent).
     """
     tied = vals >= vals.max(axis=-1, keepdims=True) * (1.0 - TIE_RTOL)
-    return vals.shape[-1] - 1 - np.argmax(tied[:, ::-1], axis=-1)
+    return vals.shape[-1] - 1 - np.argmax(tied[..., ::-1], axis=-1)
 
 
-def _live_groups(live: np.ndarray, X: np.ndarray):
-    """(rows, cols, Xl) per count c of live columns in a row of the N x starts
-    mask live: those rows, their live columns and X's columns there, each
-    slice column-major as the one-matrix X[:, cols].  numpy picks a product's
-    kernel by column count and layout, so each matrix rounds as alone."""
-    counts = live.sum(axis=1)
+def _live_groups(live: np.ndarray) -> list:
+    """(sel, idx) per group of matrices with equally many live ascent columns
+    in live (starts, or N x starts): sel picks the matrices, idx their live
+    columns from a starts-first array, plain for a lone matrix.  numpy picks
+    a product's kernel by column count and layout, so each rounds as alone."""
+    if live.ndim == 1:
+        cols = np.flatnonzero(live)
+        return [(Ellipsis, (cols,))] if cols.size else []
+    counts, out = live.sum(axis=1), []
     for c in sorted(set(counts.tolist()) - {0}):
         rows = np.flatnonzero(counts == c)
         cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
-        yield rows, cols, X[rows[:, None], :, cols].transpose(0, 2, 1)
+        out.append((rows[0], (rows[0], cols[0])) if rows.size == 1 else (rows, (rows[:, None], cols)))
+    return out
 
 
 def _phases(z: np.ndarray) -> np.ndarray:
@@ -458,8 +456,8 @@ def _phases(z: np.ndarray) -> np.ndarray:
 
 
 def _top_direction(A: np.ndarray):
-    """Largest singular value of each matrix of a stack A, and a right vector c with ||A c|| = sigma_max."""
+    """Largest singular value of A, a matrix or a stack, and a right vector c with ||A c|| = sigma_max."""
     if A.size == 0:
-        return np.zeros(A.shape[0]), np.zeros(A.shape[::2], dtype=complex)
+        return np.zeros(A.shape[:-2]), np.zeros(A.shape[:-2] + A.shape[-1:], dtype=complex)
     _, s, vh = np.linalg.svd(A, full_matrices=False)
-    return s[:, 0], vh[:, 0].conj()
+    return s[..., 0], vh[..., 0, :].conj()
