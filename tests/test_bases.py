@@ -13,7 +13,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from pllab import BaseNorm, Quantization
+from pllab import BaseNorm
 from pllab.sampling import make_rng, random_complex
 
 
@@ -41,13 +41,6 @@ def test_lp_norm_values():
     assert BaseNorm.lp(2000.0, dim=2).norm([3, 1]) == 3.0
     assert BaseNorm.lp(1e15, weights=w).norm(x) == pytest.approx(2.0, rel=1e-14)
 
-
-@pytest.mark.parametrize("p", [1e16, 2.0**60, 1e300])
-def test_lp_exponents_without_a_dual_exponent_are_rejected(p):
-    """From about 2**53 on, p / (p - 1) rounds to 1: no lq ascent could run."""
-    for make in (lambda: BaseNorm.lp(p, dim=3), lambda: Quantization.lp(p, [1.0, 1.0])):
-        with pytest.raises(ValueError, match="below about 2\\*\\*53"):
-            make()
 
 
 def test_polytope_norm_is_vertex_sup():
@@ -115,6 +108,8 @@ def test_dual_ball_maximize_feasible_and_attained():
         BaseNorm.lp(3.0, weights=[1.0, 1.0]),
         BaseNorm.lp(np.inf, weights=[1.0, 0.5]),
         BaseNorm.polytope(verts),
+        BaseNorm.lp(2000.0, weights=[1.0, 0.5]),  # the Hoelder sums of a large p under- and overflow
+        BaseNorm.lp(1e15, weights=[1.0, 2.0]),
     ]
     for base in bases:
         A = random_complex(rng, 3, 2)

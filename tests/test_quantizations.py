@@ -115,15 +115,10 @@ def test_lp_pointwise_combination():
     nv = amp_norm(q, U)
     assert nv.exact
     assert nv.value == pytest.approx(want, rel=1e-12)
-
-
-@pytest.mark.parametrize("p", [1e5, 1e15])
-def test_lp_pointwise_combination_at_a_large_p(p):
-    """The point norms 2**-0.5 of [[0.5, 0.5]] after unit scaling: their p-th
-    powers all underflow, yet the combination is 2**(1/p) / 2."""
-    nv = amp_norm(Quantization.lp(p, weights=[1, 1]), [[0.5, 0.5]])
-    assert nv.exact and nv.value == pytest.approx(0.5 * 2 ** (1 / p), rel=1e-15)
-    assert amp_norm(Quantization.min(BaseNorm.lp(p, dim=3)), [[1, 2, 3]]).lower == pytest.approx(3.0, rel=1e-12)
+    # the point norms 2**-0.5 of [[0.5, 0.5]], unit-scaled, whose p-th powers all underflow
+    for p in (1e5, 1e15):
+        nv = amp_norm(Quantization.lp(p, weights=[1, 1]), [[0.5, 0.5]])
+        assert nv.exact and nv.value == pytest.approx(0.5 * 2 ** (1 / p), rel=1e-15)
 
 
 def test_lp_inf_is_pointwise_max():
@@ -268,6 +263,10 @@ def test_lp_inf_json_spelling():
 def test_error_contract():
     with pytest.raises(ValueError):
         Quantization.lp(0.5, [1.0])
+    for p in (1e16, 2.0**60, 1e300):  # p / (p - 1) rounds to 1: no dual exponent for the lq ascent
+        for make in (lambda: Quantization.lp(p, [1.0]), lambda: BaseNorm.lp(p, dim=3)):
+            with pytest.raises(ValueError, match="below about 2\\*\\*53"):
+                make()
     with pytest.raises(ValueError):
         amp_norm(Quantization.hilbert(2), np.ones((2, 3)))
     with pytest.raises(ValueError):
