@@ -440,11 +440,11 @@ def _live_groups(live: np.ndarray) -> list:
     columns from a starts-first array, plain for a lone matrix.  numpy picks
     a product's kernel by column count and layout, so each rounds as alone."""
     if live.ndim == 1:
-        cols = np.flatnonzero(live)
+        cols = live.nonzero()[0]
         return [(Ellipsis, (cols,))] if cols.size else []
     counts, out = live.sum(axis=1), []
     for c in sorted(set(counts.tolist()) - {0}):
-        rows = np.flatnonzero(counts == c)
+        rows = (counts == c).nonzero()[0]
         cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
         out.append((rows[0], (rows[0], cols[0])) if rows.size == 1 else (rows, (rows[:, None], cols)))
     return out
