@@ -171,21 +171,25 @@ def test_underlying_dual_maximize_feasible_witnesses():
         assert dms.witness.shape == (2, q.dim) and dms.lower.shape == (2,)
         for a, f, lower, upper in [(A, dm.witness, dm.lower, dm.upper), *zip(stack, dms.witness, dms.lower, dms.upper)]:
             assert lower <= upper + 1e-9
-            for _ in range(50):
+            for _ in range(100):
                 x = random_complex(rng, q.dim)
                 nx = amp_norm(q, x[None, :], budget=40).value
                 assert abs(np.dot(f, x)) <= nx * (1 + 1e-8) + 1e-12
             assert np.linalg.norm(a @ f) == pytest.approx(lower, rel=1e-8)
 
 
-@pytest.mark.parametrize("k", range(len(quantization_pool())))
+# the pool and an lq base, whose ascent draws its random starts
+_STACK_KINDS = quantization_pool() + [Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 0.5, 2.0]))]
+
+
+@pytest.mark.parametrize("k", range(len(_STACK_KINDS)))
 def test_stacked_dual_step_is_the_one_matrix_step_per_matrix(k):
     """A stack searched in one step gives each matrix, bit for bit, the
     witness and lower bound of a one-matrix search, the one-matrix searches
-    run in stack order on one generator: on every pool kind the stack draws
-    what they draw (the random starts of a concrete or tensor_p factor), in
-    their order."""
-    q = quantization_pool()[k]
+    run in stack order on one generator: on every pool kind and an lq base
+    the stack draws what they draw (the random starts of a concrete or
+    tensor_p factor, of the lq ascent), in their order."""
+    q = _STACK_KINDS[k]
     A = random_complex(make_rng(48, "stack", k), 3, 2, q.dim)
     stacked = underlying_dual_maximize(q, A, make_rng(0, "stack-search", k))
     rng = make_rng(0, "stack-search", k)
