@@ -23,6 +23,7 @@ injective-type quantized norm and the certificate machinery run on:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -69,14 +70,15 @@ def check_p(p, what: str) -> None:
 
 
 def lp_sum(a: np.ndarray, p: float, w=None, axis: int = -1):
-    """(sum w a^p)^(1/p) of a nonnegative array a along axis, for a finite p.
-    A slice whose sum is not normal (at a large p a power overflows, or all
-    underflow) is summed again over a / max(a), and scaled back by max(a)."""
+    """(sum w a^p)^(1/p) of a nonnegative array a along axis, for a finite p:
+    the plain sum, unless a term may reach 2**1000 or a slice sums to a number
+    that is not normal; such a slice is summed over a / max(a), scaled back."""
+    if math.frexp(a.max())[1] * p + (0 if w is None else max(math.frexp(max(w.tolist()))[1], 0)) < 1000:
+        s = (a**p if w is None else w * a**p).sum(axis=axis)
+        if (s.min() if s.ndim else s) >= 2.0**-1022:
+            return s ** (1.0 / p)
     with np.errstate(over="ignore"):
         s = (a**p if w is None else w * a**p).sum(axis=axis)
-    lo, hi = (s, s) if np.isscalar(s) else (np.minimum.reduce(s, axis=None), np.maximum.reduce(s, axis=None))
-    if 2.0**-1022 <= lo and hi < np.inf:
-        return s ** (1.0 / p)
     t = np.where((s >= 2.0**-1022) & (s < np.inf), 1.0, a.max(axis=axis))
     t = np.expand_dims(np.where(t > 0, t, 1.0), axis)
     return np.squeeze(t, axis) * ((a / t) ** p * (1.0 if w is None else w)).sum(axis=axis) ** (1.0 / p)
@@ -210,8 +212,7 @@ class BaseNorm:
         """
         c = self.check_element(c)
         if not np.any(c):
-            x = np.zeros(self.dim, dtype=complex)
-            return x
+            return np.zeros(self.dim, dtype=complex)
         if self.kind == "euclidean":
             return np.conj(c) / np.linalg.norm(c)
         if self.kind == "lp":
@@ -258,9 +259,7 @@ class BaseNorm:
         A = self.check_element(A)
         self.check_rows(A.shape[-2])
         lower, upper, c, exact = self._dual_max(A, rng, starts)
-        if A.ndim == 2:
-            return DualMax(float(lower), float(upper), c, exact)
-        return DualMax(lower, upper, c, exact)
+        return DualMax(*((float(lower), float(upper)) if A.ndim == 2 else (lower, upper)), c, exact)
 
     def _dual_max(self, A, rng, starts) -> tuple:
         """(lower, upper, witnesses, exact) of dual_ball_maximize; every rule takes a matrix or a stack."""
@@ -274,8 +273,10 @@ class BaseNorm:
         w = self.weights
         if np.isinf(self.p):
             vals = w * np.linalg.norm(A, axis=-2)
-            v, k = vals.max(axis=-1), vals.argmax(axis=-1)
-            return v, v, np.where(np.arange(self.dim) == k[..., None], w, 0.0).astype(complex), True
+            k = vals.argmax(axis=-1)
+            c, ix = np.zeros(vals.shape, dtype=complex), (*np.indices(k.shape, sparse=True), k)
+            c[ix] = w[k]
+            return vals[ix], vals[ix], c, True
         if self.p == 2.0:
             # dual ball {sum |c_j|^2 / w_j <= 1} is the image of the unit
             # sphere under c = sqrt(w) z
@@ -292,16 +293,14 @@ class BaseNorm:
         w = self.weights
         B = A * w
         stack, (d, m) = B.shape[:-2], B.shape[-2:]
-        each = B.reshape(-1, d, m)  # one matrix at a time, where a stacked product would round otherwise
-        if m == 1:
-            v = np.reshape([l2_norm(b) for b in each], stack)
-            return v, v, np.full(stack + (1,), w, dtype=complex), True
-        if d == 1 or (m == 2 and not self.real):
-            # closed forms: one row aligns every phase (value sum_j |B_0j|), two
-            # coordinates the Gram phase (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
-            Z = _phases(B[..., 0, :].conj()) if d == 1 else np.stack(
-                [np.ones(stack), _phases(np.reshape([b[:, 1].conj() @ b[:, 0] for b in each], stack))], axis=-1)
-            v = np.reshape([l2_norm(b @ z) for b, z in zip(each, Z.reshape(-1, m))], stack)
+        if m == 1 or d == 1 or (m == 2 and not self.real):
+            # closed forms: one coordinate takes phase 1, one row aligns every
+            # phase (value sum_j |B_0j|), two coordinates the Gram phase
+            # (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
+            Z = _phases(B[..., 0, :].conj()) if d == 1 and m > 1 else np.ones(stack + (m,), dtype=B.dtype)
+            if m == 2 and d > 1:
+                Z[..., 1] = _phases(_each(lambda b: b[:, 1].conj() @ b[:, 0], B))
+            v = _each(lambda b, z: l2_norm(b @ z), B, Z)
             return v, v, np.asarray(Z * w, dtype=complex), True
         if self.real:
             grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)
@@ -312,26 +311,23 @@ class BaseNorm:
         Q = B.conj().swapaxes(-1, -2) @ B
         # starts as rows of Z^T: ones, the phases of the Gram column of the
         # heaviest coordinate, then random phases
-        j = np.ravel(np.argmax(np.linalg.norm(B, axis=-2), axis=-1))
+        j = np.argmax(np.linalg.norm(B, axis=-2), axis=-1)
         g = rng.standard_normal(stack + (max(starts - 2, 0), 2, m))
-        gram = np.reshape([_phases(b.conj().T @ b[:, jn]) for b, jn in zip(each, j)], stack + (1, m))
+        gram = _each(lambda b, jn: _phases(b.conj().T @ b[:, jn]), B, j)[..., None, :]
         ZT = np.concatenate([np.ones(stack + (1, m)), gram, _phases(g[..., 0, :] + 1j * g[..., 1, :])], axis=-2)
         ZT = ZT[..., :starts, :]
         live = np.ones(ZT.shape[:-1], dtype=bool)
-        for _ in range(_ASCENT_ITERS):
-            if not (groups := _live_groups(live)):
-                break
-            for sel, idx in groups:
-                Zl = ZT[idx].swapaxes(-1, -2)
-                Zn = _phases(Q[sel] @ Zl)
-                ZT[idx] = Zn.swapaxes(-1, -2)
-                # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
-                live[idx] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=-2)
+        for sel, idx in _live_groups(live):
+            Zl = ZT[idx].swapaxes(-1, -2)
+            Zn = _phases(Q[sel] @ Zl)
+            ZT[idx] = Zn.swapaxes(-1, -2)
+            # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
+            live[idx] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=-2)
         vals = np.linalg.norm(B @ np.ascontiguousarray(ZT.swapaxes(-1, -2)), axis=-2)
         k = _best_column(vals)
-        lower, sigma = np.take_along_axis(vals, k[..., None], -1)[..., 0], np.linalg.svd(B, compute_uv=False)[..., 0]
+        lower, sigma = vals[k], np.linalg.svd(B, compute_uv=False)[..., 0]
         upper = np.minimum(np.sum(np.linalg.norm(B, axis=-2), axis=-1), sigma * np.sqrt(m))
-        return lower, np.maximum(upper, lower), np.take_along_axis(ZT, k[..., None, None], -2)[..., 0, :] * w, False
+        return lower, np.maximum(upper, lower), ZT[k] * w, False
 
     def _dual_ball_max_lq(self, A, rng, starts) -> tuple:
         dd = self.dual_descriptor()  # an lq(w') descriptor
@@ -349,27 +345,24 @@ class BaseNorm:
         vals = np.linalg.norm(Y, axis=-2)
         CT, YT = C.swapaxes(-1, -2).copy(), Y.swapaxes(-1, -2).copy()  # starts as rows
         live, Ac = vals > 0, A.conj()
-        for _ in range(_ASCENT_ITERS):
-            if not (groups := _live_groups(live)):
-                break
-            for sel, idx in groups:
-                vl = vals[idx]
-                Cn = dd._holder_align(np.conj(Ac[sel].swapaxes(-1, -2) @ (YT[idx].swapaxes(-1, -2) / vl[..., None, :])))
-                Yn = A[sel] @ Cn
-                vn = np.linalg.norm(Yn, axis=-2)
-                # a column that gains no more than 1e-15 keeps its C and value, and stops
-                live[idx] = up = vn > vl + 1e-15
-                CT[idx] = np.where(up[..., None], Cn.swapaxes(-1, -2), CT[idx])
-                YT[idx], vals[idx] = Yn.swapaxes(-1, -2), np.where(up, vn, vl)
+        for sel, idx in _live_groups(live):
+            vl = vals[idx]
+            Cn = dd._holder_align(np.conj(Ac[sel].swapaxes(-1, -2) @ (YT[idx].swapaxes(-1, -2) / vl[..., None, :])))
+            Yn = A[sel] @ Cn
+            vn = np.linalg.norm(Yn, axis=-2)
+            # a column that gains no more than 1e-15 keeps its C and value, and stops
+            live[idx] = up = vn > vl + 1e-15
+            CT[idx] = np.where(up[..., None], Cn.swapaxes(-1, -2), CT[idx])
+            YT[idx], vals[idx] = Yn.swapaxes(-1, -2), np.where(up, vn, vl)
         k = _best_column(vals)
-        lower = np.take_along_axis(vals, k[..., None], -1)[..., 0]
+        lower = vals[k]
         if q <= 2.0:
             embed = float(np.max(wq ** (-1.0 / q)))
         else:
             embed = float(np.sum(wq ** (-2.0 / (q - 2.0))) ** ((q - 2.0) / (2.0 * q)))
         col_bound = np.sum(wq ** (-1.0 / q) * np.linalg.norm(A, axis=-2), axis=-1)
         upper = np.minimum(np.linalg.svd(A, compute_uv=False)[..., 0] * embed, col_bound)
-        return lower, np.maximum(upper, lower), np.take_along_axis(CT, k[..., None, None], -2)[..., 0, :], False
+        return lower, np.maximum(upper, lower), CT[k], False
 
     def primal_ball_maximize(self, A, rng) -> DualMax:
         """sup of ||A x||_2 over the primal unit ball of this base."""
@@ -419,8 +412,8 @@ class BaseNorm:
         raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _best_column(vals: np.ndarray):
-    """Index of the last ascent column within TIE_RTOL of the best, per row of vals.
+def _best_column(vals: np.ndarray) -> tuple:
+    """Index tuple of the last ascent column within TIE_RTOL of the best, per row of vals.
 
     Columns that reach one optimum along different paths tie up to rounding
     but stop at witnesses that differ well above it, so a plain argmax lets
@@ -431,23 +424,34 @@ def _best_column(vals: np.ndarray):
     _dual_ball_max_l1 returns before any ascent).
     """
     tied = vals >= vals.max(axis=-1, keepdims=True) * (1.0 - TIE_RTOL)
-    return vals.shape[-1] - 1 - np.argmax(tied[..., ::-1], axis=-1)
+    k = vals.shape[-1] - 1 - np.argmax(tied[..., ::-1], axis=-1)
+    return (*np.indices(k.shape, sparse=True), k)
 
 
-def _live_groups(live: np.ndarray) -> list:
+def _each(f, B: np.ndarray, *rest):
+    """f(B, *rest) of one matrix B, or the array of f over the matrices of a
+    stack B and the rows of rest: for a product that would round otherwise."""
+    return f(B, *rest) if B.ndim == 2 else np.array([f(*x) for x in zip(B, *rest)])
+
+
+def _live_groups(live: np.ndarray):
     """(sel, idx) per group of matrices with equally many live ascent columns
-    in live (starts, or N x starts): sel picks the matrices, idx their live
+    in live (starts, or N x starts), on each of at most _ASCENT_ITERS ascent
+    iterations while one is live: sel picks the matrices, idx their live
     columns from a starts-first array, plain for a lone matrix.  numpy picks
     a product's kernel by column count and layout, so each rounds as alone."""
-    if live.ndim == 1:
-        cols = live.nonzero()[0]
-        return [(Ellipsis, (cols,))] if cols.size else []
-    counts, out = live.sum(axis=1), []
-    for c in sorted(set(counts.tolist()) - {0}):
-        rows = (counts == c).nonzero()[0]
-        cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
-        out.append((rows[0], (rows[0], cols[0])) if rows.size == 1 else (rows, (rows[:, None], cols)))
-    return out
+    for _ in range(_ASCENT_ITERS):
+        if live.ndim == 1:
+            groups = [(Ellipsis, (cols,))] if (cols := live.nonzero()[0]).size else []
+        else:
+            counts, groups = live.sum(axis=1), []
+            for c in sorted(set(counts.tolist()) - {0}):
+                rows = (counts == c).nonzero()[0]
+                cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
+                groups.append((rows[0], (rows[0], cols[0])) if rows.size == 1 else (rows, (rows[:, None], cols)))
+        if not groups:
+            return
+        yield from groups
 
 
 def _phases(z: np.ndarray) -> np.ndarray:

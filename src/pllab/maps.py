@@ -19,7 +19,6 @@ through their ``certificates=`` argument.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -186,9 +185,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
                                  S.reshape(*S.shape[:2], q.base.dim, q.inner.dim), starts, rng)
         f = (phi[:, :, None] * psi[:, None, :]).reshape(len(S), -1)
     lower = np.array([float(np.linalg.norm(a @ x)) for a, x in zip(S, f)])
-    if A.ndim == 3:
-        return DualMax(lower, np.full(len(S), np.inf), f, False)
-    return DualMax(float(lower[0]), np.inf, f[0], False)
+    return DualMax(lower, np.full(len(S), np.inf), f, False) if A.ndim == 3 else DualMax(float(lower[0]), np.inf, f[0], False)
 
 
 def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng) -> tuple:
@@ -213,7 +210,7 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
         Fs = step(E, np.einsum("nijk,nsk->nsij", S, G).reshape(-1, d, mE), 2).reshape(N, starts, mE)
         G = step(F, np.einsum("nijk,nsj->nsik", S, Fs).reshape(-1, d, mF), 2).reshape(N, starts, mF)
     best, pick = np.empty(N), np.zeros(N, dtype=int)
-    for n, s in itertools.product(range(N), range(starts)):
+    for n, s in np.ndindex(N, starts):
         val = float(np.linalg.norm(np.einsum("ijk,j,k->i", S[n], Fs[n, s], G[n, s])))
         if s == 0 or _beats(val, best[n]):
             best[n], pick[n] = val, s
