@@ -212,7 +212,8 @@ class BaseNorm:
         """
         c = self.check_element(c)
         if not np.any(c):
-            return np.zeros(self.dim, dtype=complex)
+            x = np.zeros(self.dim, dtype=complex)
+            return x
         if self.kind == "euclidean":
             return np.conj(c) / np.linalg.norm(c)
         if self.kind == "lp":
@@ -259,7 +260,9 @@ class BaseNorm:
         A = self.check_element(A)
         self.check_rows(A.shape[-2])
         lower, upper, c, exact = self._dual_max(A, rng, starts)
-        return DualMax(*((float(lower), float(upper)) if A.ndim == 2 else (lower, upper)), c, exact)
+        if A.ndim == 2:
+            return DualMax(float(lower), float(upper), c, exact)
+        return DualMax(lower, upper, c, exact)
 
     def _dual_max(self, A, rng, starts) -> tuple:
         """(lower, upper, witnesses, exact) of dual_ball_maximize; every rule takes a matrix or a stack."""
@@ -274,7 +277,8 @@ class BaseNorm:
         if np.isinf(self.p):
             vals = w * np.linalg.norm(A, axis=-2)
             k = vals.argmax(axis=-1)
-            c, ix = np.zeros(vals.shape, dtype=complex), (*np.indices(k.shape, sparse=True), k)
+            ix = (*np.indices(k.shape, sparse=True), k)
+            c = np.zeros(vals.shape, dtype=complex)
             c[ix] = w[k]
             return vals[ix], vals[ix], c, True
         if self.p == 2.0:

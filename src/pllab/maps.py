@@ -185,7 +185,9 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
                                  S.reshape(*S.shape[:2], q.base.dim, q.inner.dim), starts, rng)
         f = (phi[:, :, None] * psi[:, None, :]).reshape(len(S), -1)
     lower = np.array([float(np.linalg.norm(a @ x)) for a, x in zip(S, f)])
-    return DualMax(lower, np.full(len(S), np.inf), f, False) if A.ndim == 3 else DualMax(float(lower[0]), np.inf, f[0], False)
+    if A.ndim == 3:
+        return DualMax(lower, np.full(len(S), np.inf), f, False)
+    return DualMax(float(lower[0]), np.inf, f[0], False)
 
 
 def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng) -> tuple:
