@@ -178,8 +178,13 @@ def test_underlying_dual_maximize_feasible_witnesses():
             assert np.linalg.norm(a @ f) == pytest.approx(lower, rel=1e-8)
 
 
-# the pool and an lq base, whose ascent draws its random starts
-_STACK_KINDS = quantization_pool() + [Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 0.5, 2.0]))]
+# the pool, an lq base, whose ascent draws its random starts, a real l1 base,
+# which enumerates signs from two rows, and an l1 base of one coordinate
+_STACK_KINDS = quantization_pool() + [
+    Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 0.5, 2.0])),
+    Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 2.0, 0.5], real=True)),
+    Quantization.min(BaseNorm.lp(1.0, weights=[2.0])),
+]
 
 
 @pytest.mark.parametrize("k", range(len(_STACK_KINDS)))
@@ -188,15 +193,17 @@ def test_stacked_dual_step_is_the_one_matrix_step_per_matrix(k):
     witness and lower bound of a one-matrix search, the one-matrix searches
     run in stack order on one generator: on every pool kind and an lq base
     the stack draws what they draw (the random starts of a concrete or
-    tensor_p factor, of the lq ascent), in their order."""
+    tensor_p factor, of the lq ascent), in their order; at one row (the l1
+    closed forms) and at two."""
     q = _STACK_KINDS[k]
-    A = random_complex(make_rng(48, "stack", k), 3, 2, q.dim)
-    stacked = underlying_dual_maximize(q, A, make_rng(0, "stack-search", k))
-    rng = make_rng(0, "stack-search", k)
-    for n in range(3):
-        one = underlying_dual_maximize(q, A[n], rng)
-        assert one.witness.tobytes() == stacked.witness[n].tobytes()
-        assert one.lower == stacked.lower[n]
+    A2 = random_complex(make_rng(48, "stack", k), 3, 2, q.dim, real=q.real)
+    for A in (A2, A2[:, :1]):
+        stacked = underlying_dual_maximize(q, A, make_rng(0, "stack-search", k))
+        rng = make_rng(0, "stack-search", k)
+        for n in range(3):
+            one = underlying_dual_maximize(q, A[n], rng)
+            assert one.witness.tobytes() == stacked.witness[n].tobytes()
+            assert one.lower == stacked.lower[n]
 
 
 _PAULI = [np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]])]

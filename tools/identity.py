@@ -40,6 +40,10 @@ The records:
   coordinates, the l1 phase ascent elsewhere, and the lq ascent; and on
   real weighted-l1 bases at one row, 10 elements for each m = 1..4 and one
   at m = 17 (a raised error is recorded as its message);
+* ``dual-stack/<base>/<rows>``: ``dual_ball_maximize`` lower, upper, exact
+  and witnesses on 3-matrix stacks, four stacks each, on the complex l1 and
+  l3 bases above and the real l1 bases at m = 1..4, at 1..3 rows: every l1
+  and lq rule as it runs a stack;
 * ``admission/<base>/<scale>``: the accept verdict, or the reject message,
   of ``BaseNorm.norm``, ``dual_ball_maximize`` and ``amp_norm`` of ``min``
   on each real base kind of ``REAL_BASES``, for a complex element and a
@@ -205,6 +209,18 @@ def record(root: Path) -> dict:
             except ValueError as exc:
                 rec = str(exc)
             out[f"dual/lp1-real/{m}/1/{i}"] = _digest(rec)
+    stack_bases = {f"lp{p:g}-{m}": BaseNorm.lp(p, weights=wl._rng(0, "dual-weights", p, m).uniform(0.5, 2.0, m))
+                   for p in (1.0, 3.0) for m in (2, 3, 4)}
+    stack_bases.update({f"lp1-real-{m}": BaseNorm.lp(
+        1.0, weights=wl._rng(0, "dual-weights-real", m).uniform(0.5, 2.0, m), real=True) for m in (1, 2, 3, 4)})
+    for name, base in stack_bases.items():
+        for rows in (1, 2, 3):
+            rec, rng = [], wl._rng(0, "dual-stack-search", name, rows)
+            for i in range(4):
+                A = wl._complex(wl._rng(0, "dual-stack", name, rows, i), 3, rows, base.dim)
+                dm = base.dual_ball_maximize(A.real if base.real else A, rng=rng)
+                rec.append((dm.lower, dm.upper, dm.exact, dm.witness))
+            out[f"dual-stack/{name}/{rows}"] = _digest(rec)
 
     def verdict(call):
         try:
