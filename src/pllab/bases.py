@@ -16,7 +16,8 @@ injective-type quantized norm and the certificate machinery run on:
   coordinates (closed form) and real-mode l1 bases (sign enumeration over
   at most 16 coordinates; ``check_rows`` raises beyond); multi-start ascent
   for the rest, all starts iterated at once as the columns of one m x starts
-  matrix.  A stack of matrices runs as one step, each rounding as alone.
+  matrix.  A stack of matrices runs the l1 and lq rules matrix by matrix, in
+  stack order, and the others in one step, each matrix rounding as alone.
 * ``primal_align(c)``: a norming vector for a coefficient vector in the
   primal unit ball (Hoelder alignment).
 """
@@ -63,10 +64,17 @@ def admit_real(x: np.ndarray, what: str = "element") -> np.ndarray:
     return x.real.astype(complex)
 
 
-def check_p(p, what: str) -> None:
-    """Raise ValueError unless p is inf or 1 <= p with p / (p - 1) above 1 in floating point."""
+def check_p(p, what: str, w: np.ndarray) -> None:
+    """Raise ValueError unless p is inf or 1 <= p with p / (p - 1) above 1 in
+    floating point, and, at 1 < p < inf, the dual weights w ** (-q / p) of the
+    positive finite weights w, q = p / (p - 1), are positive and finite."""
     if p is None or not 1.0 <= p or (1.0 < p < np.inf and p / (p - 1.0) == 1.0):
         raise ValueError(f"{what} needs p = inf or 1 <= p below about 2**53, where p / (p - 1) > 1; got {p!r}")
+    if 1.0 < p < np.inf:
+        with np.errstate(all="ignore"):
+            wq = w ** (-(p / (p - 1.0)) / p)
+        if not np.all((wq > 0) & (wq < np.inf)):
+            raise ValueError(f"{what} at p = {p!r} needs dual weights w ** (-q / p) that are positive and finite")
 
 
 def lp_sum(a: np.ndarray, p: float, w=None, axis: int = -1):
@@ -104,10 +112,10 @@ class BaseNorm:
         if self.dim < 1:
             raise ValueError("base dimension must be positive")
         if self.kind == "lp":
-            check_p(self.p, "lp base")
             w = np.ones(self.dim) if self.weights is None else np.asarray(self.weights, dtype=float)
             if w.shape != (self.dim,) or not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("lp base needs positive finite weights, one per coordinate")
+            check_p(self.p, "lp base", w)
             object.__setattr__(self, "weights", w)
         elif self.kind == "euclidean":
             pass
@@ -233,11 +241,11 @@ class BaseNorm:
         return x / self.norm(x)
 
     def _holder_align(self, C: np.ndarray) -> np.ndarray:
-        """primal_align of each column of C (or of a stack), for an lp base with 1 < p < inf."""
+        """primal_align of each column of C, for an lp base with 1 < p < inf."""
         s = self.weights[:, None] ** (-1.0 / self.p)
         h = np.abs(C) * s
         q = self.p / (self.p - 1.0)
-        hn = lp_sum(h, q, axis=-2)[..., None, :]
+        hn = lp_sum(h, q, axis=0)[None, :]
         t = (h / np.where(hn > 0, hn, 1.0)) ** (q - 1.0)
         return _phases(np.conj(C)) * t * s
 
@@ -246,16 +254,17 @@ class BaseNorm:
     def dual_ball_maximize(self, A, rng, starts: int = 8) -> DualMax:
         """sup of ||A c||_2 over the dual unit ball of this base.
 
-        A is a d x m matrix, or an N x d x m stack searched in one step, each
-        matrix as alone, into a DualMax of (N,) and (N, m) arrays.  A weighted
-        l1 base at one row of A, or a complex one at two coordinates, takes a
-        closed form, exact and drawing nothing from rng.  The multi-start
-        ascents (weighted l1 polydisc, lq ball) run the starts of each matrix
-        as columns of one m x starts matrix, drawn in stack order; a column
-        stops as a lone start would (phases settled, or no gain above 1e-15),
-        and the last column within 1e-14 relative of the best is returned
-        (_best_column).  Each matrix is admitted by check_element and
-        check_rows: a real base takes a real A only, valued as its real part.
+        A is a d x m matrix, or an N x d x m stack, each matrix searched as
+        alone, into a DualMax of (N,) and (N, m) arrays: the l1 and lq rules
+        run a stack matrix by matrix, in stack order, the others in one step.
+        A weighted l1 base at one row of A, or a complex one at two
+        coordinates, takes a closed form, exact and drawing nothing from rng.
+        The multi-start ascents (weighted l1 polydisc, lq ball) run all starts
+        as columns of one m x starts matrix; a column stops as a lone start
+        would (phases settled, or no gain above 1e-15), and the last column
+        within 1e-14 relative of the best is returned (_best_column).  Each
+        matrix is admitted by check_element and check_rows: a real base takes
+        a real A only, valued as its real part.
         """
         A = self.check_element(A)
         self.check_rows(A.shape[-2])
@@ -265,7 +274,7 @@ class BaseNorm:
         return DualMax(lower, upper, c, exact)
 
     def _dual_max(self, A, rng, starts) -> tuple:
-        """(lower, upper, witnesses, exact) of dual_ball_maximize; every rule takes a matrix or a stack."""
+        """(lower, upper, witnesses, exact) of dual_ball_maximize."""
         if self.kind == "euclidean":
             val, c = _top_direction(A)
             return val, val, c, True
@@ -286,9 +295,11 @@ class BaseNorm:
             # sphere under c = sqrt(w) z
             val, z = _top_direction(A * w**0.5)
             return val, val, z * w**0.5, True
-        if self.p == 1.0:
-            return self._dual_ball_max_l1(A, rng, starts)
-        return self._dual_ball_max_lq(A, rng, starts)
+        rule = self._dual_ball_max_l1 if self.p == 1.0 else self._dual_ball_max_lq
+        if A.ndim == 2:
+            return rule(A, rng, starts)
+        lower, upper, c, exact = zip(*(rule(a, rng, starts) for a in A))
+        return np.array(lower), np.array(upper), np.array(c), exact[0]
 
     def _dual_ball_max_l1(self, A, rng, starts) -> tuple:
         # dual ball is the weighted polydisc {|c_j| <= w_j}
@@ -296,77 +307,73 @@ class BaseNorm:
             A = A.real  # real phases are exact signs
         w = self.weights
         B = A * w
-        stack, (d, m) = B.shape[:-2], B.shape[-2:]
+        d, m = B.shape
         if m == 1 or d == 1 or (m == 2 and not self.real):
             # closed forms: one coordinate takes phase 1, one row aligns every
             # phase (value sum_j |B_0j|), two coordinates the Gram phase
             # (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
-            Z = _phases(B[..., 0, :].conj()) if d == 1 and m > 1 else np.ones(stack + (m,), dtype=B.dtype)
+            z = _phases(B[0].conj()) if d == 1 and m > 1 else np.ones(m, dtype=B.dtype)
             if m == 2 and d > 1:
-                Z[..., 1] = _phases(_each(lambda b: b[:, 1].conj() @ b[:, 0], B))
-            v = _each(lambda b, z: l2_norm(b @ z), B, Z)
-            return v, v, np.asarray(Z * w, dtype=complex), True
+                z[1] = _phases(B[:, 1].conj() @ B[:, 0])
+            v = l2_norm(B @ z)
+            return v, v, np.asarray(z * w, dtype=complex), True
         if self.real:
             grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)
             signs = np.vstack([np.ones((1, grid.shape[1])), grid])
-            vals = np.linalg.norm(B @ signs, axis=-2)
-            v = vals.max(axis=-1)
-            return v, v, (signs[:, vals.argmax(axis=-1)].T * w).astype(complex), True
-        Q = B.conj().swapaxes(-1, -2) @ B
-        # starts as rows of Z^T: ones, the phases of the Gram column of the
+            vals = np.linalg.norm(B @ signs, axis=0)
+            k = int(np.argmax(vals))
+            return vals[k], vals[k], (signs[:, k] * w).astype(complex), True
+        Q = B.conj().T @ B
+        # starts as columns: ones, the phases of the Gram column of the
         # heaviest coordinate, then random phases
-        j = np.argmax(np.linalg.norm(B, axis=-2), axis=-1)
-        g = rng.standard_normal(stack + (max(starts - 2, 0), 2, m))
-        gram = _each(lambda b, jn: _phases(b.conj().T @ b[:, jn]), B, j)[..., None, :]
-        ZT = np.concatenate([np.ones(stack + (1, m)), gram, _phases(g[..., 0, :] + 1j * g[..., 1, :])], axis=-2)
-        ZT = ZT[..., :starts, :]
-        live = np.ones(ZT.shape[:-1], dtype=bool)
-        for sel, idx in _live_groups(live):
-            Zl = ZT[idx].swapaxes(-1, -2)
-            Zn = _phases(Q[sel] @ Zl)
-            ZT[idx] = Zn.swapaxes(-1, -2)
+        j = int(np.argmax(np.linalg.norm(B, axis=0)))
+        g = rng.standard_normal((max(starts - 2, 0), 2, m))
+        Z = np.column_stack([np.ones(m), _phases(B.conj().T @ B[:, j]), _phases(g[:, 0] + 1j * g[:, 1]).T])[:, :starts]
+        live = np.arange(Z.shape[1])
+        for _ in range(_ASCENT_ITERS):
+            Zl = Z[:, live]
+            Zn = _phases(Q @ Zl)
+            Z[:, live] = Zn
             # a column stops once np.allclose(z_new, z, atol=1e-14) holds for it
-            live[idx] = np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=-2)
-        vals = np.linalg.norm(B @ np.ascontiguousarray(ZT.swapaxes(-1, -2)), axis=-2)
+            live = live[np.any(np.abs(Zn - Zl) > 1e-14 + 1e-5 * np.abs(Zl), axis=0)]
+            if not live.size:
+                break
+        vals = np.linalg.norm(B @ Z, axis=0)
         k = _best_column(vals)
-        lower, sigma = vals[k], np.linalg.svd(B, compute_uv=False)[..., 0]
-        upper = np.minimum(np.sum(np.linalg.norm(B, axis=-2), axis=-1), sigma * np.sqrt(m))
-        return lower, np.maximum(upper, lower), ZT[k] * w, False
+        upper = np.minimum(np.sum(np.linalg.norm(B, axis=0)), np.linalg.svd(B, compute_uv=False)[0] * np.sqrt(m))
+        return vals[k], np.maximum(upper, vals[k]), Z[:, k] * w, False
 
     def _dual_ball_max_lq(self, A, rng, starts) -> tuple:
         dd = self.dual_descriptor()  # an lq(w') descriptor
         q, wq = dd.p, dd.weights
         # starts as columns: the aligner of the summed rows, then random
         # directions scaled to the dual sphere
-        g = rng.standard_normal(A.shape[:-2] + (starts - 1, 2, self.dim))
-        RT = g[..., 0, :] + 1j * g[..., 1, :]
-        c0 = np.sum(A, axis=-2).conj() + 1e-30
+        g = rng.standard_normal((starts - 1, 2, self.dim))
+        R = g[:, 0] + 1j * g[:, 1]
+        c0 = np.sum(A, axis=0).conj() + 1e-30
         if self.real:
-            RT, c0 = RT.real.astype(complex), c0.real.astype(complex)
-        RT = RT / np.maximum(np.sum(wq * np.abs(RT) ** q, axis=-1, keepdims=True) ** (1.0 / q), 1e-30)
-        C = np.concatenate([dd._holder_align(c0[..., None]), RT.swapaxes(-1, -2)], axis=-1)
+            R, c0 = R.real.astype(complex), c0.real.astype(complex)
+        R = R / np.maximum(np.sum(wq * np.abs(R) ** q, axis=-1, keepdims=True) ** (1.0 / q), 1e-30)
+        C = np.concatenate([dd._holder_align(c0[:, None]), R.T], axis=-1)
         Y = A @ C
-        vals = np.linalg.norm(Y, axis=-2)
-        CT, YT = C.swapaxes(-1, -2).copy(), Y.swapaxes(-1, -2).copy()  # starts as rows
-        live, Ac = vals > 0, A.conj()
-        for sel, idx in _live_groups(live):
-            vl = vals[idx]
-            Cn = dd._holder_align(np.conj(Ac[sel].swapaxes(-1, -2) @ (YT[idx].swapaxes(-1, -2) / vl[..., None, :])))
-            Yn = A[sel] @ Cn
-            vn = np.linalg.norm(Yn, axis=-2)
+        vals = np.linalg.norm(Y, axis=0)
+        live = np.flatnonzero(vals > 0)
+        for _ in range(_ASCENT_ITERS):
+            if not live.size:
+                break
+            Cn = dd._holder_align(np.conj(A.conj().T @ (Y[:, live] / vals[live])))
+            Yn = A @ Cn
+            vn = np.linalg.norm(Yn, axis=0)
             # a column that gains no more than 1e-15 keeps its C and value, and stops
-            live[idx] = up = vn > vl + 1e-15
-            CT[idx] = np.where(up[..., None], Cn.swapaxes(-1, -2), CT[idx])
-            YT[idx], vals[idx] = Yn.swapaxes(-1, -2), np.where(up, vn, vl)
+            up = vn > vals[live] + 1e-15
+            live = live[up]
+            C[:, live], Y[:, live], vals[live] = Cn[:, up], Yn[:, up], vn[up]
         k = _best_column(vals)
-        lower = vals[k]
-        if q <= 2.0:
-            embed = float(np.max(wq ** (-1.0 / q)))
-        else:
-            embed = float(np.sum(wq ** (-2.0 / (q - 2.0))) ** ((q - 2.0) / (2.0 * q)))
-        col_bound = np.sum(wq ** (-1.0 / q) * np.linalg.norm(A, axis=-2), axis=-1)
-        upper = np.minimum(np.linalg.svd(A, compute_uv=False)[..., 0] * embed, col_bound)
-        return lower, np.maximum(upper, lower), CT[k], False
+        embed = (np.max(wq ** (-1.0 / q)) if q <= 2.0
+                 else np.sum(wq ** (-2.0 / (q - 2.0))) ** ((q - 2.0) / (2.0 * q)))
+        col_bound = np.sum(wq ** (-1.0 / q) * np.linalg.norm(A, axis=0))
+        upper = np.minimum(np.linalg.svd(A, compute_uv=False)[0] * embed, col_bound)
+        return vals[k], np.maximum(upper, vals[k]), C[:, k], False
 
     def primal_ball_maximize(self, A, rng) -> DualMax:
         """sup of ||A x||_2 over the primal unit ball of this base."""
@@ -416,8 +423,8 @@ class BaseNorm:
         raise ValueError(f"unknown base kind {kind!r}")
 
 
-def _best_column(vals: np.ndarray) -> tuple:
-    """Index tuple of the last ascent column within TIE_RTOL of the best, per row of vals.
+def _best_column(vals: np.ndarray) -> int:
+    """Index of the last ascent column within TIE_RTOL of the best value.
 
     Columns that reach one optimum along different paths tie up to rounding
     but stop at witnesses that differ well above it, so a plain argmax lets
@@ -427,35 +434,7 @@ def _best_column(vals: np.ndarray) -> tuple:
     phases (at two coordinates the optimum, which the closed form of
     _dual_ball_max_l1 returns before any ascent).
     """
-    tied = vals >= vals.max(axis=-1, keepdims=True) * (1.0 - TIE_RTOL)
-    k = vals.shape[-1] - 1 - np.argmax(tied[..., ::-1], axis=-1)
-    return (*np.indices(k.shape, sparse=True), k)
-
-
-def _each(f, B: np.ndarray, *rest):
-    """f(B, *rest) of one matrix B, or the array of f over the matrices of a
-    stack B and the rows of rest: for a product that would round otherwise."""
-    return f(B, *rest) if B.ndim == 2 else np.array([f(*x) for x in zip(B, *rest)])
-
-
-def _live_groups(live: np.ndarray):
-    """(sel, idx) per group of matrices with equally many live ascent columns
-    in live (starts, or N x starts), on each of at most _ASCENT_ITERS ascent
-    iterations while one is live: sel picks the matrices, idx their live
-    columns from a starts-first array, plain for a lone matrix.  numpy picks
-    a product's kernel by column count and layout, so each rounds as alone."""
-    for _ in range(_ASCENT_ITERS):
-        if live.ndim == 1:
-            groups = [(Ellipsis, (cols,))] if (cols := live.nonzero()[0]).size else []
-        else:
-            counts, groups = live.sum(axis=1), []
-            for c in sorted(set(counts.tolist()) - {0}):
-                rows = (counts == c).nonzero()[0]
-                cols = np.nonzero(live[rows])[1].reshape(rows.size, c)
-                groups.append((rows[0], (rows[0], cols[0])) if rows.size == 1 else (rows, (rows[:, None], cols)))
-        if not groups:
-            return
-        yield from groups
+    return int(np.flatnonzero(vals >= vals.max() * (1.0 - TIE_RTOL))[-1])
 
 
 def _phases(z: np.ndarray) -> np.ndarray:

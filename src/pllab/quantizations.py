@@ -110,10 +110,10 @@ class Quantization:
             if self.base is None or self.base.kind != "euclidean":
                 raise ValueError("hilbert quantization needs a euclidean base")
         elif self.kind == "lp":
-            check_p(self.p, "lp quantization")
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 1 or w.size < 1 or not np.all((w > 0) & (w < np.inf)):
                 raise ValueError("lp quantization needs positive finite point weights")
+            check_p(self.p, "lp quantization", w)
             object.__setattr__(self, "weights", w)
             if self.inner is None:
                 object.__setattr__(self, "inner", Quantization.scalar())

@@ -233,9 +233,16 @@ def test_dimension_mismatch_is_input_error(capsys):
 
 
 def test_an_lp_exponent_without_a_dual_exponent_is_input_error(capsys):
-    base = {"kind": "lp", "dim": 3, "p": 1e16}
-    doc = norm_doc(quantization={"kind": "min", "params": {"base": base}}, element=[[[1, 0], [2, 0], [3, 0]]])
-    assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
+    """No dual exponent (p from 2**53), or dual weights w ** (-q / p) that
+    overflow or underflow (p just above 1): input errors at the descriptor."""
+    for base in ({"kind": "lp", "dim": 3, "p": 1e16},
+                 {"kind": "lp", "dim": 3, "p": 1 + 1e-9, "weights": [1.0, 0.5, 2.0]},
+                 {"kind": "lp", "dim": 3, "p": 1 + 1e-9, "weights": [1.0, 1.0, 2.0]}):
+        doc = norm_doc(quantization={"kind": "min", "params": {"base": base}}, element=[[[1, 0], [2, 0], [3, 0]]])
+        assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
+    points = {"kind": "lp", "params": {"p": 1 + 1e-9, "weights": [0.5, 1.0]}}
+    for side in ("left", "right"):
+        assert _input_error_pointer(capsys, "pl", pair_doc(**{side: points})) == f"/{side}"
 
 
 def _input_error_pointer(capsys, command, doc):

@@ -267,6 +267,11 @@ def test_error_contract():
         for make in (lambda: Quantization.lp(p, [1.0]), lambda: BaseNorm.lp(p, dim=3)):
             with pytest.raises(ValueError, match="below about 2\\*\\*53"):
                 make()
+    for make in (lambda: Quantization.lp(1 + 1e-9, [0.5, 1.0]), lambda: Quantization.lp(1 + 1e-9, [1.0, 2.0]),
+                 lambda: BaseNorm.lp(1 + 1e-9, weights=[1.0, 0.5, 2.0]), lambda: BaseNorm.lp(1 + 1e-9, weights=[2.0])):
+        with pytest.raises(ValueError, match="dual weights"):  # w ** (-q / p) overflows at 0.5, underflows at 2
+            make()
+    BaseNorm.lp(1 + 1e-9, dim=3)  # unit weights keep unit dual weights
     with pytest.raises(ValueError):
         amp_norm(Quantization.hilbert(2), np.ones((2, 3)))
     with pytest.raises(ValueError):
