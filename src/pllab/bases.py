@@ -66,15 +66,18 @@ def admit_real(x: np.ndarray, what: str = "element") -> np.ndarray:
 
 def check_p(p, what: str, w: np.ndarray) -> None:
     """Raise ValueError unless p is inf or 1 <= p with p / (p - 1) above 1 in
-    floating point, and, at 1 < p < inf, the dual weights w ** (-q / p) of the
-    positive finite weights w, q = p / (p - 1), are positive and finite."""
+    floating point, and, for the positive finite weights w, at 1 < p < inf
+    the dual weights w ** (-q / p), q = p / (p - 1), are positive and finite,
+    and at p = 1 or inf each w and 1 / w is a finite normal float."""
     if p is None or not 1.0 <= p or (1.0 < p < np.inf and p / (p - 1.0) == 1.0):
         raise ValueError(f"{what} needs p = inf or 1 <= p below about 2**53, where p / (p - 1) > 1; got {p!r}")
-    if 1.0 < p < np.inf:
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if 1.0 < p < np.inf:
             wq = w ** (-(p / (p - 1.0)) / p)
-        if not np.all((wq > 0) & (wq < np.inf)):
-            raise ValueError(f"{what} at p = {p!r} needs dual weights w ** (-q / p) that are positive and finite")
+            if not np.all((wq > 0) & (wq < np.inf)):
+                raise ValueError(f"{what} at p = {p!r} needs dual weights w ** (-q / p) that are positive and finite")
+        elif not np.all((w >= 2.0**-1022) & (1.0 / w >= 2.0**-1022)):
+            raise ValueError(f"{what} at p = {p!r} needs weights w and 1 / w that are normal floats")
 
 
 def lp_sum(a: np.ndarray, p: float, w=None, axis: int = -1):
@@ -353,7 +356,8 @@ class BaseNorm:
         c0 = np.sum(A, axis=0).conj() + 1e-30
         if self.real:
             R, c0 = R.real.astype(complex), c0.real.astype(complex)
-        R = R / np.maximum(np.sum(wq * np.abs(R) ** q, axis=-1, keepdims=True) ** (1.0 / q), 1e-30)
+        if R.size:
+            R = R / np.maximum(lp_sum(np.abs(R), q, wq), 1e-30)[:, None]
         C = np.concatenate([dd._holder_align(c0[:, None]), R.T], axis=-1)
         Y = A @ C
         vals = np.linalg.norm(Y, axis=0)

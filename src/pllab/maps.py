@@ -6,7 +6,9 @@ the two H slots with the diamond product).  The lb-norm of a map is the
 supremum of amplified norm ratios over all truncations; ``lb_norm_lower``
 produces certified lower bounds for it, exactly for functionals and for
 Frobenius-to-Frobenius maps; its search runs one ratio and one loop of hill
-climbs for both map kinds, a linear map being the one-source case.
+climbs for both map kinds, a linear map being the one-source case.  A
+functional's climbs value one-row elements only: module contractivity gives
+||U c||_2 <= ||c||_* ||U||_q, so its lb-norm is attained at d = 1.
 
 Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
@@ -285,9 +287,13 @@ def lb_norm_lower(
     Ratios are evaluated as target-lower over source-upper, so the estimate
     never exceeds the true lb-norm even on bracketed kinds.  Closed forms:
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
-    singular value of the coefficient matrix).  Coefficients of Frobenius norm
-    outside [2**-64, 2**64] are first scaled by a power of two to norm in
-    [1/2, 1), the bound scaled back, so no search overflows or underflows.
+    singular value of the coefficient matrix).  The search hill-climbs a
+    functional over one-row elements only, since by module contractivity its
+    lb-norm, the underlying dual norm, is attained at d = 1; a linear map
+    into a larger target climbs over one to three rows, a bilinear map over
+    one and two.  Coefficients of Frobenius norm outside [2**-64, 2**64] are
+    first scaled by a power of two to norm in [1/2, 1), the bound scaled
+    back, so no search overflows or underflows.
     Raises ValueError on a real-restricted source or target: the searches
     sample complex elements.
     """
@@ -340,7 +346,8 @@ def _beats(val: float, best: float) -> bool:
 
 def _climb(ratio, sources, rows: int, starts: int, rng, best: float, best_xs) -> tuple:
     """(best, best_xs) after an _ascend from each start s, which draws a (1 + s % rows) x dim
-    element per source in order; a climb replaces the best only when it _beats it."""
+    element per source in order; a climb replaces the best only when it _beats it.
+    rows = 1 for a functional, whose lb-norm is attained at d = 1 (module contractivity)."""
     for s in range(starts):
         val, xs = _ascend(ratio, [random_complex(rng, 1 + s % rows, q.dim) for q in sources], rng)
         if _beats(val, best):
@@ -374,7 +381,8 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
             if _beats(val, best):
                 best, best_xs = val, [x[None, :]]
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
-    best, best_xs = _climb(ratio, [phi.source], 3, starts, rng, best, best_xs)
+    rows = 1 if phi.is_functional else 3
+    best, best_xs = _climb(ratio, [phi.source], rows, starts, rng, best, best_xs)
     return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_xs[0]})
 
 

@@ -233,16 +233,22 @@ def test_dimension_mismatch_is_input_error(capsys):
 
 
 def test_an_lp_exponent_without_a_dual_exponent_is_input_error(capsys):
-    """No dual exponent (p from 2**53), or dual weights w ** (-q / p) that
-    overflow or underflow (p just above 1): input errors at the descriptor."""
+    """No dual exponent (p from 2**53), dual weights w ** (-q / p) that
+    overflow or underflow (p just above 1), or, at p = 1 and inf, a weight w
+    or 1 / w that is not a normal float: input errors at the descriptor."""
     for base in ({"kind": "lp", "dim": 3, "p": 1e16},
                  {"kind": "lp", "dim": 3, "p": 1 + 1e-9, "weights": [1.0, 0.5, 2.0]},
-                 {"kind": "lp", "dim": 3, "p": 1 + 1e-9, "weights": [1.0, 1.0, 2.0]}):
-        doc = norm_doc(quantization={"kind": "min", "params": {"base": base}}, element=[[[1, 0], [2, 0], [3, 0]]])
-        assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
-    points = {"kind": "lp", "params": {"p": 1 + 1e-9, "weights": [0.5, 1.0]}}
-    for side in ("left", "right"):
-        assert _input_error_pointer(capsys, "pl", pair_doc(**{side: points})) == f"/{side}"
+                 {"kind": "lp", "dim": 3, "p": 1 + 1e-9, "weights": [1.0, 1.0, 2.0]},
+                 {"kind": "lp", "dim": 3, "p": 1, "weights": [1e-310, 1.0, 1.0]},
+                 {"kind": "lp", "dim": 3, "p": "inf", "weights": [1e-309, 1.0, 1.0]},
+                 {"kind": "lp", "dim": 3, "p": 1, "weights": [1e308, 1.0, 1.0]}):
+        for kind in ("min", "max"):
+            doc = norm_doc(quantization={"kind": kind, "params": {"base": base}}, element=[[[1, 0], [2, 0], [3, 0]]])
+            assert _input_error_pointer(capsys, "norm", doc) == "/quantization"
+    for p, w in ((1 + 1e-9, 0.5), (1, 1e-310), ("inf", 1e-309)):
+        points = {"kind": "lp", "params": {"p": p, "weights": [w, 1.0]}}
+        for side in ("left", "right"):
+            assert _input_error_pointer(capsys, "pl", pair_doc(**{side: points})) == f"/{side}"
 
 
 def _input_error_pointer(capsys, command, doc):

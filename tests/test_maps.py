@@ -650,3 +650,55 @@ def test_lb_searches_without_closed_forms_are_pinned(case, lower):
     draws, candidates or arithmetic moves them."""
     est = lb_norm_lower(_lb_pin_map(case), budget=100, seed=7, use_closed_forms=False)
     assert est.lower == lower
+
+
+def test_functional_search_values_one_row_elements_only(monkeypatch):
+    """A functional's lb-norm is attained at d = 1 (module contractivity), so
+    its search values one-row source elements only; a linear map into
+    hilbert(2) still climbs over two- and three-row elements."""
+    from pllab import maps
+
+    rows = []
+    real = maps.amp_norm
+
+    def spy(q, U, *args, **kwargs):
+        rows.append((q, np.shape(U)[0]))
+        return real(q, U, *args, **kwargs)
+
+    monkeypatch.setattr(maps, "amp_norm", spy)
+    source = Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 2.0, 0.5]))
+    rng = make_rng(5, "one-row")
+    for target in (scalar(), Quantization.hilbert(2)):
+        rows.clear()
+        phi = LinearMap(random_complex(rng, 3, target.dim), source, target)
+        lb_norm_lower(phi, budget=150, seed=2, use_closed_forms=False)
+        valued = {d for q, d in rows if q is source}
+        assert valued == ({1} if phi.is_functional else {1, 2, 3})
+
+
+def test_functional_search_lowers_never_exceed_the_dual_norm():
+    """Over the lb spaces of tools/identity.py and the quantization pool, with
+    closed forms off, a functional's lower bound is at most its underlying
+    dual norm, wherever that has a closed form, up to rounding."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+    from unittest import mock
+
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("identity", root / "tools" / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    with mock.patch.dict("os.environ"), mock.patch.object(sys, "path", [str(root / "bench"), *sys.path]):
+        spec.loader.exec_module(identity)  # the tool pins the BLAS thread counts at import
+        spaces = [*identity.lb_spaces().values(), *quantization_pool()]
+    checked = 0
+    for k, q in enumerate(spaces):
+        for i in range(3):
+            c = random_complex(make_rng(9, "functional-dual", k, i), q.dim)
+            dn = underlying_dual_norm(q, c)
+            if dn is None:
+                continue
+            est = lb_norm_lower(LinearMap(c[:, None], q, scalar()), budget=100, seed=i, use_closed_forms=False)
+            assert 0.0 < est.lower <= dn * (1.0 + 1e-12)
+            checked += 1
+    assert checked == 3 * 14  # 14 of the 21 spaces have a closed-form dual norm

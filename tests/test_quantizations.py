@@ -272,6 +272,12 @@ def test_error_contract():
         with pytest.raises(ValueError, match="dual weights"):  # w ** (-q / p) overflows at 0.5, underflows at 2
             make()
     BaseNorm.lp(1 + 1e-9, dim=3)  # unit weights keep unit dual weights
+    for p in (1.0, np.inf):  # w or 1 / w subnormal: the l1 and l-infinity searches divide by both
+        for w in (1e-310, 1e-309, 2.0**1023):
+            for make in (lambda: Quantization.lp(p, [w, 1.0]), lambda: BaseNorm.lp(p, weights=[w, 1.0])):
+                with pytest.raises(ValueError, match="normal floats"):
+                    make()
+        BaseNorm.lp(p, weights=[2.0**-1022, 2.0**1022])
     with pytest.raises(ValueError):
         amp_norm(Quantization.hilbert(2), np.ones((2, 3)))
     with pytest.raises(ValueError):
@@ -338,6 +344,17 @@ def test_huge_elements_raise_no_runtime_warning():
     assert nv.lower == pytest.approx(1e200 * ref_amp.lower, rel=1e-12, abs=0)
     assert b.lower == pytest.approx(1e200 * ref_pl.lower, rel=1e-12, abs=0)
     assert b.upper == pytest.approx(1e200 * ref_pl.upper, rel=1e-12, abs=0)
+
+
+def test_lq_ascent_starts_near_p_one_raise_no_runtime_warning():
+    """At p = 1 + 1e-9 the dual exponent is about 1e9: the random starts of
+    the lq ascent are scaled to the dual sphere without overflow."""
+    q = Quantization.min(BaseNorm.lp(1 + 1e-9, dim=3))
+    U = random_complex(make_rng(37, "lq-near-1"), 2, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        nv = amp_norm(q, U, seed=9)
+    assert 0.0 < nv.lower <= nv.value < np.inf
 
 
 def test_a_block_of_subnormal_scale_over_a_min_inner_is_valued():

@@ -56,6 +56,9 @@ The records:
   and off, for functionals and linear maps on each space, rank-1 and rank-2
   scalar bilinear maps on every ordered pair of spaces, embeddings, and the
   bilinear maps of the hilbert x hilbert certificates;
+* ``lb/functional-pool/<k>/<i>``: ``lb_norm_lower`` lower, exact, method
+  and witness, closed forms off, of 3 seeded functionals on each
+  ``quantization_pool()`` descriptor: the functional search on every kind;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -113,6 +116,22 @@ def _digest(obj) -> list:
     text = repr(obj)
     rounded = _FLOAT.sub(lambda m: f"{float(m.group()):.{ROUND_DIGITS}g}", text)
     return [hashlib.sha256(t.encode()).hexdigest() for t in (text, rounded)]
+
+
+def lb_spaces() -> dict:
+    """The ``LB_SOURCES`` spaces by name; pllab and the benchmark inputs must be importable."""
+    import workloads as wl
+    from pllab import Quantization
+
+    return dict(zip(LB_SOURCES, map(Quantization.from_dict, (
+        wl._lp(2.0, [1.0, 0.5], inner=wl._hilbert(2)),
+        wl._lp(1.0, [1.0, 2.0], inner=wl._min(wl._euc(2))),
+        wl._lp(3.0, [1.0, 0.5], inner=wl._CONCRETE),
+        wl._tensor_p(wl._lp_base(1.0, [1.0, 1.0]), wl._hilbert(2)),
+        wl._CONCRETE,
+        wl._hilbert(2),
+        wl._min(wl._lp_base(3.0, [1.0, 2.0])),
+    ))))
 
 
 def record(root: Path) -> dict:
@@ -241,15 +260,7 @@ def record(root: Path) -> dict:
             out[f"admission/{name}/{scale!r}"] = _digest(rec)
 
     H2 = Quantization.hilbert(2)
-    lb = dict(zip(LB_SOURCES, map(Quantization.from_dict, (
-        wl._lp(2.0, [1.0, 0.5], inner=wl._hilbert(2)),
-        wl._lp(1.0, [1.0, 2.0], inner=wl._min(wl._euc(2))),
-        wl._lp(3.0, [1.0, 0.5], inner=wl._CONCRETE),
-        wl._tensor_p(wl._lp_base(1.0, [1.0, 1.0]), wl._hilbert(2)),
-        wl._CONCRETE,
-        wl._hilbert(2),
-        wl._min(wl._lp_base(3.0, [1.0, 2.0])),
-    ))))
+    lb = lb_spaces()
 
     def lb_rec(phi, seed):
         ests = [lb_norm_lower(phi, budget=wl.LB_BUDGET, seed=seed, use_closed_forms=c) for c in (True, False)]
@@ -265,6 +276,12 @@ def record(root: Path) -> dict:
             functional = LinearMap(c[:, None], q, Quantization.scalar())
             out[f"lb/functional/{name}/{i}"] = _digest(lb_rec(functional, i))
             out[f"lb/linear/{name}/{i}"] = _digest(lb_rec(LinearMap(M, q, H2), i))
+    for k, q in enumerate(pool):
+        for i in range(3):
+            c = wl._complex(wl._rng(0, "lb-pool", k, i), q.dim)
+            e = lb_norm_lower(LinearMap(c[:, None], q, Quantization.scalar()), budget=wl.LB_BUDGET, seed=i,
+                              use_closed_forms=False)
+            out[f"lb/functional-pool/{k}/{i}"] = _digest((e.lower, e.exact, e.method, e.witness))
     for a, b in itertools.product(LB_SOURCES, repeat=2):
         E, F = lb[a], lb[b]
         for rank in (1, 2):
