@@ -59,6 +59,11 @@ The records:
 * ``lb/functional-pool/<k>/<i>``: ``lb_norm_lower`` lower, exact, method
   and witness, closed forms off, of 3 seeded functionals on each
   ``quantization_pool()`` descriptor: the functional search on every kind;
+* ``lower/<key>``: beside each record above that holds ``lb_norm_lower``
+  results (the ``lb-search`` operations and the ``lb/functional``,
+  ``lb/linear``, ``lb/functional-pool``, ``lb/bilinear``, ``lb/embedding``
+  and ``lb/certificate`` records), its lowers alone, so ``compare`` tells a
+  moved lower from a change of ``exact``, ``method`` or witness only;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -156,6 +161,8 @@ def record(root: Path) -> dict:
                 res = runner.prepare(op)(wl.hash_tag(f"{seed}/{k}"))
                 rec = (res, res.to_dict()) if op.kind in ("pl", "l") else res
                 out[f"{workload}/{seed}/{k}"] = _digest(rec)
+                if workload == "lb-search":
+                    out[f"lower/{workload}/{seed}/{k}"] = _digest(res.lower)
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for seed in SEEDS:
@@ -262,9 +269,10 @@ def record(root: Path) -> dict:
     H2 = Quantization.hilbert(2)
     lb = lb_spaces()
 
-    def lb_rec(phi, seed):
+    def put_lb(key, phi, seed):  # closed forms on, then off
         ests = [lb_norm_lower(phi, budget=wl.LB_BUDGET, seed=seed, use_closed_forms=c) for c in (True, False)]
-        return [(e.lower, e.exact, e.method, e.witness) for e in ests]
+        out[key] = _digest([(e.lower, e.exact, e.method, e.witness) for e in ests])
+        out[f"lower/{key}"] = _digest([e.lower for e in ests])
 
     for name, q in lb.items():
         for i in range(3):
@@ -274,26 +282,27 @@ def record(root: Path) -> dict:
             out[f"lb/dual/{name}/{i}"] = _digest((underlying_dual_norm(q, c), dm.lower, dm.upper, dm.exact,
                                                   dm.witness))
             functional = LinearMap(c[:, None], q, Quantization.scalar())
-            out[f"lb/functional/{name}/{i}"] = _digest(lb_rec(functional, i))
-            out[f"lb/linear/{name}/{i}"] = _digest(lb_rec(LinearMap(M, q, H2), i))
+            put_lb(f"lb/functional/{name}/{i}", functional, i)
+            put_lb(f"lb/linear/{name}/{i}", LinearMap(M, q, H2), i)
     for k, q in enumerate(pool):
         for i in range(3):
             c = wl._complex(wl._rng(0, "lb-pool", k, i), q.dim)
             e = lb_norm_lower(LinearMap(c[:, None], q, Quantization.scalar()), budget=wl.LB_BUDGET, seed=i,
                               use_closed_forms=False)
             out[f"lb/functional-pool/{k}/{i}"] = _digest((e.lower, e.exact, e.method, e.witness))
+            out[f"lower/lb/functional-pool/{k}/{i}"] = _digest(e.lower)
     for a, b in itertools.product(LB_SOURCES, repeat=2):
         E, F = lb[a], lb[b]
         for rank in (1, 2):
             rng = wl._rng(0, "lb-bilinear", a, b, rank)
             C = wl._complex(rng, E.dim, rank) @ wl._complex(rng, rank, F.dim)
             r = BilinearMap(C[:, :, None], E, F, Quantization.scalar())
-            out[f"lb/bilinear/{a}/{b}/{rank}"] = _digest(lb_rec(r, rank))
+            put_lb(f"lb/bilinear/{a}/{b}/{rank}", r, rank)
     for name in ("hilbert", "lp2-hilbert", "min-lp3"):
         for p in (1.0, 3.0, np.inf):
-            out[f"lb/embedding/{name}/{p:g}"] = _digest(lb_rec(embedding_map(p, [0.7, 1.6], lb[name]), 0))
+            put_lb(f"lb/embedding/{name}/{p:g}", embedding_map(p, [0.7, 1.6], lb[name]), 0)
     for cert in builtin_certificates(H2, H2)[1:]:
-        out[f"lb/certificate/{cert.name}"] = _digest(lb_rec(cert.bilinear, 0))
+        put_lb(f"lb/certificate/{cert.name}", cert.bilinear, 0)
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
     out["properties/50"] = _digest(properties_suite(trials=50))
