@@ -155,11 +155,14 @@ def underlying_dual_norm(q: Quantization, c) -> Optional[float]:
     return None
 
 
-def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 6) -> DualMax:
+def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 6, nested: int = 0) -> DualMax:
     """sup of ||A f||_2 over the dual unit ball of q's underlying norm.
 
     A is one d x m matrix or an N x d x m stack searched in one step, the
     nested searches of lp inners, concrete and tensor_p on the whole stack.
+    nested counts the concrete and tensor_p searches this one runs inside:
+    the outermost runs an _alternate, every deeper one a single greedy pass,
+    so the cost grows linearly with the depth of a descriptor.
     The witness is always feasible, so the lower field is certified for any
     kind; exactness holds only where the base machinery is exact.
     """
@@ -171,7 +174,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
     if q.kind == "lp":
         # per-point inner witnesses, outer weights through the scalar dual ball
         blocks = np.split(S, q.points, axis=-1)
-        phis = [underlying_dual_maximize(q.inner, B, rng, starts=2).witness for B in blocks]
+        phis = [underlying_dual_maximize(q.inner, B, rng, 2, nested).witness for B in blocks]
         M = np.stack([[b @ phi for b, phi in zip(B, P)] for B, P in zip(blocks, phis)], axis=-1)
         outer = q.point_base.dual_ball_maximize(M, rng=rng, starts=starts)
         f = np.concatenate([outer.witness[:, t, None] * P for t, P in enumerate(phis)], axis=-1)
@@ -179,12 +182,12 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
         # the functionals w . T_m v over unit v and w span the dual ball
         G = np.stack(q.generators)
         _, w, v = _alternate(Quantization.hilbert(G.shape[1]), Quantization.hilbert(G.shape[2]),
-                             np.einsum("nim,mlk->nilk", S, G), starts, rng)
+                             np.einsum("nim,mlk->nilk", S, G), starts, rng, nested + 1)
         f = np.stack([np.einsum("l,mlk,k->m", wn, G, vn) for wn, vn in zip(w, v)])
     else:
         # tensor_p: elementary functionals phi (x) psi
         _, phi, psi = _alternate(Quantization.min(q.base), q.inner,
-                                 S.reshape(*S.shape[:2], q.base.dim, q.inner.dim), starts, rng)
+                                 S.reshape(*S.shape[:2], q.base.dim, q.inner.dim), starts, rng, nested + 1)
         f = (phi[:, :, None] * psi[:, None, :]).reshape(len(S), -1)
     lower = np.array([float(np.linalg.norm(a @ x)) for a, x in zip(S, f)])
     if A.ndim == 3:
@@ -192,7 +195,7 @@ def underlying_dual_maximize(q: Quantization, A: np.ndarray, rng, starts: int = 
     return DualMax(float(lower[0]), np.inf, f[0], False)
 
 
-def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng) -> tuple:
+def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng, nested: int = 0) -> tuple:
     """(value, f, g): the best ||sum_jk T[:, j, k] f_j g_k||_2 found over f and
     g in the dual unit balls of E's and F's underlying norms.
 
@@ -201,11 +204,19 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
     start from a random max(2, d) x mF one, drawn in stack and start order;
     all starts then run six rounds in lockstep, each an f step then a g
     step, one stacked underlying_dual_maximize each.  A later start is kept
-    only when it _beats the best, so ties keep the earlier.
+    only when it _beats the best, so ties keep the earlier.  The steps run
+    at the given nesting level (see underlying_dual_maximize); beyond the
+    first (nested > 1) the search is one greedy pass instead, a g step on
+    the slices summed over j, then an f step, drawing nothing itself.
     """
     S = T if T.ndim == 4 else T[None]
     N, d, mE, mF = S.shape
-    step = lambda q, A, k: underlying_dual_maximize(q, A, rng, starts=k).witness
+    step = lambda q, A, k: underlying_dual_maximize(q, A, rng, k, nested).witness
+    if nested > 1:
+        g = step(F, S.sum(axis=2), 2)
+        f = step(E, np.einsum("nijk,nk->nij", S, g), 2)
+        best = np.linalg.norm(np.einsum("nijk,nj,nk->ni", S, f, g), axis=-1)
+        return (best, f, g) if T.ndim == 4 else (float(best[0]), f[0], g[0])
     rand = [random_complex(rng, max(2, d), mF) for _ in range(N * (starts - 1))]
     G = step(F, S.reshape(N, d * mE, mF), 2)[:, None]
     if rand:

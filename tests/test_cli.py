@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ def test_a_descriptor_nested_past_the_bound_is_input_error(capsys, command, dept
                                          "message": "descriptor chains 400 descriptors through inner, at most 32"}]
     else:
         assert error["diagnostics"][0]["pointer"] == "" and "recursion" in error["message"]
+
+
+def test_a_pl_job_on_the_deepest_tensor_p_chain_ends_quickly(capsys):
+    """31 tensor_p levels over hilbert(1), the most MAX_DEPTH admits: below
+    the first level the functional-pair search takes one greedy pass per
+    level, so the job ends in a fraction of a second where a full nested
+    search per level grew about tenfold per level."""
+    doc = ('{"schema_version": "1", "element": [[[1, 0]]], "right": {"kind": "hilbert", "dim": 1}, '
+           '"left": %s}' % _chain(32, "tensor_p"))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "--command", "pl", "--input", doc)
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    case = next(c for c in json.loads(out)["cases"] if "upper" in c)
+    assert case["lower"] == pytest.approx(1.0, rel=1e-12) and case["upper"] == pytest.approx(1.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("command", ["norm", "pl"])
