@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import l2_norm
+from .hilbert import frobenius_norm, l2_norm
 from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
 __all__ = ["BaseNorm", "DualMax"]
@@ -314,11 +314,12 @@ class BaseNorm:
         if m == 1 or d == 1 or (m == 2 and not self.real):
             # closed forms: one coordinate takes phase 1, one row aligns every
             # phase (value sum_j |B_0j|), two coordinates the Gram phase
-            # (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B)
+            # (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B); scaled, since a weight far
+            # below 1 on a primal side makes B's entries square past the float range
             z = _phases(B[0].conj()) if d == 1 and m > 1 else np.ones(m, dtype=B.dtype)
             if m == 2 and d > 1:
                 z[1] = _phases(B[:, 1].conj() @ B[:, 0])
-            v = l2_norm(B @ z)
+            v = frobenius_norm(B @ z)
             return v, v, np.asarray(z * w, dtype=complex), True
         if self.real:
             grid = np.array(np.meshgrid(*([[-1.0, 1.0]] * (m - 1)), indexing="ij")).reshape(m - 1, -1)

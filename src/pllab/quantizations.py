@@ -34,6 +34,7 @@ properties.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,7 +75,8 @@ class NormValue:
     """Certified evaluation of an amplified norm.
 
     value is the reported norm and is always a valid upper bound; lower is a
-    certified lower bound (equal to value when exact).
+    certified lower bound (equal to value when exact).  Raises ValueError
+    when either is not finite: no certified bound is NaN or infinite.
     """
 
     value: float
@@ -83,6 +85,8 @@ class NormValue:
     method: str
 
     def __post_init__(self):
+        if not (math.isfinite(self.value) and math.isfinite(self.lower)):
+            raise ValueError(f"{self.method}: non-finite norm bounds value={self.value!r}, lower={self.lower!r}")
         v = max(float(self.value), 0.0)
         lo = min(max(float(self.lower), 0.0), v)
         object.__setattr__(self, "value", v)

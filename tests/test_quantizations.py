@@ -357,6 +357,27 @@ def test_lq_ascent_starts_near_p_one_raise_no_runtime_warning():
     assert 0.0 < nv.lower <= nv.value < np.inf
 
 
+def test_a_far_weight_on_l_infinity_raises_no_runtime_warning():
+    """max(lp(inf)) is valued through the l1 closed form on the dual weights
+    1 / w; with w = 1e-300 the entries of B = A / w square past the float
+    range, so the closed form is valued with the scaled frobenius_norm."""
+    q = Quantization.max(BaseNorm.lp(np.inf, weights=[1e-300, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = amp_norm(q, [[1.0, 2.0]])
+        two = amp_norm(q, [[1.0, 2.0], [3.0, 4.0]])
+    assert one.value == one.lower == 2.0
+    assert two.value == pytest.approx(np.sqrt(20.0), rel=1e-15) and two.lower == two.value
+
+
+@pytest.mark.parametrize("value, lower", [(np.inf, 1.0), (np.nan, 1.0), (2.0, np.nan), (2.0, -np.inf)])
+def test_norm_value_rejects_non_finite_bounds(value, lower):
+    from pllab.quantizations import NormValue
+
+    with pytest.raises(ValueError, match="non-finite norm bounds"):
+        NormValue(value, lower, False, "test/bounds")
+
+
 def test_a_block_of_subnormal_scale_over_a_min_inner_is_valued():
     """numpy divides by a float through its reciprocal, which overflows at a
     subnormal scale; the 1e-320 point is valued, and 1 + 1e-320 rounds to 1."""
