@@ -29,7 +29,8 @@ f = LinearMap(np.array([[1.0], [-2.0]]), q, Quantization.scalar())
 est = lb_norm_lower(f)
 print("functional (1, -2) on l1:", est.lower, f"({est.method})")
 
-# the search route reaches the same value without the closed form
+# the search route reaches the same value without the closed form: its
+# norming candidate meets the dual norm, so it stops there, exact
 est_search = lb_norm_lower(f, budget=1000, use_closed_forms=False)
 print("search route:", est_search.lower, f"({est_search.method})")
 

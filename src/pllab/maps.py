@@ -8,7 +8,10 @@ produces certified lower bounds for it, exactly for functionals and for
 Frobenius-to-Frobenius maps; its search runs one ratio and one loop of hill
 climbs for both map kinds, a linear map being the one-source case.  A
 functional's climbs value one-row elements only: module contractivity gives
-||U c||_2 <= ||c||_* ||U||_q, so its lb-norm is attained at d = 1.
+||U c||_2 <= ||c||_* ||U||_q, so its lb-norm, the underlying dual norm, is
+attained at d = 1.  Where that dual norm has a closed form and a norming
+candidate already meets it to TIE_RTOL, the search returns the candidate,
+exact, and runs no climb: no climb value, a certified lower, could beat it.
 
 Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
@@ -298,9 +301,15 @@ def lb_norm_lower(
     Ratios are evaluated as target-lower over source-upper, so the estimate
     never exceeds the true lb-norm even on bracketed kinds.  Closed forms:
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
-    singular value of the coefficient matrix).  The search hill-climbs a
-    functional over one-row elements only, since by module contractivity its
-    lb-norm, the underlying dual norm, is attained at d = 1; a linear map
+    singular value of the coefficient matrix).  The search values a
+    functional's norming candidates first, and hill-climbs it over one-row
+    elements only, since by module contractivity its lb-norm, the underlying
+    dual norm, is attained at d = 1.  When that dual norm has a closed form
+    and the best candidate meets it to TIE_RTOL, the search stops there with
+    exact=True, method "functional/norming-candidate" and a witness of the
+    element and the dual norm; concrete, tensor_p and lp-over-concrete
+    sources (no closed form) and a multi-coordinate min over lq, 2 < p < inf
+    (candidates valued by a loose one-row upper) still climb.  A linear map
     into a larger target climbs over one to three rows, a bilinear map over
     one and two.  Coefficients of Frobenius norm outside [2**-64, 2**64] are
     first scaled by a power of two to norm in [1/2, 1), the bound scaled
@@ -318,7 +327,9 @@ def lb_norm_lower(
     if n and not 2.0**-64 <= n <= 2.0**64:
         e = math.frexp(n)[1]
         est = lb_norm_lower(replace(phi, **{key: _ldexp(coeffs, -e)}), budget, seed, use_closed_forms)
-        witness = {k: _ldexp(v, e) if k == "f" else v for k, v in est.witness.items()}  # f g^T is the tensor
+        # f g^T is the tensor; a dual norm scales with the map, source elements do not
+        witness = {k: _ldexp(v, e) if k == "f" else math.ldexp(v, e) if k == "dual_norm" else v
+                   for k, v in est.witness.items()}
         return replace(est, lower=math.ldexp(est.lower, e), witness=witness)
     rng = make_rng(seed, "lbnorm")
     starts = max(2, budget // 50)
@@ -391,6 +402,12 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
             val = abs(np.dot(c, x)) / up
             if _beats(val, best):
                 best, best_xs = val, [x[None, :]]
+        # every climb value is a certified lower, so at most the dual norm up
+        # to rounding: none could _beat a candidate that meets it
+        dn = underlying_dual_norm(phi.source, c)
+        if dn is not None and best >= dn * (1.0 - TIE_RTOL):
+            witness = {"element": best_xs[0], "dual_norm": dn}
+            return LbNormEstimate(best, True, "functional/norming-candidate", witness)
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
     rows = 1 if phi.is_functional else 3
     best, best_xs = _climb(ratio, [phi.source], rows, starts, rng, best, best_xs)

@@ -652,10 +652,24 @@ def test_lb_searches_without_closed_forms_are_pinned(case, lower):
     assert est.lower == lower
 
 
-def test_functional_search_values_one_row_elements_only(monkeypatch):
+def _climb_sources() -> dict:
+    """Sources whose functionals keep the climb: no closed-form dual norm
+    (concrete, lp over concrete, tensor_p), or norming candidates valued by
+    the loose one-row upper of a multi-coordinate min(l3)."""
+    concrete = next(q for q in quantization_pool() if q.kind == "concrete")
+    return {
+        "min-l3": Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 2.0, 0.5])),
+        "concrete": concrete,
+        "lp3-concrete": Quantization.lp(3.0, [1.0, 0.5], inner=concrete),
+        "tensor_p": Quantization.tensor_p(BaseNorm.lp(1.0, weights=[1.0, 1.0]), Quantization.hilbert(2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_climb_sources()))
+def test_functional_search_values_one_row_elements_only(monkeypatch, name):
     """A functional's lb-norm is attained at d = 1 (module contractivity), so
-    its search values one-row source elements only; a linear map into
-    hilbert(2) still climbs over two- and three-row elements."""
+    where its search climbs it values one-row source elements only; a linear
+    map into hilbert(2) still climbs over two- and three-row elements."""
     from pllab import maps
 
     rows = []
@@ -666,14 +680,65 @@ def test_functional_search_values_one_row_elements_only(monkeypatch):
         return real(q, U, *args, **kwargs)
 
     monkeypatch.setattr(maps, "amp_norm", spy)
-    source = Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 2.0, 0.5]))
+    source = _climb_sources()[name]
     rng = make_rng(5, "one-row")
     for target in (scalar(), Quantization.hilbert(2)):
         rows.clear()
-        phi = LinearMap(random_complex(rng, 3, target.dim), source, target)
-        lb_norm_lower(phi, budget=150, seed=2, use_closed_forms=False)
+        phi = LinearMap(random_complex(rng, source.dim, target.dim), source, target)
+        est = lb_norm_lower(phi, budget=150, seed=2, use_closed_forms=False)
+        assert est.method == "search/sampled-ascent" and not est.exact
         valued = {d for q, d in rows if q is source}
         assert valued == ({1} if phi.is_functional else {1, 2, 3})
+
+
+def _stop_sources() -> dict:
+    """Sources whose norming candidates meet the closed-form dual norm."""
+    w = [1.0, 0.5, 2.0]
+    return {
+        "min-euclidean": Quantization.min(BaseNorm.euclidean(3)),
+        **{f"min-l{p:g}": Quantization.min(BaseNorm.lp(p, weights=w)) for p in (1.0, 2.0, np.inf)},
+        "lp2-hilbert": Quantization.lp(2.0, [1.0, 0.5], inner=Quantization.hilbert(2)),
+        "min-l3-one-coordinate": Quantization.min(BaseNorm.lp(3.0, weights=[2.0])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stop_sources()))
+def test_functional_search_stops_at_a_norming_candidate_that_meets_the_dual_norm(name):
+    """Closed forms off, a functional whose best norming candidate reaches
+    its underlying dual norm up to TIE_RTOL is exact without a climb, and
+    its witness keeps the one-row element and the dual norm, scaled back
+    with the map."""
+    q = _stop_sources()[name]
+    for i in range(3):
+        c = random_complex(make_rng(60, "stop", name, i), q.dim)
+        dn = underlying_dual_norm(q, c)
+        est = lb_norm_lower(LinearMap(c[:, None], q, scalar()), budget=100, seed=i, use_closed_forms=False)
+        assert est.exact and est.method == "functional/norming-candidate"
+        assert dn * (1 - 1e-14) <= est.lower <= dn * (1 + 1e-12)
+        assert est.witness["dual_norm"] == dn and est.witness["element"].shape == (1, q.dim)
+    big = lb_norm_lower(LinearMap(2.0**80 * c[:, None], q, scalar()), budget=100, use_closed_forms=False)
+    assert big.method == "functional/norming-candidate"
+    assert big.witness["dual_norm"] == pytest.approx(2.0**80 * dn, rel=1e-12)
+    assert big.lower == pytest.approx(2.0**80 * dn, rel=1e-12)
+
+
+def test_forcing_the_climb_leaves_every_stopped_lower_bit_for_bit(monkeypatch):
+    """No climb value _beats a norming candidate that meets the dual norm,
+    so with underlying_dual_norm patched to None, which forces the climb,
+    40 seeded functionals keep their stopped lowers and elements exactly."""
+    from pllab import maps
+
+    sources = list(_stop_sources().values())
+    phis = [LinearMap(random_complex(make_rng(61, "forced-climb", k), q.dim)[:, None], q, scalar())
+             for k, q in ((k, sources[k % len(sources)]) for k in range(40))]
+    stopped = [lb_norm_lower(phi, budget=100, seed=k, use_closed_forms=False) for k, phi in enumerate(phis)]
+    assert {e.method for e in stopped} == {"functional/norming-candidate"}
+    monkeypatch.setattr(maps, "underlying_dual_norm", lambda q, c: None)
+    for k, (phi, stop) in enumerate(zip(phis, stopped)):
+        climbed = lb_norm_lower(phi, budget=100, seed=k, use_closed_forms=False)
+        assert climbed.method == "search/sampled-ascent"
+        assert climbed.lower == stop.lower
+        np.testing.assert_array_equal(climbed.witness["element"], stop.witness["element"])
 
 
 def test_functional_search_lowers_never_exceed_the_dual_norm():
