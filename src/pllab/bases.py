@@ -314,8 +314,9 @@ class BaseNorm:
         if m == 1 or d == 1 or (m == 2 and not self.real):
             # closed forms: one coordinate takes phase 1, one row aligns every
             # phase (value sum_j |B_0j|), two coordinates the Gram phase
-            # (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B); scaled, since a weight far
-            # below 1 on a primal side makes B's entries square past the float range
+            # (sqrt(Q11 + Q22 + 2 |Q12|), Q = B^* B), valued scaled: the dual
+            # weights 1 / w of an l-infinity base with w near 1e-300 square past
+            # the float range
             z = _phases(B[0].conj()) if d == 1 and m > 1 else np.ones(m, dtype=B.dtype)
             if m == 2 and d > 1:
                 z[1] = _phases(B[:, 1].conj() @ B[:, 0])

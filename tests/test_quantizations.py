@@ -280,6 +280,9 @@ def test_error_contract():
         BaseNorm.lp(p, weights=[2.0**-1022, 2.0**1022])
     with pytest.raises(ValueError):
         amp_norm(Quantization.hilbert(2), np.ones((2, 3)))
+    for value, lower in ((np.inf, 1.0), (np.nan, 1.0), (2.0, np.nan), (2.0, -np.inf)):  # no certified bound is
+        with pytest.raises(ValueError, match="non-finite norm bounds"):  # NaN or infinite
+            NormValue(value, lower, False, "test/bounds")
     with pytest.raises(ValueError):
         Quantization.from_dict({"kind": "nonsense"})
     with pytest.raises(ValueError):
@@ -368,14 +371,6 @@ def test_a_far_weight_on_l_infinity_raises_no_runtime_warning():
         two = amp_norm(q, [[1.0, 2.0], [3.0, 4.0]])
     assert one.value == one.lower == 2.0
     assert two.value == pytest.approx(np.sqrt(20.0), rel=1e-15) and two.lower == two.value
-
-
-@pytest.mark.parametrize("value, lower", [(np.inf, 1.0), (np.nan, 1.0), (2.0, np.nan), (2.0, -np.inf)])
-def test_norm_value_rejects_non_finite_bounds(value, lower):
-    from pllab.quantizations import NormValue
-
-    with pytest.raises(ValueError, match="non-finite norm bounds"):
-        NormValue(value, lower, False, "test/bounds")
 
 
 def test_a_block_of_subnormal_scale_over_a_min_inner_is_valued():
