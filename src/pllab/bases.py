@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hilbert import frobenius_norm, l2_norm
+from .hilbert import frobenius_norm, l2_norm, unit_scaled
 from .wire import matrix_from_json, matrix_to_json, p_from_json, p_to_json
 
 __all__ = ["BaseNorm", "DualMax"]
@@ -178,7 +178,9 @@ class BaseNorm:
     # -- norms ------------------------------------------------------------
 
     def norm(self, x) -> float:
-        return self._norm(self.check_element(x))
+        x = self.check_element(x)
+        # _norm squares a euclidean element's entries, so 0 or inf at extreme scales
+        return frobenius_norm(x) if self.kind == "euclidean" else self._norm(x)
 
     def _norm(self, x) -> float:
         """The norm of an element that check_element has passed."""
@@ -226,7 +228,7 @@ class BaseNorm:
             x = np.zeros(self.dim, dtype=complex)
             return x
         if self.kind == "euclidean":
-            return np.conj(c) / np.linalg.norm(c)
+            return unit_scaled(np.conj(c), frobenius_norm(c))
         if self.kind == "lp":
             w = self.weights
             a = np.abs(c)

@@ -9,9 +9,10 @@ Frobenius-to-Frobenius maps; its search runs one ratio and one loop of hill
 climbs for both map kinds, a linear map being the one-source case.  A
 functional's climbs value one-row elements only: module contractivity gives
 ||U c||_2 <= ||c||_* ||U||_q, so its lb-norm, the underlying dual norm, is
-attained at d = 1.  Where that dual norm has a closed form and a norming
-candidate already meets it to TIE_RTOL, the search returns the candidate,
-exact, and runs no climb: no climb value, a certified lower, could beat it.
+attained at d = 1.  Where that dual norm has a closed form, the search
+values its norming candidates in order and stops at the first that meets it
+to TIE_RTOL, exact, valuing no later candidate and running no climb: no
+later value, a certified lower, could beat it.
 
 Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
@@ -236,45 +237,51 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
     return (best, f, g) if T.ndim == 4 else (float(best[0]), f[0], g[0])
 
 
-def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6) -> list:
-    """Elements x with certified underlying-norm upper bounds, aimed at |c . x|."""
+def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6):
+    """Elements x with certified underlying-norm upper bounds, aimed at |c . x|.
+
+    Yields (x, upper) lazily, in order: the aligned element (conj(c) on
+    hilbert, primal_align on a base, a per-point or alternating alignment on
+    lp and tensor_p), n_random random elements, then conj(c) off hilbert,
+    skipping zeros.  Each is drawn and valued only when asked for, so a
+    caller that stops early skips the rest; one that needs them all, with
+    their draws, takes list(...).
+    """
     c = np.asarray(c, dtype=complex).ravel()
-    out = []
 
-    def add(x):
+    def elements():
+        base = q.underlying_base
+        if q.kind == "hilbert":
+            yield np.conj(c)
+        elif base is not None:
+            yield base.primal_align(c)
+        elif q.kind == "lp":
+            blocks, scores, uppers = [], [], []
+            for ct in c.reshape(q.points, q.inner.dim):
+                key = lambda xy: abs(np.dot(ct, xy[0])) / max(xy[1], 1e-30)
+                y, up = max(_norming_candidates(q.inner, ct, rng, n_random=2), key=key)
+                blocks.append(y)
+                scores.append(key((y, up)))
+                uppers.append(max(up, 1e-30))
+            s = q.point_base.primal_align(np.asarray(scores, dtype=complex))
+            yield np.concatenate([st / ut * y for st, ut, y in zip(s, uppers, blocks)])
+        elif q.kind == "tensor_p":
+            C = c.reshape(q.base.dim, q.inner.dim)
+            b = list(_norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2))[0][0]
+            a = None
+            for _ in range(4):
+                a = q.base.primal_align(C @ b)
+                b = list(_norming_candidates(q.inner, a @ C, rng, n_random=1))[0][0]
+            yield np.multiply.outer(a, b)
+        for _ in range(n_random):
+            yield random_complex(rng, q.dim)
+        if q.kind != "hilbert":
+            yield np.conj(c)
+
+    for x in elements():
         x = np.asarray(x, dtype=complex).ravel()
-        if not np.any(x):
-            return
-        out.append((x, underlying_norm(q, x)))
-
-    base = q.underlying_base
-    if q.kind == "hilbert":
-        add(np.conj(c))
-    elif base is not None:
-        add(base.primal_align(c))
-    elif q.kind == "lp":
-        blocks, scores, uppers = [], [], []
-        for ct in c.reshape(q.points, q.inner.dim):
-            key = lambda xy: abs(np.dot(ct, xy[0])) / max(xy[1], 1e-30)
-            y, up = max(_norming_candidates(q.inner, ct, rng, n_random=2), key=key)
-            blocks.append(y)
-            scores.append(key((y, up)))
-            uppers.append(max(up, 1e-30))
-        s = q.point_base.primal_align(np.asarray(scores, dtype=complex))
-        add(np.concatenate([st / ut * y for st, ut, y in zip(s, uppers, blocks)]))
-    elif q.kind == "tensor_p":
-        C = c.reshape(q.base.dim, q.inner.dim)
-        b = _norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2)[0][0]
-        a = None
-        for _ in range(4):
-            a = q.base.primal_align(C @ b)
-            b = _norming_candidates(q.inner, a @ C, rng, n_random=1)[0][0]
-        add(np.multiply.outer(a, b).ravel())
-    for _ in range(n_random):
-        add(random_complex(rng, q.dim))
-    if q.kind != "hilbert":
-        add(np.conj(c))
-    return out
+        if np.any(x):
+            yield x, underlying_norm(q, x)
 
 
 # -- lb-norm lower bounds ------------------------------------------------------
@@ -302,14 +309,15 @@ def lb_norm_lower(
     never exceeds the true lb-norm even on bracketed kinds.  Closed forms:
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
     singular value of the coefficient matrix).  The search values a
-    functional's norming candidates first, and hill-climbs it over one-row
-    elements only, since by module contractivity its lb-norm, the underlying
-    dual norm, is attained at d = 1.  When that dual norm has a closed form
-    and the best candidate meets it to TIE_RTOL, the search stops there with
-    exact=True, method "functional/norming-candidate" and a witness of the
-    element and the dual norm; concrete, tensor_p and lp-over-concrete
-    sources (no closed form) and a multi-coordinate min over lq, 2 < p < inf
-    (candidates valued by a loose one-row upper) still climb.  A linear map
+    functional's norming candidates first, in order, and hill-climbs it over
+    one-row elements only, since by module contractivity its lb-norm, the
+    underlying dual norm, is attained at d = 1.  When that dual norm has a
+    closed form, the search stops at the first candidate that meets it to
+    TIE_RTOL, with exact=True, method "functional/norming-candidate" and a
+    witness of the element and the dual norm; concrete, tensor_p and
+    lp-over-concrete sources (no closed form) and a multi-coordinate min over
+    lq, 2 < p < inf (candidates valued by a loose one-row upper) still value
+    every candidate and climb.  A linear map
     into a larger target climbs over one to three rows, a bilinear map over
     one and two.  Coefficients of Frobenius norm outside [2**-64, 2**64] are
     first scaled by a power of two to norm in [1/2, 1), the bound scaled
@@ -398,16 +406,16 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
     best, best_xs = 0.0, [None]
     if phi.is_functional:
         c = phi.matrix[:, 0]
+        dn = underlying_dual_norm(phi.source, c)
         for x, up in _norming_candidates(phi.source, c, rng):
             val = abs(np.dot(c, x)) / up
             if _beats(val, best):
                 best, best_xs = val, [x[None, :]]
-        # every climb value is a certified lower, so at most the dual norm up
-        # to rounding: none could _beat a candidate that meets it
-        dn = underlying_dual_norm(phi.source, c)
-        if dn is not None and best >= dn * (1.0 - TIE_RTOL):
-            witness = {"element": best_xs[0], "dual_norm": dn}
-            return LbNormEstimate(best, True, "functional/norming-candidate", witness)
+            # every later candidate and climb value is a certified lower, so
+            # at most the dual norm up to rounding: none could _beat this one
+            if dn is not None and best >= dn * (1.0 - TIE_RTOL):
+                witness = {"element": best_xs[0], "dual_norm": dn}
+                return LbNormEstimate(best, True, "functional/norming-candidate", witness)
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
     rows = 1 if phi.is_functional else 3
     best, best_xs = _climb(ratio, [phi.source], rows, starts, rng, best, best_xs)
@@ -429,19 +437,19 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
             dn_f, dn_g = underlying_dual_norm(r.source_left, f), underlying_dual_norm(r.source_right, g)
             if dn_f is not None and dn_g is not None:
                 return LbNormEstimate(dn_f * dn_g, True, "functional-product/dual-norms", {"f": f, "g": g})
-        cand_L = _norming_candidates(r.source_left, C @ np.ones(C.shape[1]), rng, n_random=3)
+        cand_L = list(_norming_candidates(r.source_left, C @ np.ones(C.shape[1]), rng, n_random=3))
         cand_L += _norming_candidates(r.source_left, uu[:, 0], rng, n_random=0)
-        cand_R = _norming_candidates(r.source_right, vv[0], rng, n_random=3)
+        cand_R = list(_norming_candidates(r.source_right, vv[0], rng, n_random=3))
         for x, ux in cand_L:
             # best y for this x by aligning against x C
-            for y, uy in _norming_candidates(r.source_right, x @ C, rng, n_random=1) + cand_R:
+            for y, uy in list(_norming_candidates(r.source_right, x @ C, rng, n_random=1)) + cand_R:
                 val = abs(x @ C @ y) / (ux * uy)
                 if _beats(val, best):
                     best, best_xs = val, [x[None, :], y[None, :]]
 
     # elementary candidates from per-factor norming data
-    for x, ux in _norming_candidates(r.source_left, T.sum(axis=(1, 2)).conj(), rng, n_random=2):
-        for y, uy in _norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2):
+    for x, ux in list(_norming_candidates(r.source_left, T.sum(axis=(1, 2)).conj(), rng, n_random=2)):
+        for y, uy in list(_norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2)):
             pair = [x[None, :], y[None, :]]
             val, _ = ratio(pair, [None, None])
             if _beats(val, best):

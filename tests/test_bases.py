@@ -9,11 +9,13 @@ from the current code.
 
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from pllab import BaseNorm
+from pllab import BaseNorm, Quantization
+from pllab.maps import underlying_dual_norm
 from pllab.sampling import make_rng, random_complex
 
 
@@ -333,3 +335,27 @@ def test_polytope_primal_align_is_feasible_and_norms_the_vertices():
         assert base.norm(x) <= 1 + 1e-12
         # the dual norm of c is at most sum_k |a_k| for any c = sum_k a_k v_k
         assert abs(np.dot(c, x)) <= np.sum(np.abs(np.linalg.lstsq(tri[[0, 2]].T, c, rcond=None)[0])) + 1e-9
+
+
+def test_euclidean_norms_hold_at_extreme_scales():
+    """The public euclidean norm, dual norm and primal_align value elements
+    whose squared entries overflow or underflow, with no warning, and agree
+    bit for bit with numpy's l2 formula on normal-range elements."""
+    e, q = BaseNorm.euclidean(3), Quantization.hilbert(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for c, n in (([1e200, 2e200, 2e200], 3e200), ([3e-170, 4e-170, 0.0], 5e-170)):
+            c = np.asarray(c, dtype=complex)
+            assert e.norm(c) == pytest.approx(n, rel=1e-15)
+            assert e.dual_norm(c) == pytest.approx(n, rel=1e-15)
+            assert underlying_dual_norm(q, c) == pytest.approx(n, rel=1e-15)
+            x = e.primal_align(c)
+            assert np.all(np.isfinite(x)) and e.norm(x) <= 1.0 + 1e-15
+            assert abs(np.dot(c, x)) == pytest.approx(n, rel=1e-15)
+    rng = make_rng(17, "euclidean-normal-range")
+    for m in range(1, 6):
+        for _ in range(20):
+            c = random_complex(rng, m) * 10.0 ** rng.uniform(-100, 100)
+            b = BaseNorm.euclidean(m)
+            assert b.norm(c) == b.dual_norm(c) == np.linalg.norm(c)
+            np.testing.assert_array_equal(b.primal_align(c), np.conj(c) / np.linalg.norm(c))

@@ -741,6 +741,39 @@ def test_forcing_the_climb_leaves_every_stopped_lower_bit_for_bit(monkeypatch):
         np.testing.assert_array_equal(climbed.witness["element"], stop.witness["element"])
 
 
+def test_functional_search_values_only_the_candidates_it_needs(monkeypatch):
+    """Norming candidates are valued in order and a search stops at the first
+    that meets the dual norm: on every stopping source, and on weighted min
+    bases like those of the lb-search benchmark, that is the first, aligned
+    one; a concrete or tensor_p source, with no closed form, values all its
+    candidates (six random ones, conj(c) and, on tensor_p, the aligned one)."""
+    from pllab import maps
+
+    valued = []
+    real = maps.underlying_norm
+
+    def spy(q, x):
+        valued.append(q)
+        return real(q, x)
+
+    monkeypatch.setattr(maps, "underlying_norm", spy)
+    rng = make_rng(62, "lazy-candidates")
+    sources = list(_stop_sources().values())
+    for p, dims in ((1.0, range(1, 6)), (np.inf, range(1, 6)), (None, range(1, 6)), (3.0, [1])):
+        for m in dims:
+            base = BaseNorm.euclidean(m) if p is None else BaseNorm.lp(p, weights=rng.uniform(0.5, 2.0, m))
+            sources.append(Quantization.min(base))
+    wants = [(q, "functional/norming-candidate", 1) for q in sources]
+    wants += [(_climb_sources()[name], "search/sampled-ascent", n) for name, n in (("concrete", 7), ("tensor_p", 8))]
+    for q, method, n in wants:
+        for i in range(3):
+            valued.clear()
+            phi = LinearMap(random_complex(rng, q.dim)[:, None], q, scalar())
+            est = lb_norm_lower(phi, budget=100, seed=i, use_closed_forms=False)
+            assert est.method == method
+            assert sum(v is q for v in valued) == n
+
+
 def test_functional_search_lowers_never_exceed_the_dual_norm():
     """Over the lb spaces of tools/identity.py and the quantization pool, with
     closed forms off, a functional's lower bound is at most its underlying
