@@ -179,7 +179,8 @@ class BaseNorm:
 
     def norm(self, x) -> float:
         x = self.check_element(x)
-        # _norm squares a euclidean element's entries, so 0 or inf at extreme scales
+        # _norm's l2 formula, kept for the unit-scaled terms of projective._refine,
+        # squares the entries, so gives 0 or inf at extreme scales
         return frobenius_norm(x) if self.kind == "euclidean" else self._norm(x)
 
     def _norm(self, x) -> float:
