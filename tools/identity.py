@@ -56,14 +56,19 @@ The records:
   and off, for functionals and linear maps on each space, rank-1 and rank-2
   scalar bilinear maps on every ordered pair of spaces, embeddings, and the
   bilinear maps of the hilbert x hilbert certificates;
+* ``lb/zero/<space>/<map>``: the same for the zero functional, the zero
+  linear map into hilbert(2), the zero scalar bilinear map on the space
+  twice and the zero map shaped as its l1 ``embedding_map``, on the
+  hilbert, min-lp3 and tp-l1 spaces: a search that finds no positive ratio;
 * ``lb/functional-pool/<k>/<i>``: ``lb_norm_lower`` lower, exact, method
   and witness, closed forms off, of 3 seeded functionals on each
   ``quantization_pool()`` descriptor: the functional search on every kind;
 * ``lower/<key>``: beside each record above that holds ``lb_norm_lower``
   results (the ``lb-search`` operations and the ``lb/functional``,
-  ``lb/linear``, ``lb/functional-pool``, ``lb/bilinear``, ``lb/embedding``
-  and ``lb/certificate`` records), its lowers alone, so ``compare`` tells a
-  moved lower from a change of ``exact``, ``method`` or witness only;
+  ``lb/linear``, ``lb/functional-pool``, ``lb/bilinear``, ``lb/embedding``,
+  ``lb/certificate`` and ``lb/zero`` records), its lowers alone, so
+  ``compare`` tells a moved lower from a change of ``exact``, ``method`` or
+  witness only;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -92,6 +97,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 SEEDS = (1, 2)
@@ -303,6 +309,14 @@ def record(root: Path) -> dict:
             put_lb(f"lb/embedding/{name}/{p:g}", embedding_map(p, [0.7, 1.6], lb[name]), 0)
     for cert in builtin_certificates(H2, H2)[1:]:
         put_lb(f"lb/certificate/{cert.name}", cert.bilinear, 0)
+    for name in ("hilbert", "min-lp3", "tp-l1"):
+        q, scalar = lb[name], Quantization.scalar()
+        embedding = embedding_map(1.0, [0.7, 1.6], q)
+        for kind, phi in (("functional", LinearMap(np.zeros((q.dim, 1)), q, scalar)),
+                          ("linear", LinearMap(np.zeros((q.dim, 2)), q, H2)),
+                          ("bilinear", BilinearMap(np.zeros((q.dim, q.dim, 1)), q, q, scalar)),
+                          ("embedding", replace(embedding, tensor=np.zeros_like(embedding.tensor)))):
+            put_lb(f"lb/zero/{name}/{kind}", phi, 0)
 
     out["verify-paper/3"] = _digest(verify_paper_suite(n_max=3))
     out["properties/50"] = _digest(properties_suite(trials=50))
