@@ -238,14 +238,13 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
 
 
 def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6):
-    """Elements x with certified underlying-norm upper bounds, aimed at |c . x|.
+    """Nonzero elements x aimed at |c . x|, yielded lazily and not valued.
 
-    Yields (x, upper) lazily, in order: the aligned element (conj(c) on
-    hilbert, primal_align on a base, a per-point or alternating alignment on
-    lp and tensor_p), n_random random elements, then conj(c) off hilbert,
-    skipping zeros.  Each is drawn and valued only when asked for, so a
-    caller that stops early skips the rest; one that needs them all, with
-    their draws, takes list(...).
+    In order: the aligned element (conj(c) on hilbert, primal_align on a
+    base, a per-point or alternating alignment on lp and tensor_p), n_random
+    random elements, then conj(c) off hilbert.  Each is drawn only when asked
+    for, so a caller that stops early skips the rest; one that needs them
+    all, with their draws, takes list(...) and values what it reads.
     """
     c = np.asarray(c, dtype=complex).ravel()
 
@@ -259,19 +258,21 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6):
             blocks, scores, uppers = [], [], []
             for ct in c.reshape(q.points, q.inner.dim):
                 key = lambda xy: abs(np.dot(ct, xy[0])) / max(xy[1], 1e-30)
-                y, up = max(_norming_candidates(q.inner, ct, rng, n_random=2), key=key)
+                valued = [(y, underlying_norm(q.inner, y)) for y in _norming_candidates(q.inner, ct, rng, n_random=2)]
+                y, up = max(valued, key=key)
                 blocks.append(y)
                 scores.append(key((y, up)))
                 uppers.append(max(up, 1e-30))
             s = q.point_base.primal_align(np.asarray(scores, dtype=complex))
             yield np.concatenate([st / ut * y for st, ut, y in zip(s, uppers, blocks)])
         elif q.kind == "tensor_p":
+            # list(...)[0] draws the unused inner random candidates too, so later draws stay in place
             C = c.reshape(q.base.dim, q.inner.dim)
-            b = list(_norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2))[0][0]
+            b = list(_norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2))[0]
             a = None
             for _ in range(4):
                 a = q.base.primal_align(C @ b)
-                b = list(_norming_candidates(q.inner, a @ C, rng, n_random=1))[0][0]
+                b = list(_norming_candidates(q.inner, a @ C, rng, n_random=1))[0]
             yield np.multiply.outer(a, b)
         for _ in range(n_random):
             yield random_complex(rng, q.dim)
@@ -281,7 +282,7 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6):
     for x in elements():
         x = np.asarray(x, dtype=complex).ravel()
         if np.any(x):
-            yield x, underlying_norm(q, x)
+            yield x
 
 
 # -- lb-norm lower bounds ------------------------------------------------------
@@ -309,21 +310,22 @@ def lb_norm_lower(
     never exceeds the true lb-norm even on bracketed kinds.  Closed forms:
     functionals (the dual norm) and Frobenius-to-Frobenius maps (the largest
     singular value of the coefficient matrix).  The search values a
-    functional's norming candidates first, in order, and hill-climbs it over
-    one-row elements only, since by module contractivity its lb-norm, the
-    underlying dual norm, is attained at d = 1.  When that dual norm has a
-    closed form, the search stops at the first candidate that meets it to
-    TIE_RTOL, with exact=True, method "functional/norming-candidate" and a
-    witness of the element and the dual norm; concrete, tensor_p and
-    lp-over-concrete sources (no closed form) and a multi-coordinate min over
-    lq, 2 < p < inf (candidates valued by a loose one-row upper) still value
-    every candidate and climb.  A linear map
-    into a larger target climbs over one to three rows, a bilinear map over
-    one and two.  Coefficients of Frobenius norm outside [2**-64, 2**64] are
-    first scaled by a power of two to norm in [1/2, 1), the bound scaled
-    back, so no search overflows or underflows.
-    Raises ValueError on a real-restricted source or target: the searches
-    sample complex elements.
+    functional's norming candidates first, in order, one underlying_norm
+    each, and hill-climbs it over one-row elements only, since by module
+    contractivity its lb-norm, the underlying dual norm (computed once), is
+    attained at d = 1.  When that has a closed form, the search stops at the
+    first candidate that meets it to TIE_RTOL, with exact=True, method
+    "functional/norming-candidate" and a witness of the element and the dual
+    norm; concrete, tensor_p and lp-over-concrete sources (no closed form)
+    and a multi-coordinate min over lq, 2 < p < inf (candidates valued by a
+    loose one-row upper) value every candidate and climb.  A linear map into
+    a larger target climbs over one to three rows, a bilinear map over one
+    and two.  Every search keeps the first candidate or climb it values, so
+    a zero map's witness names source elements too.  Coefficients of
+    Frobenius norm outside [2**-64, 2**64] are first scaled by a power of two
+    to norm in [1/2, 1), the bound scaled back, so no search overflows or
+    underflows.  Raises ValueError on a real-restricted source or target:
+    the searches sample complex elements.
     """
     bilinear = isinstance(phi, BilinearMap)
     spaces = (phi.source_left, phi.source_right, phi.target) if bilinear else (phi.source, phi.target)
@@ -343,13 +345,12 @@ def lb_norm_lower(
     starts = max(2, budget // 50)
     if bilinear:
         return _lb_lower_bilinear(phi, starts, rng, use_closed_forms)
-    if use_closed_forms and phi.is_functional:
-        dn = underlying_dual_norm(phi.source, phi.matrix[:, 0])
-        if dn is not None:
-            return LbNormEstimate(dn, True, "functional/dual-norm")
+    dn = underlying_dual_norm(phi.source, phi.matrix[:, 0]) if phi.is_functional else None
+    if use_closed_forms and dn is not None:
+        return LbNormEstimate(dn, True, "functional/dual-norm")
     if use_closed_forms and phi.source.kind == "hilbert" and phi.target.kind == "hilbert":
         return LbNormEstimate(float(np.linalg.norm(phi.matrix, 2)), True, "hilbert/operator-norm")
-    return _lb_lower_linear_search(phi, starts, rng)
+    return _lb_lower_linear_search(phi, starts, rng, dn)
 
 
 def _ldexp(a: np.ndarray, e: int) -> np.ndarray:
@@ -402,13 +403,12 @@ def _ascend(ratio, xs: list, rng) -> tuple:
     return val, xs
 
 
-def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
-    best, best_xs = 0.0, [None]
+def _lb_lower_linear_search(phi: LinearMap, starts: int, rng, dn: Optional[float]) -> LbNormEstimate:
+    best, best_xs = -math.inf, None
     if phi.is_functional:
         c = phi.matrix[:, 0]
-        dn = underlying_dual_norm(phi.source, c)
-        for x, up in _norming_candidates(phi.source, c, rng):
-            val = abs(np.dot(c, x)) / up
+        for x in _norming_candidates(phi.source, c, rng):
+            val = abs(np.dot(c, x)) / underlying_norm(phi.source, x)
             if _beats(val, best):
                 best, best_xs = val, [x[None, :]]
             # every later candidate and climb value is a certified lower, so
@@ -423,9 +423,9 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng) -> LbNormEstimate:
 
 
 def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
-    sources = [r.source_left, r.source_right]
-    ratio = _ratio(sources, r.target, lambda xs: amplify_bilinear(r, *xs), rng)
-    best, best_xs = 0.0, None
+    E, F = r.source_left, r.source_right
+    ratio = _ratio([E, F], r.target, lambda xs: amplify_bilinear(r, *xs), rng)
+    best, best_xs = -math.inf, None
     T = r.tensor
     if r.target.dim == 1:
         # scalar-valued: d=1 ratios are exact quotients |x C y| / (||x|| ||y||)
@@ -434,37 +434,37 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
         if use_closed_forms and ss.size and (ss.size == 1 or ss[1] <= 1e-12 * ss[0]):
             # rank-one C = f g^T; recover the factors from the SVD
             f, g = uu[:, 0] * ss[0], vv[0]
-            dn_f, dn_g = underlying_dual_norm(r.source_left, f), underlying_dual_norm(r.source_right, g)
+            dn_f, dn_g = underlying_dual_norm(E, f), underlying_dual_norm(F, g)
             if dn_f is not None and dn_g is not None:
                 return LbNormEstimate(dn_f * dn_g, True, "functional-product/dual-norms", {"f": f, "g": g})
-        cand_L = list(_norming_candidates(r.source_left, C @ np.ones(C.shape[1]), rng, n_random=3))
-        cand_L += _norming_candidates(r.source_left, uu[:, 0], rng, n_random=0)
-        cand_R = list(_norming_candidates(r.source_right, vv[0], rng, n_random=3))
-        for x, ux in cand_L:
+        cand_L = list(_norming_candidates(E, C @ np.ones(C.shape[1]), rng, n_random=3))
+        cand_L += _norming_candidates(E, uu[:, 0], rng, n_random=0)
+        cand_R = [(y, underlying_norm(F, y)) for y in _norming_candidates(F, vv[0], rng, n_random=3)]
+        for x, ux in [(x, underlying_norm(E, x)) for x in cand_L]:
             # best y for this x by aligning against x C
-            for y, uy in list(_norming_candidates(r.source_right, x @ C, rng, n_random=1)) + cand_R:
+            aligned = [(y, underlying_norm(F, y)) for y in _norming_candidates(F, x @ C, rng, n_random=1)]
+            for y, uy in aligned + cand_R:
                 val = abs(x @ C @ y) / (ux * uy)
                 if _beats(val, best):
                     best, best_xs = val, [x[None, :], y[None, :]]
 
     # elementary candidates from per-factor norming data
-    for x, ux in list(_norming_candidates(r.source_left, T.sum(axis=(1, 2)).conj(), rng, n_random=2)):
-        for y, uy in list(_norming_candidates(r.source_right, T.sum(axis=(0, 2)).conj(), rng, n_random=2)):
+    for x in list(_norming_candidates(E, T.sum(axis=(1, 2)).conj(), rng, n_random=2)):
+        for y in list(_norming_candidates(F, T.sum(axis=(0, 2)).conj(), rng, n_random=2)):
             pair = [x[None, :], y[None, :]]
             val, _ = ratio(pair, [None, None])
             if _beats(val, best):
                 best, best_xs = val, pair
 
-    if all(q.kind == "hilbert" for q in (*sources, r.target)):
-        _, f, g = _alternate(r.source_left, r.source_right, T.transpose(2, 0, 1), starts, rng)
+    if all(q.kind == "hilbert" for q in (E, F, r.target)):
+        _, f, g = _alternate(E, F, T.transpose(2, 0, 1), starts, rng)
         pair = [f[None, :], g[None, :]]
         val, _ = ratio(pair, [None, None])
         if _beats(val, best):
             best, best_xs = val, pair
     else:
-        best, best_xs = _climb(ratio, sources, 2, starts, rng, best, best_xs)
-    witness = {} if best_xs is None else {"u": best_xs[0], "v": best_xs[1]}
-    return LbNormEstimate(best, False, "search/alternating", witness)
+        best, best_xs = _climb(ratio, [E, F], 2, starts, rng, best, best_xs)
+    return LbNormEstimate(best, False, "search/alternating", {"u": best_xs[0], "v": best_xs[1]})
 
 
 # -- certificates ---------------------------------------------------------------

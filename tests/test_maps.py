@@ -800,3 +800,64 @@ def test_functional_search_lowers_never_exceed_the_dual_norm():
             assert 0.0 < est.lower <= dn * (1.0 + 1e-12)
             checked += 1
     assert checked == 3 * 14  # 14 of the 21 spaces have a closed-form dual norm
+
+
+def test_lb_searches_value_a_candidate_only_where_they_read_it(monkeypatch):
+    """Norming candidates come as elements; a search values one with
+    underlying_norm only where it reads the value.  An embedding map's
+    elementary candidates are valued by their ratio alone; a tensor_p
+    functional values its 8 candidates and none of the hilbert candidates
+    of their alignment; a rank-2 scalar bilinear map values each of its 7
+    left candidates once, its 4 right ones once and the 2 right ones aligned
+    with each left one."""
+    from pllab import maps
+
+    valued = []
+    real = maps.underlying_norm
+
+    def spy(q, x):
+        valued.append((q.kind, x.tobytes()))
+        return real(q, x)
+
+    monkeypatch.setattr(maps, "underlying_norm", spy)
+    H2 = Quantization.hilbert(2)
+    tp = Quantization.tensor_p(BaseNorm.lp(1.0, weights=[1.0, 1.0]), H2)
+    for F in (H2, Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 2.0])), tp):
+        for p in (1.0, np.inf):
+            lb_norm_lower(embedding_map(p, [0.7, 1.6], F), budget=100, use_closed_forms=False)
+    assert valued == []
+    rng = make_rng(63, "valued-where-read")
+    for i in range(3):
+        valued.clear()
+        lb_norm_lower(LinearMap(random_complex(rng, tp.dim)[:, None], tp, scalar()), budget=100, seed=i)
+        assert [kind for kind, _ in valued] == ["tensor_p"] * 8
+        valued.clear()
+        C = random_complex(rng, tp.dim, 2) @ random_complex(rng, 2, H2.dim)
+        lb_norm_lower(BilinearMap(C[:, :, None], tp, H2, scalar()), budget=100, seed=i)
+        left = [x for kind, x in valued if kind == "tensor_p"]
+        assert len(left) == len(set(left)) == 7
+        assert sum(kind == "hilbert" for kind, _ in valued) == 4 + 2 * 7
+
+
+def test_zero_maps_report_a_witness_element():
+    """A search that finds no positive ratio keeps the first candidate or
+    climb it values, so with closed forms off every zero map has lower 0 and
+    a witness naming an element of each source's shape; a zero functional
+    on a source with a closed-form dual norm stops at its first candidate."""
+    H2 = Quantization.hilbert(2)
+    tp = Quantization.tensor_p(BaseNorm.lp(1.0, weights=[1.0, 1.0]), H2)
+    for q in (H2, Quantization.min(BaseNorm.lp(3.0, weights=[1.0, 2.0])), tp):
+        embedding = embedding_map(1.0, [0.7, 1.6], q)
+        zeros = [LinearMap(np.zeros((q.dim, 1)), q, scalar()), LinearMap(np.zeros((q.dim, 2)), q, H2),
+                 BilinearMap(np.zeros((q.dim, q.dim, 1)), q, q, scalar()),
+                 BilinearMap(np.zeros_like(embedding.tensor), embedding.source_left, q, embedding.target)]
+        for phi in zeros:
+            est = lb_norm_lower(phi, budget=100, use_closed_forms=False)
+            assert est.lower == 0.0
+            if isinstance(phi, LinearMap):
+                assert est.witness["element"].shape == (1, q.dim)
+            else:
+                assert est.witness["u"].shape == (1, phi.source_left.dim)
+                assert est.witness["v"].shape == (1, q.dim)
+        functional = lb_norm_lower(zeros[0], budget=100, use_closed_forms=False)
+        assert functional.exact == (q is not tp)
