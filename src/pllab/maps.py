@@ -269,7 +269,6 @@ def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6):
             # list(...)[0] draws the unused inner random candidates too, so later draws stay in place
             C = c.reshape(q.base.dim, q.inner.dim)
             b = list(_norming_candidates(q.inner, C.mean(axis=0), rng, n_random=2))[0]
-            a = None
             for _ in range(4):
                 a = q.base.primal_align(C @ b)
                 b = list(_norming_candidates(q.inner, a @ C, rng, n_random=1))[0]
@@ -404,6 +403,7 @@ def _ascend(ratio, xs: list, rng) -> tuple:
 
 
 def _lb_lower_linear_search(phi: LinearMap, starts: int, rng, dn: Optional[float]) -> LbNormEstimate:
+    # from -inf a zero map keeps its first candidate or climb; max(0.0, best) reports its 0.0 as a float
     best, best_xs = -math.inf, None
     if phi.is_functional:
         c = phi.matrix[:, 0]
@@ -415,17 +415,17 @@ def _lb_lower_linear_search(phi: LinearMap, starts: int, rng, dn: Optional[float
             # at most the dual norm up to rounding: none could _beat this one
             if dn is not None and best >= dn * (1.0 - TIE_RTOL):
                 witness = {"element": best_xs[0], "dual_norm": dn}
-                return LbNormEstimate(best, True, "functional/norming-candidate", witness)
+                return LbNormEstimate(max(0.0, best), True, "functional/norming-candidate", witness)
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
     rows = 1 if phi.is_functional else 3
     best, best_xs = _climb(ratio, [phi.source], rows, starts, rng, best, best_xs)
-    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_xs[0]})
+    return LbNormEstimate(max(0.0, best), False, "search/sampled-ascent", {"element": best_xs[0]})
 
 
 def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
     E, F = r.source_left, r.source_right
     ratio = _ratio([E, F], r.target, lambda xs: amplify_bilinear(r, *xs), rng)
-    best, best_xs = -math.inf, None
+    best, best_xs = -math.inf, None  # as in _lb_lower_linear_search
     T = r.tensor
     if r.target.dim == 1:
         # scalar-valued: d=1 ratios are exact quotients |x C y| / (||x|| ||y||)
@@ -464,7 +464,7 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
             best, best_xs = val, pair
     else:
         best, best_xs = _climb(ratio, [E, F], 2, starts, rng, best, best_xs)
-    return LbNormEstimate(best, False, "search/alternating", {"u": best_xs[0], "v": best_xs[1]})
+    return LbNormEstimate(max(0.0, best), False, "search/alternating", {"u": best_xs[0], "v": best_xs[1]})
 
 
 # -- certificates ---------------------------------------------------------------
