@@ -66,9 +66,15 @@ The records:
 * ``lower/<key>``: beside each record above that holds ``lb_norm_lower``
   results (the ``lb-search`` operations and the ``lb/functional``,
   ``lb/linear``, ``lb/functional-pool``, ``lb/bilinear``, ``lb/embedding``,
-  ``lb/certificate`` and ``lb/zero`` records), its lowers alone, so
-  ``compare`` tells a moved lower from a change of ``exact``, ``method`` or
-  witness only;
+  ``lb/certificate`` and ``lb/zero`` records), its lowers alone, each as
+  ``float(lower)``, so ``compare`` tells a moved lower from a change of
+  ``exact``, ``method``, witness or only the type of a lower, which the
+  full record's ``repr`` still shows;
+* ``amp/lp-range/<p>/<scale>``: ``amp_norm`` value, lower, exact and method
+  of ``lp(p, LP_RANGE_WEIGHTS)`` over the scalar inner and over
+  ``hilbert(2)``, at d = 1..3 rows, for each p of ``LP_RANGE_P`` and
+  elements at each scale of ``LP_RANGE_SCALES``: weights over 300 decades,
+  so the point norms are combined through both branches of ``lp_sum``;
 * the ``verify_paper_suite(n_max=3)`` rows;
 * the ``properties_suite(trials=50)`` rows (the property sweeps and the
   semi-Ruan searches) and the ``certificate_sweep(pairs=40)`` summary and
@@ -121,6 +127,9 @@ REAL_BASES = {  # name -> real-restricted BaseNorm.from_dict descriptor
 ADMISSION_SCALES = (1e-13, 1.0, 1e13)
 TP_INNER = {"kind": "min", "params": {"base": {"kind": "lp", "dim": 2, "p": 3.0}}}
 LB_SOURCES = ("lp2-hilbert", "lp1-min", "lp3-concrete", "tp-l1", "concrete", "hilbert", "min-lp3")
+LP_RANGE_P = (1.0, 1.5, 3.0, 40.0, 1e3, float("inf"))
+LP_RANGE_WEIGHTS = (1e-150, 3e-40, 1.0, 2e60, 1e150)  # admitted by check_p at every p of LP_RANGE_P
+LP_RANGE_SCALES = (1e-150, 1.0, 1e150)
 
 
 def _digest(obj) -> list:
@@ -168,7 +177,7 @@ def record(root: Path) -> dict:
                 rec = (res, res.to_dict()) if op.kind in ("pl", "l") else res
                 out[f"{workload}/{seed}/{k}"] = _digest(rec)
                 if workload == "lb-search":
-                    out[f"lower/{workload}/{seed}/{k}"] = _digest(res.lower)
+                    out[f"lower/{workload}/{seed}/{k}"] = _digest(float(res.lower))
 
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for seed in SEEDS:
@@ -272,13 +281,22 @@ def record(root: Path) -> dict:
                         verdict(lambda: amp_norm(Quantization.min(base), A))]
             out[f"admission/{name}/{scale!r}"] = _digest(rec)
 
+    for p in LP_RANGE_P:
+        qs = [Quantization.lp(p, LP_RANGE_WEIGHTS, inner=inner) for inner in (None, Quantization.hilbert(2))]
+        for scale in LP_RANGE_SCALES:
+            rec = []
+            for q, d in itertools.product(qs, (1, 2, 3)):
+                nv = amp_norm(q, scale * wl._complex(wl._rng(0, "lp-range", p, q.dim, d), d, q.dim))
+                rec.append((nv.value, nv.lower, nv.exact, nv.method))
+            out[f"amp/lp-range/{p:g}/{scale!r}"] = _digest(rec)
+
     H2 = Quantization.hilbert(2)
     lb = lb_spaces()
 
     def put_lb(key, phi, seed):  # closed forms on, then off
         ests = [lb_norm_lower(phi, budget=wl.LB_BUDGET, seed=seed, use_closed_forms=c) for c in (True, False)]
         out[key] = _digest([(e.lower, e.exact, e.method, e.witness) for e in ests])
-        out[f"lower/{key}"] = _digest([e.lower for e in ests])
+        out[f"lower/{key}"] = _digest([float(e.lower) for e in ests])
 
     for name, q in lb.items():
         for i in range(3):
@@ -296,7 +314,7 @@ def record(root: Path) -> dict:
             e = lb_norm_lower(LinearMap(c[:, None], q, Quantization.scalar()), budget=wl.LB_BUDGET, seed=i,
                               use_closed_forms=False)
             out[f"lb/functional-pool/{k}/{i}"] = _digest((e.lower, e.exact, e.method, e.witness))
-            out[f"lower/lb/functional-pool/{k}/{i}"] = _digest(e.lower)
+            out[f"lower/lb/functional-pool/{k}/{i}"] = _digest(float(e.lower))
     for a, b in itertools.product(LB_SOURCES, repeat=2):
         E, F = lb[a], lb[b]
         for rank in (1, 2):
