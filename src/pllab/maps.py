@@ -207,8 +207,8 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
     results.  Start 0 takes g from T as a (d mE) x mF matrix, each later
     start from a random max(2, d) x mF one, drawn in stack and start order;
     all starts then run six rounds in lockstep, each an f step then a g
-    step, one stacked underlying_dual_maximize each.  A later start is kept
-    only when it _beats the best, so ties keep the earlier.  The steps run
+    step, one stacked underlying_dual_maximize each, and _keep_best picks
+    a start per stack entry, so ties keep the earlier.  The steps run
     at the given nesting level (see underlying_dual_maximize); beyond the
     first (nested > 1) the search is one greedy pass instead, a g step on
     the slices summed over j, then an f step, drawing nothing itself.
@@ -228,13 +228,10 @@ def _alternate(E: Quantization, F: Quantization, T: np.ndarray, starts: int, rng
     for _ in range(6):
         Fs = step(E, np.einsum("nijk,nsk->nsij", S, G).reshape(-1, d, mE), 2).reshape(N, starts, mE)
         G = step(F, np.einsum("nijk,nsj->nsik", S, Fs).reshape(-1, d, mF), 2).reshape(N, starts, mF)
-    best, pick = np.empty(N), np.zeros(N, dtype=int)
-    for n, s in np.ndindex(N, starts):
-        val = float(np.linalg.norm(np.einsum("ijk,j,k->i", S[n], Fs[n, s], G[n, s])))
-        if s == 0 or _beats(val, best[n]):
-            best[n], pick[n] = val, s
+    val = lambda n, s: np.linalg.norm(np.einsum("ijk,j,k->i", S[n], Fs[n, s], G[n, s]))
+    best, pick = zip(*(_keep_best((val(n, s), s) for s in range(starts)) for n in range(N)))
     f, g = Fs[np.arange(N), pick], G[np.arange(N), pick]
-    return (best, f, g) if T.ndim == 4 else (float(best[0]), f[0], g[0])
+    return (np.array(best), f, g) if T.ndim == 4 else (best[0], f[0], g[0])
 
 
 def _norming_candidates(q: Quantization, c: np.ndarray, rng, n_random: int = 6):
@@ -319,8 +316,10 @@ def lb_norm_lower(
     and a multi-coordinate min over lq, 2 < p < inf (candidates valued by a
     loose one-row upper) value every candidate and climb.  A linear map into
     a larger target climbs over one to three rows, a bilinear map over one
-    and two.  Every search keeps the first candidate or climb it values, so
-    a zero map's witness names source elements too.  Coefficients of
+    and two.  Every search keeps its best in one scan, _keep_best: the first
+    candidate or climb it values, then a later one only when it _beats the
+    best, as a Python float, so a zero map's witness names source elements
+    too and its lower is the float 0.0.  Coefficients of
     Frobenius norm outside [2**-64, 2**64] are first scaled by a power of two
     to norm in [1/2, 1), the bound scaled back, so no search overflows or
     underflows.  Raises ValueError on a real-restricted source or target:
@@ -374,15 +373,24 @@ def _beats(val: float, best: float) -> bool:
     return val > best * (1.0 + TIE_RTOL)
 
 
-def _climb(ratio, sources, rows: int, starts: int, rng, best: float, best_xs) -> tuple:
-    """(best, best_xs) after an _ascend from each start s, which draws a (1 + s % rows) x dim
-    element per source in order; a climb replaces the best only when it _beats it.
-    rows = 1 for a functional, whose lb-norm is attained at d = 1 (module contractivity)."""
-    for s in range(starts):
-        val, xs = _ascend(ratio, [random_complex(rng, 1 + s % rows, q.dim) for q in sources], rng)
-        if _beats(val, best):
-            best, best_xs = val, xs
+def _keep_best(scored, best: float = -math.inf, best_xs=None, enough: float = math.inf) -> tuple:
+    """(best, best_xs) over the (value, xs) pairs of scored, taken in order after
+    any best passed in: the first is kept, then a later one only when it _beats
+    the best, stored as a Python float.  Once the best reaches enough the scan
+    stops, asking scored for no further pair, so a lazy scored draws no more."""
+    for val, xs in scored:
+        if best_xs is None or _beats(val, best):
+            best, best_xs = float(val), xs
+        if best >= enough:
+            break
     return best, best_xs
+
+
+def _climb(ratio, sources, rows: int, starts: int, rng):
+    """Yield the (ratio, xs) of an _ascend from each start s, which draws a (1 + s % rows) x dim element
+    per source in order; rows = 1 for a functional, its lb-norm attained at d = 1 (module contractivity)."""
+    for s in range(starts):
+        yield _ascend(ratio, [random_complex(rng, 1 + s % rows, q.dim) for q in sources], rng)
 
 
 def _ascend(ratio, xs: list, rng) -> tuple:
@@ -403,29 +411,29 @@ def _ascend(ratio, xs: list, rng) -> tuple:
 
 
 def _lb_lower_linear_search(phi: LinearMap, starts: int, rng, dn: Optional[float]) -> LbNormEstimate:
-    # from -inf a zero map keeps its first candidate or climb; max(0.0, best) reports its 0.0 as a float
     best, best_xs = -math.inf, None
     if phi.is_functional:
         c = phi.matrix[:, 0]
-        for x in _norming_candidates(phi.source, c, rng):
-            val = abs(np.dot(c, x)) / underlying_norm(phi.source, x)
-            if _beats(val, best):
-                best, best_xs = val, [x[None, :]]
-            # every later candidate and climb value is a certified lower, so
-            # at most the dual norm up to rounding: none could _beat this one
-            if dn is not None and best >= dn * (1.0 - TIE_RTOL):
-                witness = {"element": best_xs[0], "dual_norm": dn}
-                return LbNormEstimate(max(0.0, best), True, "functional/norming-candidate", witness)
+        # every later candidate and climb value is a certified lower, so at
+        # most the dual norm up to rounding: none could _beat one that meets it
+        enough = math.inf if dn is None else dn * (1.0 - TIE_RTOL)
+        scored = ((abs(np.dot(c, x)) / underlying_norm(phi.source, x), [x[None, :]])
+                  for x in _norming_candidates(phi.source, c, rng))
+        best, best_xs = _keep_best(scored, enough=enough)
+        if best >= enough:
+            witness = {"element": best_xs[0], "dual_norm": dn}
+            return LbNormEstimate(best, True, "functional/norming-candidate", witness)
     ratio = _ratio([phi.source], phi.target, lambda xs: xs[0] @ phi.matrix, rng)
     rows = 1 if phi.is_functional else 3
-    best, best_xs = _climb(ratio, [phi.source], rows, starts, rng, best, best_xs)
-    return LbNormEstimate(max(0.0, best), False, "search/sampled-ascent", {"element": best_xs[0]})
+    best, best_xs = _keep_best(_climb(ratio, [phi.source], rows, starts, rng), best, best_xs)
+    return LbNormEstimate(best, False, "search/sampled-ascent", {"element": best_xs[0]})
 
 
 def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool = True) -> LbNormEstimate:
     E, F = r.source_left, r.source_right
     ratio = _ratio([E, F], r.target, lambda xs: amplify_bilinear(r, *xs), rng)
-    best, best_xs = -math.inf, None  # as in _lb_lower_linear_search
+    valued = lambda pairs: ((ratio(pair, [None, None])[0], pair) for pair in pairs)
+    best, best_xs = -math.inf, None
     T = r.tensor
     if r.target.dim == 1:
         # scalar-valued: d=1 ratios are exact quotients |x C y| / (||x|| ||y||)
@@ -440,31 +448,26 @@ def _lb_lower_bilinear(r: BilinearMap, starts: int, rng, use_closed_forms: bool 
         cand_L = list(_norming_candidates(E, C @ np.ones(C.shape[1]), rng, n_random=3))
         cand_L += _norming_candidates(E, uu[:, 0], rng, n_random=0)
         cand_R = [(y, underlying_norm(F, y)) for y in _norming_candidates(F, vv[0], rng, n_random=3)]
-        for x, ux in [(x, underlying_norm(E, x)) for x in cand_L]:
-            # best y for this x by aligning against x C
-            aligned = [(y, underlying_norm(F, y)) for y in _norming_candidates(F, x @ C, rng, n_random=1)]
-            for y, uy in aligned + cand_R:
-                val = abs(x @ C @ y) / (ux * uy)
-                if _beats(val, best):
-                    best, best_xs = val, [x[None, :], y[None, :]]
+        # for each x, the best y by aligning against x C, then cand_R
+        scored = ((abs(x @ C @ y) / (ux * uy), [x[None, :], y[None, :]])
+                  for x, ux in [(x, underlying_norm(E, x)) for x in cand_L]
+                  for y, uy in [(y, underlying_norm(F, y)) for y in _norming_candidates(F, x @ C, rng, n_random=1)]
+                  + cand_R)
+        best, best_xs = _keep_best(scored)
 
     # elementary candidates from per-factor norming data
-    for x in list(_norming_candidates(E, T.sum(axis=(1, 2)).conj(), rng, n_random=2)):
-        for y in list(_norming_candidates(F, T.sum(axis=(0, 2)).conj(), rng, n_random=2)):
-            pair = [x[None, :], y[None, :]]
-            val, _ = ratio(pair, [None, None])
-            if _beats(val, best):
-                best, best_xs = val, pair
+    elementary = ([x[None, :], y[None, :]]
+                  for x in list(_norming_candidates(E, T.sum(axis=(1, 2)).conj(), rng, n_random=2))
+                  for y in list(_norming_candidates(F, T.sum(axis=(0, 2)).conj(), rng, n_random=2)))
+    best, best_xs = _keep_best(valued(elementary), best, best_xs)
 
     if all(q.kind == "hilbert" for q in (E, F, r.target)):
         _, f, g = _alternate(E, F, T.transpose(2, 0, 1), starts, rng)
-        pair = [f[None, :], g[None, :]]
-        val, _ = ratio(pair, [None, None])
-        if _beats(val, best):
-            best, best_xs = val, pair
+        scored = valued([[f[None, :], g[None, :]]])
     else:
-        best, best_xs = _climb(ratio, [E, F], 2, starts, rng, best, best_xs)
-    return LbNormEstimate(max(0.0, best), False, "search/alternating", {"u": best_xs[0], "v": best_xs[1]})
+        scored = _climb(ratio, [E, F], 2, starts, rng)
+    best, best_xs = _keep_best(scored, best, best_xs)
+    return LbNormEstimate(best, False, "search/alternating", {"u": best_xs[0], "v": best_xs[1]})
 
 
 # -- certificates ---------------------------------------------------------------

@@ -34,13 +34,14 @@ properties.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .bases import BaseNorm, admit_real, check_p, lp_sum
+from .bases import BaseNorm, admit_real, check_p
 from .hilbert import coeffs_of, frobenius_norm, l2_norm, unit_scaled
 from .projective import ProjResult, proj_bracket
 from .sampling import make_rng, random_complex
@@ -196,10 +197,10 @@ class Quantization:
             return self.point_base
         return None
 
-    @property
+    @functools.cached_property
     def point_base(self) -> BaseNorm:
-        """lp only: the norm that combines the point norms n_t as _amp_lp does,
-        (sum_t w_t n_t^p)^(1/p), and max_t n_t (no weights) at p = inf."""
+        """lp only: the norm with which _amp_lp combines the point norms n_t,
+        (sum_t w_t n_t^p)^(1/p), and max_t n_t (no weights) at p = inf; built once."""
         return BaseNorm.lp(self.p, weights=np.ones(self.points) if np.isinf(self.p) else self.weights)
 
     @property
@@ -376,13 +377,8 @@ def _amp_lp(q: Quantization, U: np.ndarray, budget: int, rng) -> tuple:
         scale = l2_norm(block) or frobenius_norm(block)
         uppers[t], lowers[t], ex, _ = _valued(q.inner, block, scale, max(budget // 4, 20), rng)
         exact = exact and ex
-    v = _combine(q, uppers)
-    return v, v if exact else _combine(q, lowers), exact, "lp/pointwise"
-
-
-def _combine(q: Quantization, n: np.ndarray) -> float:
-    """q.point_base's norm of the point norms n."""
-    return float(n.max()) if np.isinf(q.p) else float(lp_sum(n, q.p, q.weights))
+    v = q.point_base._norm(uppers)
+    return v, v if exact else q.point_base._norm(lowers), exact, "lp/pointwise"
 
 
 def _beta_slices(U: np.ndarray, m_base: int, m_inner: int) -> np.ndarray:

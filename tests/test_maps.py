@@ -839,6 +839,38 @@ def test_lb_searches_value_a_candidate_only_where_they_read_it(monkeypatch):
         assert sum(kind == "hilbert" for kind, _ in valued) == 4 + 2 * 7
 
 
+
+def test_lb_norm_lower_is_a_float_on_every_path():
+    """Every lb-norm search keeps its best through one scan that stores a
+    Python float, and the closed forms and the rescaled bounds are floats
+    too: on every path the lower is a float, not a numpy scalar."""
+    H2 = Quantization.hilbert(2)
+    min_l1 = Quantization.min(BaseNorm.lp(1.0, weights=[1.0, 0.5, 2.0]))
+    climb = _climb_sources()
+    rng = make_rng(64, "float-lower")
+    functional = lambda q: LinearMap(random_complex(rng, q.dim)[:, None], q, scalar())  # noqa: E731
+    C = random_complex(rng, min_l1.dim, 2) @ random_complex(rng, 2, H2.dim)
+    stopped, rank2 = functional(min_l1), BilinearMap(C[:, :, None], min_l1, H2, scalar())
+    cert = next(c for c in builtin_certificates(H2, H2) if c.name == "coordinate-multiplication-l2")
+    cases = [
+        (stopped, True, "functional/dual-norm"),
+        (stopped, False, "functional/norming-candidate"),
+        (functional(climb["concrete"]), False, "search/sampled-ascent"),
+        (functional(climb["tensor_p"]), False, "search/sampled-ascent"),
+        (rank2, True, "search/alternating"),
+        (embedding_map(3.0, [0.7, 1.6], H2), False, "search/alternating"),
+        (cert.bilinear, False, "search/alternating"),
+        (LinearMap(np.zeros((min_l1.dim, 1)), min_l1, scalar()), False, "functional/norming-candidate"),
+    ]
+    for e in (100, -100):
+        cases += [(LinearMap(2.0**e * stopped.matrix, min_l1, scalar()), False, "functional/norming-candidate"),
+                  (BilinearMap(2.0**e * rank2.tensor, min_l1, H2, scalar()), False, "search/alternating")]
+    for phi, closed, method in cases:
+        est = lb_norm_lower(phi, budget=100, seed=1, use_closed_forms=closed)
+        assert est.method == method
+        assert type(est.lower) is float
+
+
 def test_zero_maps_report_a_witness_element():
     """A search that finds no positive ratio keeps the first candidate or
     climb it values, so with closed forms off every zero map has lower 0 and

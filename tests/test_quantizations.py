@@ -131,6 +131,17 @@ def test_lp_inf_is_pointwise_max():
     assert amp_norm(q, U).value == pytest.approx(want, rel=1e-12)
 
 
+
+def test_point_base_is_built_once_per_descriptor():
+    """An lp descriptor builds the norm that combines its point norms once:
+    every read of point_base returns the same object, and at p = inf its
+    weights are ones, whatever the point weights."""
+    q = Quantization.lp(3.0, [1.0, 0.5], inner=Quantization.hilbert(2))
+    assert q.point_base is q.point_base
+    np.testing.assert_array_equal(q.point_base.weights, q.weights)
+    np.testing.assert_array_equal(Quantization.lp(np.inf, [2.0, 0.5]).point_base.weights, [1.0, 1.0])
+
+
 def test_concrete_block_operator_oracle():
     gens = [
         np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
