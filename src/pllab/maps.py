@@ -374,10 +374,9 @@ def _beats(val: float, best: float) -> bool:
 
 
 def _keep_best(scored, best: float = -math.inf, best_xs=None, enough: float = math.inf) -> tuple:
-    """(best, best_xs) over the (value, xs) pairs of scored, taken in order after
-    any best passed in: the first is kept, then a later one only when it _beats
-    the best, stored as a Python float.  Once the best reaches enough the scan
-    stops, asking scored for no further pair, so a lazy scored draws no more."""
+    """(best, best_xs) over the (value, xs) pairs of scored after any best passed in: the first
+    is kept, then a later one only when it _beats the best, stored as a Python float.  Once the
+    best reaches enough, scored is asked for no further pair, so a lazy one draws no more."""
     for val, xs in scored:
         if best_xs is None or _beats(val, best):
             best, best_xs = float(val), xs
