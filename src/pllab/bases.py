@@ -189,7 +189,7 @@ class BaseNorm:
             return l2_norm(x)
         if self.kind == "lp":
             a = np.abs(x)
-            return float((self.weights * a).max() if np.isinf(self.p) else lp_sum(a, self.p, self.weights))
+            return float((self.weights * a).max() if self.p == math.inf else lp_sum(a, self.p, self.weights))
         return float(np.max(np.abs(self.vertices @ x)))
 
     def dual_norm(self, c) -> Optional[float]:
