@@ -11,7 +11,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 # Closed brackets at least, per (grid, norm); a change that closes brackets raises these.
-FLOORS = {("probe", "pl"): 21, ("probe", "l"): 4, ("swapped", "pl"): 7, ("swapped", "l"): 4}
+FLOORS = {("probe", "pl"): 21, ("probe", "l"): 4, ("swapped", "pl"): 21, ("swapped", "l"): 4}
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +34,17 @@ def test_probe_grids_keep_their_closed_floors(census, probe_grids):
     assert {key: n for key, (_, n, _) in summary.items()} == {key: 39 for key in FLOORS}
     for key, floor in FLOORS.items():
         assert summary[key][0] >= floor, (key, summary[key])
+
+
+def test_swapped_pl_brackets_agree_with_the_probe_grid(probe_grids):
+    """Both tensor norms are commutative, and a max or l1 factor absorbs the
+    other on either side, so exchanging the factors keeps each pl bracket."""
+    probe, swapped = probe_grids["probe"], probe_grids["swapped"]
+    assert probe.keys() == swapped.keys()
+    for key in probe:
+        x, y = probe[key]["pl"], swapped[key]["pl"]
+        assert y["upper"] == pytest.approx(x["upper"], rel=1e-12, abs=0), key
+        assert y["lower"] == pytest.approx(x["lower"], rel=1e-7, abs=0), key
 
 
 def _bracket(lower, upper):

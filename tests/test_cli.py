@@ -324,6 +324,24 @@ def test_a_pl_job_on_the_deepest_tensor_p_chain_ends_quickly(capsys):
     assert case["lower"] == pytest.approx(1.0, rel=1e-12) and case["upper"] == pytest.approx(1.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("swapped", [False, True])
+@pytest.mark.parametrize("projective", [
+    '{"kind": "max", "params": {"base": {"kind": "lp", "dim": 2, "p": 1, "weights": [1, 1]}}}',
+    '{"kind": "lp", "params": {"p": 1, "weights": [1, 1]}}',
+], ids=["max", "l1"])
+@pytest.mark.parametrize("command", ["pl", "compare"])
+def test_a_projective_factor_beside_the_deepest_chain_ends_in_a_report(capsys, command, projective, swapped):
+    """A max or l1 factor beside 31 lp levels over hilbert(1), 32 descriptors:
+    its absorbing target would chain 33, so the catalog leaves that entry out
+    and the job reports, in either factor order."""
+    left, right = projective, _chain(32, "lp")
+    if swapped:
+        left, right = right, left
+    doc = '{"schema_version": "1", "element": [[[1, 0], [0, 1]]], "left": %s, "right": %s}' % (left, right)
+    code, out, _ = run_cli(capsys, "--command", command, "--input", doc)
+    assert (code, json.loads(out)["outcome"]) in ((0, "pass"), (2, "gap"))
+
+
 @pytest.mark.parametrize("command", ["norm", "pl"])
 def test_missing_required_key_points_at_the_whole_document(capsys, command):
     doc = json.loads(norm_doc() if command == "norm" else pair_doc())

@@ -22,6 +22,7 @@ from pllab import (
     pl_norm_bracket,
 )
 from pllab.maps import _alternate, embedding_map, underlying_dual_maximize, underlying_dual_norm
+from pllab.quantizations import MAX_DEPTH
 from pllab.sampling import make_rng, random_complex
 from pllab.suites import quantization_pool
 
@@ -307,6 +308,42 @@ def test_certificates_are_contractive_on_diamonds():
             val, info = cert.evaluate_lower(W, budget=60, seed=t)
             assert val <= prod + 1e-9
             assert info["certificate"] == cert.name
+
+
+_ABSORBING = ("max-tensor-identity", "l1-reshape", "max-tensor-identity-right", "l1-reshape-right")
+
+
+def test_absorbing_certificates_are_contractive_on_either_side_over_the_pool():
+    """A max or l1 factor absorbs the other on either side: over every ordered
+    pool pair, the image of u <> v through each absorbing entry is valued at
+    most ||u|| ||v||.  certificate_sweep has no max factor on the right."""
+    pool = quantization_pool()
+    seen = set()
+    for a, E in enumerate(pool):
+        for b, F in enumerate(pool):
+            certs = [c for c in builtin_certificates(E, F) if c.name in _ABSORBING]
+            for d in (1, 2) if certs else ():
+                rng = make_rng(0, "absorb", a, b, d)
+                u, v = random_complex(rng, d, E.dim), random_complex(rng, d, F.dim)
+                prod = amp_norm(E, u).value * amp_norm(F, v).value
+                for cert in certs:
+                    val, _ = cert.evaluate_lower(diamond_amp(u, v), seed=d)
+                    assert val <= prod * (1 + 1e-12), (cert.name, a, b, d)
+                    seen.add(cert.name)
+    assert seen == set(_ABSORBING)
+
+
+def test_the_catalog_leaves_out_a_target_deeper_than_max_depth():
+    """An absorbing target chains one descriptor more than the absorbed factor."""
+    Q = Quantization.hilbert(1)
+    for _ in range(MAX_DEPTH - 2):
+        Q = Quantization.lp(2.0, [1.0], inner=Q)
+    deeper = Quantization.lp(2.0, [1.0], inner=Q)
+    names = lambda E, F: {c.name for c in builtin_certificates(E, F)}  # noqa: E731
+    for P, name in ((Quantization.max(BaseNorm.lp(1.0, weights=[1.0, 1.0])), "max-tensor-identity"),
+                    (Quantization.lp(1.0, [1.0, 1.0]), "l1-reshape")):
+        assert name in names(P, Q) and name + "-right" in names(Q, P)
+        assert names(P, deeper) == names(deeper, P) == {"functional-pair"}
 
 
 def test_embedding_map_achieves_equality():

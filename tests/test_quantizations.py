@@ -579,6 +579,8 @@ def test_descriptor_facts_of_the_pool_and_the_catalog_targets():
         "hilbert-tensor-embedding": ("euclidean", None, True),
         "max-tensor-identity": (None, None, False),
         "l1-reshape": (None, None, False),
+        "max-tensor-identity-right": (None, None, False),
+        "l1-reshape-right": (None, None, False),
     }
     seen = set()
     for E in pool:
