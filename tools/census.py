@@ -16,7 +16,7 @@ order from its own ``np.random.default_rng``:
 * ``probe``: the 13 pairs of ``bench/workloads.PAIRS`` at d = 1..3, drawn
   pair by pair from ``default_rng(0)``; pl and l, 39 brackets;
 * ``swapped``: the probe grid with the two factors of each pair exchanged and
-  each element's base slots exchanged to match; both tensor norms are
+  each element passed through ``tensorlab._swap``; both tensor norms are
   commutative, so its brackets bound the same numbers;
 * ``win-count``: ``default_rng(100..103)``, one generator per draw, each over
   the 13 pairs at d = 1..4; pl and l, 208 brackets;
@@ -43,6 +43,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 RTOL = 1e-12
 GRIDS = ("probe", "swapped", "win-count", "pool-pair", "pool-pair-swapped")
 POOL_LEFT = (  # name -> Quantization.from_dict descriptor
@@ -55,13 +57,7 @@ POOL_LEFT = (  # name -> Quantization.from_dict descriptor
 
 def _unit(rng, d: int, m: int):
     U = rng.standard_normal((d, m)) + 1j * rng.standard_normal((d, m))
-    return U / (U.real ** 2 + U.imag ** 2).sum() ** 0.5
-
-
-def _swap(U, mE: int, mF: int):
-    """U over E (x) F with its base slots exchanged, as an element over F (x) E."""
-    d = U.shape[0]
-    return U.reshape(d, mE, mF).transpose(0, 2, 1).reshape(d, mF * mE)
+    return U / np.linalg.norm(U)
 
 
 def _bracket(b) -> dict:
@@ -70,17 +66,17 @@ def _bracket(b) -> dict:
         "upper": float(b.upper),
         "family": b.upper_witness.label,
         "certificate": b.lower_witness.get("certificate"),
-        "gap_rel": float(b.gap / b.upper) if b.upper > 0 else 0.0,
+        "gap_rel": float(b.gap / b.upper),
         "closed": not b.has_gap,
     }
 
 
 def _elements(grid: str):
     """(key, E, F, U, norms) for each bracket of one grid, in grid order."""
-    import numpy as np
     import workloads as wl
     from pllab import Quantization
     from pllab.suites import quantization_pool
+    from pllab.tensorlab import _swap
 
     pairs = [tuple(map(Quantization.from_dict, pair)) for pair in wl.PAIRS]
     if grid in ("probe", "swapped"):
@@ -167,7 +163,7 @@ def main(argv=None) -> int:
         return 0
     a, b = (json.loads(Path(p).read_text()) for p in argv[1:])
     sa, sb = summary(a), summary(b)
-    for grid, norm in [(g, n) for g in {**a, **b} for n in ("pl", "l") if (g, n) in sa.keys() | sb.keys()]:
+    for grid, norm in {**sa, **sb}:
         (ca, na, ma), (cb, nb, mb) = (s.get((grid, norm), (0, 0, float("nan"))) for s in (sa, sb))
         print(f"{grid:18s} {norm:2s}  closed {ca:3d} of {na:3d} -> {cb:3d} of {nb:3d}  "
               f"mean gap/upper {ma:.4f} -> {mb:.4f}")
