@@ -198,7 +198,7 @@ class Quantization:
         max and hilbert, point_base for an lp over the scalar inner, else None."""
         if self.kind in ("min", "max", "hilbert"):
             return self.base
-        if self.kind == "lp" and self.inner.dim == 1:
+        if self.kind == "lp" and self.inner.kind == "hilbert" and self.inner.dim == 1:
             return self.point_base
         return None
 

@@ -316,8 +316,10 @@ _ABSORBING = ("max-tensor-identity", "l1-reshape", "max-tensor-identity-right", 
 def test_absorbing_certificates_are_contractive_on_either_side_over_the_pool():
     """A max or l1 factor absorbs the other on either side: over every ordered
     pool pair, the image of u <> v through each absorbing entry is valued at
-    most ||u|| ||v||.  certificate_sweep has no max factor on the right."""
-    pool = quantization_pool()
+    most ||u|| ||v||.  certificate_sweep has no max factor on the right.  The
+    last factor is l1 over a dim-1 inner of norm 0.5, not the scalar: it
+    absorbs nothing, on either side."""
+    pool = quantization_pool() + [Quantization.lp(1.0, [1.0, 1.0], inner=Quantization.lp(1.0, [0.5]))]
     seen = set()
     for a, E in enumerate(pool):
         for b, F in enumerate(pool):
