@@ -18,9 +18,10 @@ Certificates package contractive bilinear maps into exactly evaluable
 targets; the linearized image of an amplified element through a certificate
 is a sound lower bound for its pl tensor norm, and for its l norm only when
 the target is proved semi-Ruan from its descriptor (Quantization.semi_ruan).
-``builtin_certificates`` assembles every catalog entry applicable to a factor
-pair; a user certificate is built for one pair and reaches the brackets only
-through their ``certificates=`` argument.
+``builtin_certificates`` assembles the catalog's contractive maps for a factor
+pair (a max or L_1 factor needs none: pllab.tensorlab's projective family
+bounds it on both sides); a user certificate is built for one pair and
+reaches the brackets only through their ``certificates=`` argument.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .bases import TIE_RTOL, BaseNorm, DualMax
 from .hilbert import PairingMap, coeffs_of, frobenius_norm
-from .quantizations import MAX_DEPTH, Quantization, _depth, amp_norm, underlying_norm
+from .quantizations import Quantization, amp_norm, underlying_norm
 from .sampling import make_rng, random_complex
 
 __all__ = [
@@ -542,17 +543,16 @@ def _identity_reindex_tensor(mE: int, mF: int) -> np.ndarray:
 def builtin_certificates(E: Quantization, F: Quantization) -> list:
     """Catalog certificates applicable to the pair (E, F), and nothing else.
 
-    Every entry carries a certified lb-bound of 1; lower bounds obtained
-    through them are sound for the pl norm, and count for the l norm only
-    when the target is proved semi-Ruan from its descriptor.  After the
-    adaptive functional pair, each entry is a fixed bilinear map E x F ->
-    target, built by ``add`` from its name, its provenance, its coefficient
-    tensor, its target and the map's own provenance.  A factor P with a
-    projective_base absorbs the other, Q, by the identity reindex into
-    tensor_p(P.base, Q) or lp(1, P.weights, inner=Q); a right P's entries
-    (-right, last) read (e, f) as (f, e), sound by commutativity, and a
-    target past MAX_DEPTH is left out.  User certificates built for (E, F)
-    go to a bracket's certificates= argument, with this list or without it.
+    Every entry is a contractive map with a certified lb-bound of 1; lower
+    bounds obtained through them are sound for the pl norm, and count for
+    the l norm only when the target is proved semi-Ruan from its
+    descriptor.  After the adaptive functional pair, each entry is a fixed
+    bilinear map E x F -> target, built by ``add`` from its name, its
+    provenance, its coefficient tensor, its target and the map's own
+    provenance.  A max or L_1 factor has no entry: the brackets' projective
+    family bounds it on both sides (max-tensor-identity, l1-reshape).  User
+    certificates built for (E, F) go to a bracket's certificates= argument,
+    with this list or without it.
     """
     certs = [
         Certificate(
@@ -584,22 +584,6 @@ def builtin_certificates(E: Quantization, F: Quantization) -> list:
             "canonical bilinear map into the injectively quantized Hilbert tensor product",
             _identity_reindex_tensor(E.dim, F.dim), Quantization.min(BaseNorm.euclidean(E.dim * F.dim)),
             "canonical map into the Hilbert tensor product")
-    for side, (P, Q) in enumerate(((E, F), (F, E))):
-        if P.projective_base is None or _depth(Q) >= MAX_DEPTH:  # the target chains 1 + _depth(Q)
-            continue
-        suffix, note = ("", "") if side == 0 else ("-right", "; right factor, base index (e, f) read as (f, e)")
-        tensor = _identity_reindex_tensor(P.dim, Q.dim)
-        tensor = tensor.transpose(1, 0, 2) if side else tensor
-        if P.kind == "max":
-            add("max-tensor-identity" + suffix,
-                "identity of a projectively quantized base into the base-projective tensor quantization" + note,
-                tensor, Quantization.tensor_p(P.base, Q),
-                "canonical map of a projective factor into the tensor quantization")
-        else:
-            add("l1-reshape" + suffix,
-                "weighted-l1 factor absorbed into vector-valued weighted-l1 over the same atoms" + note,
-                tensor, Quantization.lp(1.0, P.weights, inner=Q),
-                f"reshape of an l1 factor against the {('second', 'first')[side]} factor")
     return certs
 
 

@@ -60,18 +60,13 @@ _KINDS = ("min", "max", "lp", "hilbert", "concrete", "tensor_p")
 MAX_DEPTH = 32  # descriptors in one chain of inners; every evaluation recurses a few frames per level
 
 
-def _depth(part) -> int:
-    """Descriptors that a descriptor, or its dict form, chains through inner;
-    counted in a loop, which no depth can exhaust."""
+def _check_depth(part) -> None:
+    """Raise ValueError when a descriptor, or its dict form, chains more than
+    MAX_DEPTH descriptors through inner; counted in a loop, which no depth
+    can exhaust."""
     depth = 0
     while isinstance(part, (dict, Quantization)):
         part, depth = part.get("inner") if isinstance(part, dict) else part.inner, depth + 1
-    return depth
-
-
-def _check_depth(part) -> None:
-    """Raise ValueError when part chains more than MAX_DEPTH descriptors through inner."""
-    depth = _depth(part)
     if depth > MAX_DEPTH:
         raise ValueError(f"descriptor chains {depth} descriptors through inner, at most {MAX_DEPTH}")
 

@@ -6,13 +6,13 @@ Both norms are infima over structured representations of the element:
 * l:  U = a (sum_k u_k <> v_k) with the u_k supported on pairwise
   orthogonal H-blocks, value ||a|| (sum_k ||u_k||^2 ||v_k||^2)^(1/2).
 
-Upper bounds come from explicitly constructed representations (several
-deterministic families); lower bounds come from the certificate catalog in
-:mod:`pllab.maps`.  Both norms are homogeneous, so the driver finds every
-bound on the unit-Frobenius element U/||U|| and scales the numbers back.  The
-unit bracket satisfies lower <= upper + 1e-9 as a hard assertion: a
-violation is a bug in the machinery, never data.  The winning representation
-is then built once, at U's scale, and validated on construction.
+Upper bounds come from explicit representations (deterministic families),
+lower bounds from the certificate catalog of :mod:`pllab.maps` and the
+projective family: max(B) (x)_pl F = tensor_p(B, F) and L_1(w) (x)_pl F =
+L_1(w; F), so one tensor_p bracket gives both.  Both norms are homogeneous:
+every bound is found on U/||U|| and scaled back, lower <= upper + 1e-9 is
+asserted there (a violation is a bug, never data), and the winning
+representation is then built once, at U's scale, and validated.
 
 The l norm never exceeds the pl norm.  One driver serves both: it builds the
 pl representation families once, values their orthogonalizations, plain or
@@ -350,25 +350,22 @@ def _family_identity_block(U, E, F, pairing, budget, seed):
 
 
 def _family_projective(U, E, F, budget, seed, side: str):
-    """Decompose against one projectively normed factor.
-
-    Calls tensor_p_bracket, the routine of the TENSOR_P quantization, on the
-    same seed stream and on U as given, the unit element of _brackets, so the
-    value agrees up to rounding with amp_norm of the matching tensor
-    quantization evaluated at (budget, seed).  None when the factor on that
-    side is not of projective type.
-    """
+    """Decompose against one projectively normed factor P, and bound below:
+    P (x)_pl Q = tensor_p(P.projective_base, Q), so one tensor_p_bracket (on
+    amp_norm's seed stream, on U as given) gives terms, upper and lower row.
+    The row counts for l where L_1(w; Q) is proved semi-Ruan (one atom beside
+    a proved Q), never for max.  None when that side is not projective."""
     d = U.shape[0]
-    if side == "left":
-        base, other, W, order = E.projective_base, F, U, slice(None)
-    else:
-        base, other, W, order = F.projective_base, E, _swap(U, E.dim, F.dim), slice(None, None, -1)
-    if base is None:
+    P, Q, W, order = (E, F, U, slice(None)) if side == "left" else (F, E, _swap(U, E.dim, F.dim), slice(None, None, -1))
+    if P.projective_base is None:
         return None
-    res = tensor_p_bracket(base, other, W, budget, make_rng(seed, "amp", "tensor_p"))
+    res = tensor_p_bracket(P.projective_base, Q, W, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
-    terms = [(eye, *(x[None, :], v.reshape(d, other.dim))[order]) for x, v in res.terms]
-    return terms, [(1.0, c, 1.0) for c in res.values], res.upper, res.upper_method
+    terms = [(eye, *(x[None, :], v.reshape(d, Q.dim))[order]) for x, v in res.terms]
+    name = ("max-tensor-identity" if P.kind == "max" else "l1-reshape") + ("" if side == "left" else "-right")
+    row = (name, float(min(res.lower, res.upper)), {"target_method": "tensor_p/" + res.upper_method},
+           P.kind == "lp" and P.dim == 1 and (Q.dim == 1 or Q.semi_ruan))
+    return terms, [(1.0, c, 1.0) for c in res.values], res.upper, res.upper_method, row
 
 
 # -- brackets -------------------------------------------------------------------
@@ -383,8 +380,8 @@ def _zero_bracket(norm, E, F, U, pairing):
 
 
 def _pl_families(U, E, F, budget, seed, pairing):
-    """name -> (terms, pl value, info, term values (||block_k||, ||u_k||, ||v_k||)),
-    the projective families giving (1, ||u_k|| ||v_k||, 1)."""
+    """(name -> (terms, pl value, info, term values (||block_k||, ||u_k||, ||v_k||)),
+    the projective families giving (1, ||u_k|| ||v_k||, 1); their lower rows)."""
     b = max(budget // 4, 20)
     nE, nF = _basis_norms(E, b, seed), _basis_norms(F, b, seed)
     fam = {}
@@ -398,12 +395,14 @@ def _pl_families(U, E, F, budget, seed, pairing):
         if built is not None:
             t, vals = built
             fam[name] = (t, float(sum(a * nu * nv for a, nu, nv in vals)), {}, vals)
+    rows = []
     for side in ("left", "right"):
         proj = _family_projective(U, E, F, budget, seed, side)
         if proj is not None:
-            t, vals, value, method = proj
+            t, vals, value, method, row = proj
             fam["projective-" + side] = (t, value, {"method": method}, vals)
-    return fam
+            rows.append(row)
+    return fam, rows
 
 
 def _l_candidate(terms, vals) -> tuple:
@@ -437,10 +436,10 @@ def _first_best(items, value):
 
 
 def _best_lower(rows) -> tuple:
-    if not any(val > 0 for _, val, _ in rows):
+    if not any(row[1] > 0 for row in rows):
         return 0.0, {"certificate": None}
-    cert, lower, info = _first_best(rows, lambda row: -row[1])  # the greatest lower bound
-    return lower, {"certificate": cert.name, **canonical(info)}
+    name, lower, info, _ = _first_best(rows, lambda row: -row[1])  # the greatest lower bound
+    return lower, {"certificate": name, **canonical(info)}
 
 
 def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
@@ -449,8 +448,9 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     Every bound is found on the unit element U/||U||, from one family build
     and one certificate pass: all certificates when pl is requested, else
     only those whose target Quantization.semi_ruan proves, which are the l
-    rows.  The unit bracket carries no witness; building it asserts lower <=
-    upper + 1e-9.  Only then is the winning representation built, once, at U's
+    rows, then each projective family's row, left first, whatever is passed.
+    The unit bracket carries no witness; building it asserts lower <= upper
+    + 1e-9.  Only then is the winning representation built, once, at U's
     scale: the winning unit terms with their blocks times ||U||, for l the
     plain or balanced terms that won (_l_candidate), orthogonalized.  It is
     validated on construction.  The bracket of U scales the unit numbers by
@@ -472,13 +472,14 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
         zero = tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms)
         return zero, zero
     unit = unit_scaled(U, scale)
-    fam = _pl_families(unit, E, F, budget, seed, pairing)
+    fam, identifications = _pl_families(unit, E, F, budget, seed, pairing)
     certs = builtin_certificates(E, F) if certificates is None else certificates
     rows = [
-        (c, *c.evaluate_lower(unit, budget=budget, seed=seed))
+        (c.name, *c.evaluate_lower(unit, budget=budget, seed=seed), c.target.semi_ruan)
         for c in certs
         if "pl" in norms or c.target.semi_ruan
     ]
+    rows += [row for row in identifications if "pl" in norms or row[3]]
     units, out = [], []
     for norm in norms:
         if norm == "pl":
@@ -487,17 +488,17 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
             details = {
                 "families": {k: v[1] for k, v in fam.items()},
                 "family_info": {k: v[2] for k, v in fam.items() if v[2]},
-                "certificates": {c.name: val for c, val, _ in norm_rows},
+                "certificates": {row[0]: row[1] for row in norm_rows},
                 "method": name,
             }
         else:
             candidates = {k: _l_candidate(v[0], v[3]) for k, v in fam.items()}
             name, (upper, terms) = _first_best(candidates.items(), lambda kv: kv[1][0])
-            norm_rows = [row for row in rows if row[0].target.semi_ruan]
+            norm_rows = [row for row in rows if row[3]]
             details = {
                 "families": {k + "+orth": v[0] for k, v in candidates.items()},
-                "certificates": {c.name: val for c, val, _ in norm_rows},
-                "pool": [c.name for c, _, _ in norm_rows],
+                "certificates": {row[0]: row[1] for row in norm_rows},
+                "pool": [row[0] for row in norm_rows],
                 "method": name + "+orth",
             }
         lower, lw = _best_lower(norm_rows)
@@ -527,8 +528,8 @@ def pl_norm_bracket(
 
     The upper bound is the least value over the generated representation
     families; the lower bound is the best evaluation of the certificates,
-    builtin_certificates(E, F) unless a list is passed.  Values within 1e-14
-    relative of the best tie, and the first in order wins (_first_best), so
+    builtin_certificates(E, F) unless a list is passed, and the projective
+    families' rows.  Values within 1e-14 relative of the best tie, and the first in order wins (_first_best), so
     the witnesses do not follow rounding.  Both bounds are certified,
     and lower <= upper + 1e-9 is asserted on the unit-Frobenius element.
     Raises ValueError on non-finite input, on a real-restricted factor (the
@@ -555,10 +556,11 @@ def l_norm_bracket(
     _l_candidate), from its own term values; the upper bound is the least of
     these, so it is at most the pl upper, and only the winner is built.  The
     lower bound is the best member of builtin_certificates(E, F), or of the
-    passed list, in the l pool (details["pool"]): an l lower bound counts
-    only when its target is proved semi-Ruan from its descriptor
-    (Quantization.semi_ruan).  lower <= upper + 1e-9 is asserted on the
-    unit-Frobenius element.  Raises ValueError as pl_norm_bracket does.
+    passed list, and of the projective rows, in the l pool (details["pool"]):
+    an l lower bound counts only when its target is proved semi-Ruan from
+    its descriptor (Quantization.semi_ruan).  lower <= upper + 1e-9 is
+    asserted on the unit-Frobenius element.  Raises ValueError as
+    pl_norm_bracket does.
     """
     _, (l,) = _brackets(("l",), E, F, U, budget, seed, pairing, certificates)
     return l

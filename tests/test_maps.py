@@ -25,6 +25,7 @@ from pllab.maps import _alternate, embedding_map, underlying_dual_maximize, unde
 from pllab.quantizations import MAX_DEPTH
 from pllab.sampling import make_rng, random_complex
 from pllab.suites import quantization_pool
+from test_tensorlab import _IDENTIFICATIONS
 
 
 def scalar():
@@ -285,14 +286,15 @@ def test_builtin_certificate_catalog_composition():
     assert "coordinate-multiplication-l2" in names
     assert "hilbert-tensor-embedding" in names
 
-    E = Quantization.max(BaseNorm.lp(1.0, weights=[1.0, 1.0]))
-    names = {c.name for c in builtin_certificates(E, Quantization.hilbert(2))}
-    assert "max-tensor-identity" in names
-    assert "functional-pair" in names
-
-    E = Quantization.lp(1.0, [1.0, 2.0])
-    names = {c.name for c in builtin_certificates(E, Quantization.hilbert(2))}
-    assert "l1-reshape" in names
+    # a max or l1 factor has no catalog entry: the pl bracket's projective
+    # family reports its identification rows, on either side
+    for P, name in ((Quantization.max(BaseNorm.lp(1.0, weights=[1.0, 1.0])), "max-tensor-identity"),
+                    (Quantization.lp(1.0, [1.0, 2.0]), "l1-reshape")):
+        assert {c.name for c in builtin_certificates(P, F)} == {"functional-pair"}
+        assert {c.name for c in builtin_certificates(F, P)} == {"functional-pair"}
+        U = random_complex(make_rng(0, "catalog", name), 2, P.dim * F.dim)
+        assert name in pl_norm_bracket(P, F, U, budget=60).details["certificates"]
+        assert name + "-right" in pl_norm_bracket(F, P, U, budget=60).details["certificates"]
 
 
 def test_certificates_are_contractive_on_diamonds():
@@ -310,42 +312,46 @@ def test_certificates_are_contractive_on_diamonds():
             assert info["certificate"] == cert.name
 
 
-_ABSORBING = ("max-tensor-identity", "l1-reshape", "max-tensor-identity-right", "l1-reshape-right")
-
-
-def test_absorbing_certificates_are_contractive_on_either_side_over_the_pool():
-    """A max or l1 factor absorbs the other on either side: over every ordered
-    pool pair, the image of u <> v through each absorbing entry is valued at
-    most ||u|| ||v||.  certificate_sweep has no max factor on the right.  The
-    last factor is l1 over a dim-1 inner of norm 0.5, not the scalar: it
-    absorbs nothing, on either side."""
+def test_identification_rows_are_contractive_on_either_side_over_the_pool():
+    """A max or l1 factor is identified on either side: over every ordered
+    pool pair with a projective factor, each identification row of the pl
+    bracket of u <> v is at most ||u|| ||v||.  certificate_sweep has no max
+    factor on the right.  The last factor is l1 over a dim-1 inner of norm
+    0.5, not the scalar: it gives no row, on either side."""
     pool = quantization_pool() + [Quantization.lp(1.0, [1.0, 1.0], inner=Quantization.lp(1.0, [0.5]))]
     seen = set()
     for a, E in enumerate(pool):
         for b, F in enumerate(pool):
-            certs = [c for c in builtin_certificates(E, F) if c.name in _ABSORBING]
-            for d in (1, 2) if certs else ():
+            names = {("max-tensor-identity" if P.kind == "max" else "l1-reshape") + suffix
+                     for P, suffix in ((E, ""), (F, "-right")) if P.projective_base is not None}
+            for d in (1, 2) if names or len(pool) - 1 in (a, b) else ():
                 rng = make_rng(0, "absorb", a, b, d)
                 u, v = random_complex(rng, d, E.dim), random_complex(rng, d, F.dim)
                 prod = amp_norm(E, u).value * amp_norm(F, v).value
-                for cert in certs:
-                    val, _ = cert.evaluate_lower(diamond_amp(u, v), seed=d)
-                    assert val <= prod * (1 + 1e-12), (cert.name, a, b, d)
-                    seen.add(cert.name)
-    assert seen == set(_ABSORBING)
+                rows = pl_norm_bracket(E, F, diamond_amp(u, v), budget=60, seed=d, certificates=[])
+                assert set(rows.details["certificates"]) == names, (a, b)
+                for name in names:
+                    assert rows.details["certificates"][name] <= prod * (1 + 1e-12), (name, a, b, d)
+                seen |= names
+    assert seen == set(_IDENTIFICATIONS)
 
 
-def test_the_catalog_leaves_out_a_target_deeper_than_max_depth():
-    """An absorbing target chains one descriptor more than the absorbed factor."""
+def test_identification_rows_beside_a_max_depth_chain():
+    """A max or l1 factor beside a chain 31 and 32 descriptors deep gets its
+    rows on either side and brackets with no traceback: the projective family
+    builds no target, which would chain one descriptor more than the chain."""
     Q = Quantization.hilbert(1)
     for _ in range(MAX_DEPTH - 2):
         Q = Quantization.lp(2.0, [1.0], inner=Q)
     deeper = Quantization.lp(2.0, [1.0], inner=Q)
-    names = lambda E, F: {c.name for c in builtin_certificates(E, F)}  # noqa: E731
     for P, name in ((Quantization.max(BaseNorm.lp(1.0, weights=[1.0, 1.0])), "max-tensor-identity"),
                     (Quantization.lp(1.0, [1.0, 1.0]), "l1-reshape")):
-        assert name in names(P, Q) and name + "-right" in names(Q, P)
-        assert names(P, deeper) == names(deeper, P) == {"functional-pair"}
+        U = random_complex(make_rng(0, "deep", name), 2, P.dim)
+        for chain in (Q, deeper):
+            for E, F, row in ((P, chain, name), (chain, P, name + "-right")):
+                pl = compare_pl_l(E, F, U, budget=60)["pl"]
+                assert row in pl["details"]["certificates"]
+                assert not pl["gap"]  # an l1 base over a Frobenius chain: the identification is exact
 
 
 def test_embedding_map_achieves_equality():

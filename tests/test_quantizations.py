@@ -577,10 +577,6 @@ def test_descriptor_facts_of_the_pool_and_the_catalog_targets():
         "coordinate-multiplication-l1": ("lp", "lp", False),
         "coordinate-multiplication-l2": ("euclidean", None, True),
         "hilbert-tensor-embedding": ("euclidean", None, True),
-        "max-tensor-identity": (None, None, False),
-        "l1-reshape": (None, None, False),
-        "max-tensor-identity-right": (None, None, False),
-        "l1-reshape-right": (None, None, False),
     }
     seen = set()
     for E in pool:
@@ -590,6 +586,13 @@ def test_descriptor_facts_of_the_pool_and_the_catalog_targets():
                 assert (ub and ub["kind"], pb and pb["kind"], semi) == by_name[cert.name], cert.name
                 seen.add(cert.name)
     assert seen == set(by_name)
+    # a max or l1 factor has no target: the pl bracket's projective family identifies it
+    from pllab import pl_norm_bracket
+
+    U = random_complex(make_rng(0, "facts"), 1, pool[4].dim * pool[6].dim)
+    for E, F, rows in ((pool[4], pool[6], {"max-tensor-identity", "l1-reshape-right"}),
+                       (pool[6], pool[4], {"l1-reshape", "max-tensor-identity-right"})):
+        assert rows <= set(pl_norm_bracket(E, F, U, budget=60).details["certificates"])
 
 
 def _counted_amp_norm(monkeypatch):

@@ -503,6 +503,41 @@ def test_compare_builds_families_once_and_evaluates_each_certificate_once(monkey
         assert val == report["pl"]["details"]["certificates"][name]
 
 
+_IDENTIFICATIONS = ("max-tensor-identity", "l1-reshape", "max-tensor-identity-right", "l1-reshape-right")
+
+
+@pytest.mark.parametrize("i, swapped", [(4, False), (5, False), (7, False), (4, True)])
+def test_a_pl_bracket_computes_each_identification_once(monkeypatch, i, swapped):
+    """One tensor_p_bracket of the whole element per projective side, whose
+    lower is the identification row: no certificate evaluates one again."""
+    from pllab import quantizations, tensorlab
+    from pllab.maps import Certificate
+
+    E, F = _factor_pairs()[i]
+    U = random_complex(make_rng(0, "pinned", i), 2, E.dim * F.dim)
+    if swapped:
+        E, F, U = F, E, tensorlab._swap(U, E.dim, F.dim)
+    whole, evaluated = [], []
+    bracket, evaluate = quantizations.tensor_p_bracket, Certificate.evaluate_lower
+
+    def counted_bracket(base, inner, W, *args):
+        if W.shape[1] == E.dim * F.dim:
+            whole.append(inner.to_dict())
+        return bracket(base, inner, W, *args)
+
+    def counted_evaluate(self, *args, **kwargs):
+        evaluated.append(self.name)
+        return evaluate(self, *args, **kwargs)
+
+    for mod in (quantizations, tensorlab):
+        monkeypatch.setattr(mod, "tensor_p_bracket", counted_bracket)
+    monkeypatch.setattr(Certificate, "evaluate_lower", counted_evaluate)
+    pl = pl_norm_bracket(E, F, U, seed=0)
+    assert whole == [Q.to_dict() for P, Q in ((E, F), (F, E)) if P.projective_base is not None]
+    assert len(whole) == sum(name in pl.details["certificates"] for name in _IDENTIFICATIONS)
+    assert evaluated and not set(evaluated) & set(_IDENTIFICATIONS)
+
+
 def test_brackets_run_no_semi_ruan_search(monkeypatch):
     """The l pool is decided from the descriptors alone: pl, l and
     compare_pl_l never call the witness search, through any binding of it."""
