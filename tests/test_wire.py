@@ -2,9 +2,11 @@
 
 The data under tests/data/ was recorded before the codecs were merged into
 pllab.wire; the serialized descriptors must match it exactly and the CLI
-reports must match it up to float rounding (rel 1e-12).  Regenerate it with
-``PYTHONPATH=src python tests/test_wire.py`` only when the wire format is
-meant to change.
+reports must match it up to float rounding (rel 1e-12).  Regenerate it only
+when the wire format is meant to change, one file at a time:
+``PYTHONPATH=src python tests/test_wire.py descriptors`` rewrites
+wire_descriptors.json, ``... reports`` wire_reports.json, and both names
+rewrite both.
 """
 
 import json
@@ -128,21 +130,28 @@ def test_lp_descriptor_round_trip(p, weights, inner_dim):
     assert back.inner.to_dict() == q.inner.to_dict()
 
 
-def _record():
-    """Write the golden data from the current code."""
+def _record(names):
+    """Write the named golden files, "descriptors" and "reports", from the current code."""
     import contextlib
     import io
 
     DATA.mkdir(exist_ok=True)
-    DESCRIPTORS.write_text(json.dumps(_descriptors(), indent=1) + "\n")
-    reports = []
-    for argv in _jobs():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            cli.main(list(argv))
-        reports.append({"argv": argv, "report": json.loads(out.getvalue())})
-    REPORTS.write_text(json.dumps(reports, indent=1) + "\n")
+    if "descriptors" in names:
+        DESCRIPTORS.write_text(json.dumps(_descriptors(), indent=1) + "\n")
+    if "reports" in names:
+        reports = []
+        for argv in _jobs():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                cli.main(list(argv))
+            reports.append({"argv": argv, "report": json.loads(out.getvalue())})
+        REPORTS.write_text(json.dumps(reports, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    _record()
+    import sys
+
+    names = sys.argv[1:]
+    if not names or set(names) - {"descriptors", "reports"}:
+        sys.exit("usage: python tests/test_wire.py {descriptors,reports} ...")
+    _record(names)
