@@ -21,11 +21,13 @@ the target is proved semi-Ruan from its descriptor (Quantization.semi_ruan).
 ``builtin_certificates`` assembles the catalog's contractive maps for a factor
 pair (a max or L_1 factor needs none: pllab.tensorlab's projective family
 bounds it on both sides); a user certificate is built for one pair and
-reaches the brackets only through their ``certificates=`` argument.
+reaches the brackets only through their ``certificates=`` argument, which
+tests its bound against ``Certificate.lb_estimate``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -481,9 +483,9 @@ class Certificate:
     certified lower bound for ||U||_pl (and for ||U||_l when the target is
     proved semi-Ruan from its descriptor): the target's certified lower
     bound of the linearized image, divided by the certified lb-bound of the
-    map.  The bound is trusted as stated, so it must be positive and finite,
-    and target must be the bilinear map's target.  The value is sound only
-    over the factor pair of ``sources``; the brackets reject any other.
+    map.  The bound must be positive and finite, and target must be the
+    bilinear map's target.  The value is sound only over the factor pair of
+    ``sources``; the brackets reject any other, and a bound lb_estimate falsifies.
     """
 
     name: str
@@ -508,6 +510,12 @@ class Certificate:
         if self.bilinear is None:
             return self.left, self.right
         return self.bilinear.source_left, self.bilinear.source_right
+
+    @functools.cached_property
+    def lb_estimate(self) -> Optional[LbNormEstimate]:
+        """lb_norm_lower of the map (seed 0, budget 60), once per object: a lower above
+        bound falsifies it.  None for the functional pair, whose bound is proved."""
+        return None if self.bilinear is None else lb_norm_lower(self.bilinear, budget=60, seed=0)
 
     def evaluate_lower(self, U: np.ndarray, budget: int = 200, seed: int = 0):
         rng = make_rng(seed, "certificate", self.name)

@@ -457,8 +457,8 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     ||U||, its lower bound clamped to its upper one, as NormValue does, so
     rounding at large scales cannot trip the absolute 1e-9 check again.
     Passed certificates must have sources equal to (E, F) by to_dict(): a
-    lower bound is sound only over its own sources.  The zero element gets
-    the zero brackets.
+    lower bound is sound only over its own sources, and one whose bound its
+    lb_estimate falsifies is refused.  The zero element gets the zero brackets.
     """
     if E.real or F.real:
         raise ValueError("the pl and l brackets do not take real-restricted factors")
@@ -468,6 +468,10 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
         for cert in certificates:
             if tuple(q.to_dict() for q in cert.sources) != pair:
                 raise ValueError(f"certificate {cert.name!r} was built for another factor pair")
+            est = cert.lb_estimate
+            if est is not None and est.lower > cert.bound * (1 + 1e-12):
+                raise ValueError(f"certificate {cert.name!r}: its map's lb-norm is at least {est.lower!r}, "
+                                 f"above its bound {cert.bound!r} (witness {canonical(est.witness)})")
     if scale == 0.0:
         zero = tuple(_zero_bracket(norm, E, F, U, pairing) for norm in norms)
         return zero, zero
@@ -534,7 +538,7 @@ def pl_norm_bracket(
     and lower <= upper + 1e-9 is asserted on the unit-Frobenius element.
     Raises ValueError on non-finite input, on a real-restricted factor (the
     searches run on complex data) and on a passed certificate whose sources
-    (Certificate.sources) are not (E, F).
+    (Certificate.sources) are not (E, F) or whose bound lb_estimate falsifies.
     """
     _, (pl,) = _brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
     return pl

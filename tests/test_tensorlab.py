@@ -538,6 +538,51 @@ def test_a_pl_bracket_computes_each_identification_once(monkeypatch, i, swapped)
     assert evaluated and not set(evaluated) & set(_IDENTIFICATIONS)
 
 
+def _hilbert_embedding_copy(bound):
+    """The ROADMAP repro of a wrong bound: hilbert-tensor-embedding on hilbert(2)^2, whose map has
+    lb-norm 1, given another bound, and a unit element from default_rng(0)."""
+    from dataclasses import replace
+
+    from pllab.maps import builtin_certificates
+
+    E, F = hilbert_pair(2)
+    cert = next(c for c in builtin_certificates(E, F) if c.name == "hilbert-tensor-embedding")
+    rng = np.random.default_rng(0)
+    U = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    return E, F, U / np.linalg.norm(U), replace(cert, bound=bound)
+
+
+@pytest.mark.parametrize("bound", [0.95, 0.7])
+def test_a_falsified_certificate_bound_is_refused_at_admission(bound):
+    """Below the map's lb-norm the bound is refused before any lower is
+    evaluated; at 0.7 the wrong lower passed the upper, an AssertionError."""
+    E, F, U, cert = _hilbert_embedding_copy(bound)
+    for fn in (pl_norm_bracket, l_norm_bracket):
+        with pytest.raises(ValueError, match="'hilbert-tensor-embedding'.*above its bound.*witness"):
+            fn(E, F, U, certificates=[cert])
+    assert cert.lb_estimate.lower > bound
+
+
+def test_catalog_bounds_pass_admission_once_per_certificate(monkeypatch):
+    """Every catalog entry of the benchmark pairs survives its lb_estimate,
+    which runs one lb search per certificate object, however many brackets
+    take it; the functional pair has none."""
+    from pllab import maps
+
+    searched = []
+    search = maps.lb_norm_lower
+    monkeypatch.setattr(maps, "lb_norm_lower", lambda r, *a, **k: searched.append(id(r)) or search(r, *a, **k))
+    for i, (E, F) in enumerate(_factor_pairs()):
+        certs = maps.builtin_certificates(E, F)
+        U = random_complex(make_rng(0, "admission", i), 1, E.dim * F.dim)
+        searched.clear()
+        for _ in range(2):
+            pl_norm_bracket(E, F, U, budget=60, certificates=certs)
+        assert searched == [id(c.bilinear) for c in certs if c.bilinear is not None]
+        for cert in certs:
+            assert cert.lb_estimate is None or cert.lb_estimate.lower <= cert.bound * (1 + 1e-12), cert.name
+
+
 def test_brackets_run_no_semi_ruan_search(monkeypatch):
     """The l pool is decided from the descriptors alone: pl, l and
     compare_pl_l never call the witness search, through any binding of it."""
