@@ -351,12 +351,16 @@ def _family_identity_block(U, E, F, pairing, budget, seed):
 
 def _family_projective(U, E, F, budget, seed, side: str):
     """Decompose against one projectively normed factor P, and bound below:
-    P (x)_pl Q = tensor_p(P.projective_base, Q), so one tensor_p_bracket (on
-    amp_norm's seed stream, on U as given) gives terms, upper and lower row.
-    The row counts for l where L_1(w; Q) is proved semi-Ruan (one atom beside
-    a proved Q), never for max.  None when that side is not projective."""
+    P (x)_pl Q = tensor_p(P.projective_base, Q), so one tensor_p_bracket, on
+    amp_norm's seed stream and on U as given, gives terms, upper and lower
+    row, equal up to rounding to amp_norm of that quantization at (budget,
+    seed).  The row counts for l where L_1(w; Q) is proved semi-Ruan (one atom
+    beside a proved Q), never for max.  None when that side is not projective."""
     d = U.shape[0]
-    P, Q, W, order = (E, F, U, slice(None)) if side == "left" else (F, E, _swap(U, E.dim, F.dim), slice(None, None, -1))
+    if side == "left":
+        P, Q, W, order = E, F, U, slice(None)
+    else:
+        P, Q, W, order = F, E, _swap(U, E.dim, F.dim), slice(None, None, -1)
     if P.projective_base is None:
         return None
     res = tensor_p_bracket(P.projective_base, Q, W, budget, make_rng(seed, "amp", "tensor_p"))
@@ -380,8 +384,8 @@ def _zero_bracket(norm, E, F, U, pairing):
 
 
 def _pl_families(U, E, F, budget, seed, pairing):
-    """(name -> (terms, pl value, info, term values (||block_k||, ||u_k||, ||v_k||)),
-    the projective families giving (1, ||u_k|| ||v_k||, 1); their lower rows)."""
+    """(families, rows): name -> (terms, pl value, info, term values (||block_k||, ||u_k||, ||v_k||)),
+    the projective families giving (1, ||u_k|| ||v_k||, 1), and their lower rows, left first."""
     b = max(budget // 4, 20)
     nE, nF = _basis_norms(E, b, seed), _basis_norms(F, b, seed)
     fam = {}
@@ -448,7 +452,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     Every bound is found on the unit element U/||U||, from one family build
     and one certificate pass: all certificates when pl is requested, else
     only those whose target Quantization.semi_ruan proves, which are the l
-    rows, then each projective family's row, left first, whatever is passed.
+    rows; then each projective family's row, left first, whatever is passed.
     The unit bracket carries no witness; building it asserts lower <= upper
     + 1e-9.  Only then is the winning representation built, once, at U's
     scale: the winning unit terms with their blocks times ||U||, for l the
@@ -482,8 +486,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
         (c.name, *c.evaluate_lower(unit, budget=budget, seed=seed), c.target.semi_ruan)
         for c in certs
         if "pl" in norms or c.target.semi_ruan
-    ]
-    rows += [row for row in identifications if "pl" in norms or row[3]]
+    ] + identifications
     units, out = [], []
     for norm in norms:
         if norm == "pl":
@@ -531,11 +534,12 @@ def pl_norm_bracket(
     """Bracket the pl norm of an amplified element of H (x) (E (x) F).
 
     The upper bound is the least value over the generated representation
-    families; the lower bound is the best evaluation of the certificates,
-    builtin_certificates(E, F) unless a list is passed, and the projective
-    families' rows.  Values within 1e-14 relative of the best tie, and the first in order wins (_first_best), so
-    the witnesses do not follow rounding.  Both bounds are certified,
-    and lower <= upper + 1e-9 is asserted on the unit-Frobenius element.
+    families; the lower bound is the best of the certificates (those of
+    builtin_certificates(E, F) unless a list is passed) and the projective
+    families' rows.  Values within 1e-14 relative of the best tie, and the
+    first in order wins (_first_best), so the witnesses do not follow
+    rounding.  Both bounds are certified, and lower <= upper + 1e-9 is
+    asserted on the unit-Frobenius element.
     Raises ValueError on non-finite input, on a real-restricted factor (the
     searches run on complex data) and on a passed certificate whose sources
     (Certificate.sources) are not (E, F) or whose bound lb_estimate falsifies.

@@ -667,7 +667,7 @@ def test_l_pool_keeps_proved_targets_only():
     l = l_norm_bracket(Quantization.lp(1.0, [2.0]), concrete, U[:, :3])
     assert l.details["pool"] == ["functional-pair", "l1-reshape"]  # lp(1, [2], inner=concrete)
     l = l_norm_bracket(Quantization.max(tri), concrete, U)
-    assert l.details["pool"] == ["functional-pair"]  # max-tensor-identity's tensor_p target is unproved
+    assert l.details["pool"] == ["functional-pair"]  # a max-tensor-identity row never counts for l
     l = l_norm_bracket(Quantization.max(BaseNorm.euclidean(2)), _min_l1(2), U[:, :4])
     assert l.details["pool"] == ["functional-pair"]
 
