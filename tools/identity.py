@@ -20,6 +20,13 @@ The records:
   both pairings (a raised error is recorded as its message), and apart from
   them, as ``labels/...`` records, the pl and l ``upper_witness.label`` and
   certificate, so ``compare`` tells a flipped winner from a last-bit change;
+* ``admit/<pair>/<case>``: the pl bracket's lower, upper, lower-witness
+  certificate and ``details["certificates"]`` (or the raised error's
+  message) of one element on benchmark pairs 0 and 4, for certificate lists
+  passed through ``certificates=``: the catalog itself, the catalog plus its
+  functional pair renamed ``max-tensor-identity``, the catalog with its first
+  entry twice and, on pair 0, the catalog's ``hilbert-tensor-embedding``
+  alone with bound 0.95: the admission path no other record reaches;
 * ``builtin_certificates`` ``to_dict()`` and map tensors over every pair of
   ``quantization_pool()`` descriptors;
 * ``functional-pair/<i>/<j>/<d>``: the value and both functionals of the
@@ -203,6 +210,22 @@ def record(root: Path) -> dict:
                         rec = labels = str(exc)
                     out[f"pairs/{i}/{d}/{scale!r}/{scheme}"] = _digest(rec)
                     out[f"labels/{i}/{d}/{scale!r}/{scheme}"] = _digest(labels)
+
+    for i in (0, 4):
+        E, F = (Quantization.from_dict(q) for q in wl.PAIRS[i])
+        U = wl._complex(wl._rng(0, "admit", i), 2, E.dim * F.dim)
+        catalog = builtin_certificates(E, F)
+        cases = {"catalog": catalog, "renamed": catalog + [replace(catalog[0], name="max-tensor-identity")],
+                 "twice": catalog[:1] + catalog}
+        if i == 0:
+            cases["bound-0.95"] = [replace(c, bound=0.95) for c in catalog if c.name == "hilbert-tensor-embedding"]
+        for case, certs in cases.items():
+            try:
+                pl = pl_norm_bracket(E, F, U, certificates=certs)
+                rec = (pl.lower, pl.upper, pl.lower_witness["certificate"], pl.details["certificates"])
+            except ValueError as exc:
+                rec = str(exc)
+            out[f"admit/{i}/{case}"] = _digest(rec)
 
     pool = quantization_pool()
     for a, E in enumerate(pool):
