@@ -446,6 +446,24 @@ def _best_column(vals: np.ndarray) -> int:
     return int(np.flatnonzero(vals >= vals.max() * (1.0 - TIE_RTOL))[-1])
 
 
+def _beats(val: float, best: float) -> bool:
+    """val > best + TIE_RTOL |best|: of values tied up to rounding, maxima or negated minima, the earlier stays."""
+    return val > best + TIE_RTOL * abs(best)
+
+
+def _keep_best(scored, best: float = -math.inf, best_xs=None, enough: float = math.inf) -> tuple:
+    """(best, best_xs) over the (value, xs) pairs of scored after any best passed in: the first
+    is kept, then a later one only when it _beats the best, stored as a Python float.  Once the
+    best reaches enough, scored is asked for no further pair, so a lazy one draws no more.  A
+    least value is the best of the negated values."""
+    for val, xs in scored:
+        if best_xs is None or _beats(val, best):
+            best, best_xs = float(val), xs
+        if best >= enough:
+            break
+    return best, best_xs
+
+
 def _phases(z: np.ndarray) -> np.ndarray:
     a = np.abs(z)
     return np.where(a > 0, z / np.where(a > 0, a, 1.0), 1.0)

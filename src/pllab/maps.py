@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bases import TIE_RTOL, BaseNorm, DualMax
+from .bases import TIE_RTOL, BaseNorm, DualMax, _beats, _keep_best
 from .hilbert import PairingMap, coeffs_of, frobenius_norm
 from .quantizations import Quantization, amp_norm, underlying_norm
 from .sampling import make_rng, random_complex
@@ -319,9 +319,9 @@ def lb_norm_lower(
     and a multi-coordinate min over lq, 2 < p < inf (candidates valued by a
     loose one-row upper) value every candidate and climb.  A linear map into
     a larger target climbs over one to three rows, a bilinear map over one
-    and two.  Every search keeps its best in one scan, _keep_best: the first
-    candidate or climb it values, then a later one only when it _beats the
-    best, as a Python float, so a zero map's witness names source elements
+    and two.  Every search keeps its best in one scan, bases._keep_best: the
+    first candidate or climb it values, then a later one only when it _beats
+    the best, as a Python float, so a zero map's witness names source elements
     too and its lower is the float 0.0.  Coefficients of
     Frobenius norm outside [2**-64, 2**64] are first scaled by a power of two
     to norm in [1/2, 1), the bound scaled back, so no search overflows or
@@ -369,23 +369,6 @@ def _ratio(sources, target, image, rng):
         return amp_norm(target, image(xs), budget=40, rng=rng).lower / math.prod(dens), dens
 
     return ratio
-
-
-def _beats(val: float, best: float) -> bool:
-    """val > best by more than TIE_RTOL relative, so of candidates tied up to rounding the earlier stays."""
-    return val > best * (1.0 + TIE_RTOL)
-
-
-def _keep_best(scored, best: float = -math.inf, best_xs=None, enough: float = math.inf) -> tuple:
-    """(best, best_xs) over the (value, xs) pairs of scored after any best passed in: the first
-    is kept, then a later one only when it _beats the best, stored as a Python float.  Once the
-    best reaches enough, scored is asked for no further pair, so a lazy one draws no more."""
-    for val, xs in scored:
-        if best_xs is None or _beats(val, best):
-            best, best_xs = float(val), xs
-        if best >= enough:
-            break
-    return best, best_xs
 
 
 def _climb(ratio, sources, rows: int, starts: int, rng):

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bases import TIE_RTOL
+from .bases import _keep_best
 from .hilbert import PairingMap, block_of, coeffs_of, diamond_amp, frobenius_norm, op_norm, unit_scaled
 from .maps import builtin_certificates, pair_element
 from .projective import RECON_TOL
@@ -429,21 +429,11 @@ def _l_candidate(terms, vals) -> tuple:
     )
 
 
-def _first_best(items, value):
-    """The first of items whose value is within TIE_RTOL relative of the least.
-    Families and certificates often tie up to rounding (several reach one
-    closed-form norm), so a plain min would let rounding, and with it the
-    element's scale, pick the winner."""
-    items = list(items)
-    best = min(map(value, items))
-    return next(it for it in items if value(it) <= best + TIE_RTOL * abs(best))
-
-
 def _best_lower(rows) -> tuple:
-    if not any(row[1] > 0 for row in rows):
+    best, row = _keep_best((row[1], row) for row in rows)  # the greatest lower bound
+    if not best > 0:
         return 0.0, {"certificate": None}
-    name, lower, info, _ = _first_best(rows, lambda row: -row[1])  # the greatest lower bound
-    return lower, {"certificate": name, **canonical(info)}
+    return row[1], {"certificate": row[0], **canonical(row[2])}
 
 
 def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple:
@@ -490,7 +480,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     units, out = [], []
     for norm in norms:
         if norm == "pl":
-            name, (terms, upper, _, _) = _first_best(fam.items(), lambda kv: kv[1][1])
+            _, (name, (terms, upper, _, _)) = _keep_best((-v[1], (k, v)) for k, v in fam.items())
             norm_rows = rows
             details = {
                 "families": {k: v[1] for k, v in fam.items()},
@@ -500,7 +490,7 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
             }
         else:
             candidates = {k: _l_candidate(v[0], v[3]) for k, v in fam.items()}
-            name, (upper, terms) = _first_best(candidates.items(), lambda kv: kv[1][0])
+            _, (name, (upper, terms)) = _keep_best((-v[0], (k, v)) for k, v in candidates.items())
             norm_rows = [row for row in rows if row[3]]
             details = {
                 "families": {k + "+orth": v[0] for k, v in candidates.items()},
@@ -537,7 +527,7 @@ def pl_norm_bracket(
     families; the lower bound is the best of the certificates (those of
     builtin_certificates(E, F) unless a list is passed) and the projective
     families' rows.  Values within 1e-14 relative of the best tie, and the
-    first in order wins (_first_best), so the witnesses do not follow
+    first in order wins (bases._keep_best), so the witnesses do not follow
     rounding.  Both bounds are certified, and lower <= upper + 1e-9 is
     asserted on the unit-Frobenius element.
     Raises ValueError on non-finite input, on a real-restricted factor (the
