@@ -24,6 +24,7 @@ injective-type quantized norm and the certificate machinery run on:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -204,6 +205,11 @@ class BaseNorm:
 
     def dual_descriptor(self) -> Optional["BaseNorm"]:
         """Descriptor of the dual norm, when it is again one of the known kinds."""
+        return self._dual_descriptor
+
+    @functools.cached_property
+    def _dual_descriptor(self) -> Optional["BaseNorm"]:
+        """dual_descriptor(), built and checked once per descriptor."""
         if self.kind == "euclidean":
             return self
         if self.kind == "polytope":

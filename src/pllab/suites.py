@@ -48,20 +48,21 @@ def _bracket_row(case: str, b, want: float, tolerance: float, **extra) -> dict:
 
 # -- fixed known-value suite ----------------------------------------------------
 
+_CERT_PAIRS = 60  # pairs of verify_paper_suite's certificate sweep
+
 
 def verify_paper_suite(
     n_max: int = 4,
     budget: int = 200,
     seed: int = 0,
     tolerance: float = 1e-9,
-    cert_pairs: int = 60,
 ) -> list:
     """The fixed verification suite behind the verify-paper command.
 
     Covers the separation example (pl = n against l = sqrt(n)), the
     minimal-quantization SVD law, the l collapse on injectively quantized
     euclidean factors, the weighted-l1 pair closed form, the L_p embedding
-    equality, and a certificate contractivity sweep.
+    equality, and a certificate contractivity sweep over _CERT_PAIRS factor pairs.
     """
     rows = []
 
@@ -148,11 +149,11 @@ def verify_paper_suite(
         )
 
     sweep_rows, violations = certificate_sweep(
-        pairs=cert_pairs, budget=max(budget // 4, 30), seed=seed, tolerance=tolerance
+        pairs=_CERT_PAIRS, budget=max(budget // 4, 30), seed=seed, tolerance=tolerance
     )
     rows.append(
         _row(
-            "certificate-sweep", not violations, pairs=cert_pairs,
+            "certificate-sweep", not violations, pairs=_CERT_PAIRS,
             violations=len(violations), worst=sweep_rows["worst_excess"],
             tolerance=tolerance,
         )

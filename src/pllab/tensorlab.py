@@ -349,6 +349,11 @@ def _family_identity_block(U, E, F, pairing, budget, seed):
     return [(block, *eye)], [(op_norm(block), nu, nv)]
 
 
+# the projective family's lower-row names, by the projective factor's kind and side
+_ROW_NAMES = {("max", "left"): "max-tensor-identity", ("lp", "left"): "l1-reshape",
+              ("max", "right"): "max-tensor-identity-right", ("lp", "right"): "l1-reshape-right"}
+
+
 def _family_projective(U, E, F, budget, seed, side: str):
     """Decompose against one projectively normed factor P, and bound below:
     P (x)_pl Q = tensor_p(P.projective_base, Q), so one tensor_p_bracket, on
@@ -366,8 +371,8 @@ def _family_projective(U, E, F, budget, seed, side: str):
     res = tensor_p_bracket(P.projective_base, Q, W, budget, make_rng(seed, "amp", "tensor_p"))
     eye = np.eye(d, dtype=complex)
     terms = [(eye, *(x[None, :], v.reshape(d, Q.dim))[order]) for x, v in res.terms]
-    name = ("max-tensor-identity" if P.kind == "max" else "l1-reshape") + ("" if side == "left" else "-right")
-    row = (name, float(min(res.lower, res.upper)), {"target_method": "tensor_p/" + res.upper_method},
+    row = (_ROW_NAMES[P.kind, side], float(min(res.lower, res.upper)),
+           {"target_method": "tensor_p/" + res.upper_method},
            P.kind == "lp" and P.dim == 1 and (Q.dim == 1 or Q.semi_ruan))
     return terms, [(1.0, c, 1.0) for c in res.values], res.upper, res.upper_method, row
 
@@ -452,14 +457,20 @@ def _brackets(norms, E, F, U, budget, seed, pairing, certificates=None) -> tuple
     rounding at large scales cannot trip the absolute 1e-9 check again.
     Passed certificates must have sources equal to (E, F) by to_dict(): a
     lower bound is sound only over its own sources, and one whose bound its
-    lb_estimate falsifies is refused.  The zero element gets the zero brackets.
+    lb_estimate falsifies is refused, as is one named like a projective row
+    or an earlier passed certificate, which details would hide.  The zero
+    element gets the zero brackets.
     """
     if E.real or F.real:
         raise ValueError("the pl and l brackets do not take real-restricted factors")
     U, scale = pair_element(E, F, U)
     if certificates is not None:
         certificates, pair = list(certificates), (E.to_dict(), F.to_dict())
+        taken = set(_ROW_NAMES.values())
         for cert in certificates:
+            if cert.name in taken:
+                raise ValueError(f"certificate {cert.name!r}: a projective row or an earlier one has its name")
+            taken.add(cert.name)
             if tuple(q.to_dict() for q in cert.sources) != pair:
                 raise ValueError(f"certificate {cert.name!r} was built for another factor pair")
             est = cert.lb_estimate
@@ -532,7 +543,8 @@ def pl_norm_bracket(
     asserted on the unit-Frobenius element.
     Raises ValueError on non-finite input, on a real-restricted factor (the
     searches run on complex data) and on a passed certificate whose sources
-    (Certificate.sources) are not (E, F) or whose bound lb_estimate falsifies.
+    (Certificate.sources) are not (E, F), whose bound lb_estimate falsifies
+    or whose name a projective row or an earlier passed certificate has.
     """
     _, (pl,) = _brackets(("pl",), E, F, U, budget, seed, pairing, certificates)
     return pl

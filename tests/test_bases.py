@@ -75,6 +75,24 @@ def test_lp_dual_descriptor_roundtrip(p, q):
         assert dd.norm(c) == pytest.approx(base.dual_norm(c), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [1.0, 3.0, np.inf])
+def test_dual_descriptor_is_built_once_per_descriptor(p):
+    """dual_norm and the dual-ball ascents ask for it on every call."""
+    base = BaseNorm.lp(p, weights=[1.0, 0.5, 2.0])
+    assert base.dual_descriptor() is base.dual_descriptor()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["maxima", "negated-minima"])
+def test_keep_best_keeps_the_earlier_of_near_ties(sign):
+    """A later value replaces the best only when it beats it by more than
+    TIE_RTOL relative, for a least value scanned negated as for a greatest."""
+    from pllab.bases import TIE_RTOL, _keep_best
+
+    tied, better = sign * (1.0 + sign * TIE_RTOL / 2), sign * (1.0 + sign * TIE_RTOL * 5)
+    assert _keep_best([(sign, "first"), (tied, "tied")]) == (sign, "first")
+    assert _keep_best([(sign, "first"), (tied, "tied"), (better, "better")]) == (better, "better")
+
+
 def test_dual_norm_against_sampling_oracle():
     w = np.array([1.0, 2.0])
     c = np.array([1.0, -2.0])

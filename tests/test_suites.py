@@ -17,7 +17,7 @@ def test_v_example_shape():
 
 
 def test_verify_paper_suite_small():
-    rows = verify_paper_suite(n_max=2, budget=80, seed=0, cert_pairs=10)
+    rows = verify_paper_suite(n_max=2, budget=80, seed=0)
     assert rows, "suite produced no cases"
     failed = [r["case"] for r in rows if not r["passed"]]
     assert failed == []
@@ -29,8 +29,8 @@ def test_verify_paper_suite_small():
 
 
 def test_verify_paper_suite_deterministic():
-    a = verify_paper_suite(n_max=2, budget=60, seed=3, cert_pairs=5)
-    b = verify_paper_suite(n_max=2, budget=60, seed=3, cert_pairs=5)
+    a = verify_paper_suite(n_max=2, budget=60, seed=3)
+    b = verify_paper_suite(n_max=2, budget=60, seed=3)
     assert a == b
 
 

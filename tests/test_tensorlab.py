@@ -583,6 +583,26 @@ def test_catalog_bounds_pass_admission_once_per_certificate(monkeypatch):
             assert cert.lb_estimate is None or cert.lb_estimate.lower <= cert.bound * (1 + 1e-12), cert.name
 
 
+@pytest.mark.parametrize("case", ["projective-row", "twice"])
+@pytest.mark.parametrize("fn", [pl_norm_bracket, l_norm_bracket], ids=["pl", "l"])
+def test_a_certificate_name_taken_by_a_row_is_refused_at_admission(monkeypatch, fn, case):
+    """A passed certificate named like a projective row, or twice passed, would
+    share one details["certificates"] entry with the other row; it is refused,
+    named, before any family is built."""
+    from dataclasses import replace
+
+    from pllab import tensorlab
+    from pllab.maps import builtin_certificates
+
+    E, F = Quantization.max(BaseNorm.lp(1.0, weights=[1.0, 2.0])), Quantization.hilbert(2)
+    pair = builtin_certificates(E, F)[0]
+    certs = [pair, replace(pair, name="max-tensor-identity")] if case == "projective-row" else [pair, pair]
+    monkeypatch.setattr(tensorlab, "_pl_families", lambda *a: pytest.fail("families built"))
+    name = certs[1].name
+    with pytest.raises(ValueError, match=f"certificate '{name}': a projective row or an earlier one has its name"):
+        fn(E, F, np.arange(1, 9).reshape(2, 4), budget=60, certificates=certs)
+
+
 def test_brackets_run_no_semi_ruan_search(monkeypatch):
     """The l pool is decided from the descriptors alone: pl, l and
     compare_pl_l never call the witness search, through any binding of it."""
